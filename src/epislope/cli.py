@@ -95,13 +95,13 @@ def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
         spec = PenaltySpec(p=float(params.get("p", 1.0)))
         region = _region_from(params, payload)
         value, verdict = penalty_limit(payload["model"], region, spec,
-                                       payload["mesh"], cfg)
+                                       payload.get("mesh"), cfg)
         tables["penalty_limit"] = value
         return [("penalty_limit", verdict)], tables
 
     if operation == "robustness":
         region = _region_from(params, payload)
-        report = robustness(payload["model"], region, payload["mesh"], cfg)
+        report = robustness(payload["model"], region, payload.get("mesh"), cfg)
         status = Status.HOLDS if report.robust else Status.FAILS
         gap = report.gap if report.gap != float("inf") else float("inf")
         verdict = Verdict(status, float(gap) if gap != float("inf") else 0.0,

@@ -10,19 +10,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 ExtReal = Union[float, Fraction]
 
 INF: float = math.inf
-
-
-def is_inf(a: ExtReal) -> bool:
-    return isinstance(a, float) and math.isinf(a)
-
-
-def is_finite(a: ExtReal) -> bool:
-    return not is_inf(a)
 
 
 def check(a: ExtReal) -> ExtReal:
@@ -33,31 +25,3 @@ def check(a: ExtReal) -> ExtReal:
         if math.isinf(a) and a < 0:
             raise ValueError("-infinity is not representable")
     return a
-
-
-def ext_add(a: ExtReal, b: ExtReal) -> ExtReal:
-    """a + b with a + INF = INF."""
-    check(a)
-    check(b)
-    if is_inf(a) or is_inf(b):
-        return INF
-    return a + b
-
-
-def ext_min(values: Iterable[ExtReal]) -> ExtReal:
-    """Minimum of a collection; INF when empty."""
-    best: ExtReal = INF
-    for v in values:
-        check(v)
-        if v < best:
-            best = v
-    return best
-
-
-def ext_max(values: Iterable[ExtReal], default: ExtReal = 0) -> ExtReal:
-    best: ExtReal = default
-    for v in values:
-        check(v)
-        if v > best:
-            best = v
-    return best

@@ -13,9 +13,9 @@ mesh.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .extreal import INF, ExtReal, check
 from .geometry import BoxNorm, EUCLIDEAN, Norm, NormKind, Point, PointSet
-from .regions import Region
+from .regions import Ball, Region
 
 Box = Tuple[Tuple[float, float], ...]
 
@@ -36,7 +36,15 @@ def _key(p: Sequence[float]) -> Tuple[float, ...]:
 
 @dataclass(frozen=True)
 class MeshSpec:
-    """Uniform grid on a closed box; nodes include both endpoints per axis."""
+    """Uniform grid on a closed box; nodes include both endpoints per axis.
+
+    Node lookup: a point names the node whose coordinates agree with its
+    own once both are rounded to 9 decimals on every axis.  The index is
+    found arithmetically, ``rint((x - lo) / h)`` per axis, then checked
+    against the box and that 9-decimal snap.  ``locate`` returns -1 for
+    rows that name no node; a tabulated ``FunctionModel`` raises
+    ``KeyError`` for such a point.
+    """
 
     box: Box
     h: Tuple[float, ...]
@@ -53,6 +61,10 @@ class MeshSpec:
     @staticmethod
     def _axis_count(lo: float, hi: float, step: float) -> int:
         return int(round((hi - lo) / step)) + 1
+
+    @cached_property
+    def _counts(self) -> Tuple[int, ...]:
+        return tuple(self._axis_count(lo, hi, step) for (lo, hi), step in zip(self.box, self.h))
 
     @staticmethod
     def line(lo: float, hi: float, h: float) -> "MeshSpec":
@@ -82,11 +94,42 @@ class MeshSpec:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def node_tuples(self) -> Tuple[Point, ...]:
-        return tuple(map(tuple, self.nodes()))
-
     def index_map(self) -> Dict[Tuple[float, ...], int]:
+        """Snapped node coordinates -> flat index, as a dict."""
         return {_key(p): i for i, p in enumerate(self.nodes())}
+
+    def node_index(self, x: Sequence[float]) -> int:
+        """Flat index of the node that the point x names, or -1."""
+        if len(x) != self.dim:
+            return -1
+        flat = 0
+        for c, (lo, _), step, count in zip(x, self.box, self.h, self._counts):
+            c = float(c)
+            q = (c - lo) / step
+            i = round(q) if math.isfinite(q) else -1
+            if not 0 <= i < count:
+                return -1
+            if round(c, _KEY_DECIMALS) != round(lo + step * i, _KEY_DECIMALS):
+                return -1
+            flat = flat * count + i
+        return flat
+
+    def locate(self, points: np.ndarray) -> np.ndarray:
+        """Flat node index of each row of a (m, dim) array; -1 where a row
+        names no node.  The batch form of ``node_index``."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points must have shape (m, {self.dim})")
+        flat = np.zeros(len(pts), dtype=np.int64)
+        ok = np.ones(len(pts), dtype=bool)
+        for c, (lo, _), step, count in zip(pts.T, self.box, self.h, self._counts):
+            with np.errstate(invalid="ignore"):
+                q = np.rint((c - lo) / step)
+            ok &= (q >= 0) & (q < count)
+            i = np.where(ok, q, 0).astype(np.int64)
+            ok &= np.round(c, _KEY_DECIMALS) == np.round(lo + step * i, _KEY_DECIMALS)
+            flat = flat * count + i
+        return np.where(ok, flat, -1)
 
 
 class Variant(enum.Enum):
@@ -117,7 +160,6 @@ class FunctionModel:
     # tabulated
     mesh: Optional[MeshSpec] = None
     values: Optional[np.ndarray] = None
-    _index: Optional[Dict[Tuple[float, ...], int]] = field(default=None, repr=False)
     # finite exception
     default: ExtReal = 0
     exceptions: Dict[SparsePoint, ExtReal] = field(default_factory=dict)
@@ -149,10 +191,8 @@ class FunctionModel:
         if self.variant is Variant.ANALYTIC:
             return check(self.fn(tuple(x)))
         if self.variant is Variant.TABULATED:
-            if self._index is None:
-                self._index = self.mesh.index_map()
-            i = self._index.get(_key(x))
-            if i is None:
+            i = self.mesh.node_index(x)
+            if i < 0:
                 raise KeyError(f"off-node query {tuple(x)} on a tabulated model")
             return float(self.values[i])
         # finite exception: exact sparse lookup
@@ -249,13 +289,17 @@ def restrict(f: FunctionModel, S: Region) -> FunctionModel:
 
 
 def inf_over_region(f: FunctionModel, S: Region, mesh: MeshSpec) -> ExtReal:
-    """Min of f over mesh nodes inside S; INF when no node qualifies."""
+    """Min of f over mesh nodes inside S; INF when no node qualifies.
+
+    Ball membership is one vectorised distance test; other regions are
+    asked node by node."""
     vals = values_on(f, mesh)
-    best = INF
-    for p, v in zip(mesh.nodes(), vals):
-        if S.contains(tuple(p)) and v < best:
-            best = float(v)
-    return best
+    nodes = mesh.nodes()
+    if isinstance(S, Ball):
+        inside = S.norm.pairwise(np.asarray([S.center], dtype=float), nodes)[0] <= S.radius
+    else:
+        inside = np.array([S.contains(tuple(p)) for p in nodes], dtype=bool)
+    return float(vals[inside].min()) if inside.any() else INF
 
 
 def inf_convolution(f: FunctionModel, g: FunctionModel, mesh: MeshSpec) -> FunctionModel:
@@ -283,9 +327,15 @@ def inf_convolution(f: FunctionModel, g: FunctionModel, mesh: MeshSpec) -> Funct
 def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel:
     """Lipschitz envelope f_n(x) = min over nodes y of f(y) + n||y - x||.
 
-    f_n <= f nodewise, and f_n is n-Lipschitz on node pairs.  On a 1-D
-    uniform mesh the envelope is computed by an exact two-pass distance
-    transform; otherwise by brute force over node pairs.
+    f_n <= f nodewise, and f_n is n-Lipschitz on node pairs.
+
+    On a 1-D uniform mesh with ramp_i = n*h*i the envelope is the 1-D
+    distance transform min(ramp + cummin(f - ramp), revcummin(f + ramp) -
+    ramp, f), linear in the node count.  The closing min with f keeps
+    f_n <= f exact at every node, the argmin included; the closed form
+    n*h*(i - j) differs by rounding, up to ~1e-12 at 20 001 nodes, from
+    adding the step i - j times.  Other meshes use brute force over node
+    pairs.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -293,18 +343,10 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     if not np.isfinite(fv).any():
         raise ValueError("f is +inf on the whole mesh")
     if mesh.dim == 1:
-        step = n * mesh.h[0]
-        fwd = fv.copy()
-        for i in range(1, len(fwd)):
-            cand = fwd[i - 1] + step
-            if cand < fwd[i]:
-                fwd[i] = cand
-        bwd = fv.copy()
-        for i in range(len(bwd) - 2, -1, -1):
-            cand = bwd[i + 1] + step
-            if cand < bwd[i]:
-                bwd[i] = cand
-        out = np.minimum(fwd, bwd)
+        ramp = n * mesh.h[0] * np.arange(len(fv))
+        fwd = ramp + np.minimum.accumulate(fv - ramp)
+        bwd = np.minimum.accumulate((fv + ramp)[::-1])[::-1] - ramp
+        out = np.minimum(np.minimum(fwd, bwd), fv)
     else:
         nodes = mesh.nodes()
         D = f.norm.pairwise(nodes, nodes)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .extreal import INF, ExtReal, ext_min
+from .extreal import INF, ExtReal
 
 Point = Tuple[float, ...]
 
@@ -167,7 +167,3 @@ def ball_gap(y: Sequence[float], radius: float, S: PointSet) -> ExtReal:
     if d == INF:
         return INF
     return max(0.0, d - radius)
-
-
-def ext_gap(values: Iterable[ExtReal]) -> ExtReal:
-    return ext_min(values)

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF, ExtReal
-from .functions import FunctionModel, MeshSpec, values_on
+from .functions import FunctionModel, MeshSpec, Variant, values_on
 from .geometry import MAX, Norm
 from .slopes import SubdifferentialOracle, slope_stability_witness, strong_slope
 from .verdict import LimitConfig, Status, Verdict
@@ -100,6 +100,13 @@ def product_mesh(mesh: MeshSpec, k: int) -> MeshSpec:
 
 
 def _component_values(f: FunctionModel, coords: np.ndarray) -> np.ndarray:
+    """f at every row of coords; tabulated models gather by node index."""
+    if f.variant is Variant.TABULATED:
+        idx = f.mesh.locate(coords)
+        off = idx < 0
+        if off.any():
+            raise KeyError(f"off-node query {tuple(coords[off.argmax()])} on a tabulated model")
+        return f.values[idx]
     return np.array([float(f(tuple(p))) for p in coords])
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .extreal import INF, ExtReal
 from .functions import (FunctionModel, MeshSpec, SparsePoint, Variant,
                         restrict, sparse_norm_sq, values_on)
-from .geometry import NormKind
+from .geometry import Norm, NormKind
 from .regions import Ball, Region, WholeSpace
 from .verdict import LimitConfig, Status, Verdict
 
@@ -48,9 +48,9 @@ class RobustnessReport:
     gap: ExtReal
 
 
-def _region_distances(S: Region, mesh: MeshSpec) -> np.ndarray:
+def _region_distances(S: Region, mesh: MeshSpec, norm: Norm) -> np.ndarray:
     """d_S at every mesh node; exact when the region has a closed form,
-    otherwise the distance to the nodes the region contains."""
+    otherwise the distance in ``norm`` to the nodes the region contains."""
     nodes = mesh.nodes()
     if isinstance(S, Ball):
         d = S.norm.pairwise(np.asarray([S.center], dtype=float), nodes)[0]
@@ -61,8 +61,7 @@ def _region_distances(S: Region, mesh: MeshSpec) -> np.ndarray:
     member = np.array([S.contains(tuple(p)) for p in nodes])
     if not member.any():
         raise ValueError("region contains no mesh node")
-    from .geometry import EUCLIDEAN
-    return EUCLIDEAN.pairwise(nodes, nodes[member]).min(axis=1)
+    return norm.pairwise(nodes, nodes[member]).min(axis=1)
 
 
 def _exact_ball(S: Region) -> Tuple[Dict[int, Fraction], Fraction]:
@@ -116,7 +115,7 @@ def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
         return _exact_uniform_infimum(f, S, cfg)
     if mesh is None:
         raise ValueError("mesh required for non-exact models")
-    dS = _region_distances(S, mesh)
+    dS = _region_distances(S, mesh, f.norm)
     vals = values_on(f, mesh)
     if not (dS <= max(cfg.delta_ladder)).any():
         raise ValueError("no mesh node within the largest delta of the region")
@@ -160,7 +159,7 @@ def penalty_value(f: FunctionModel, S: Region, n: float, spec: PenaltySpec,
             cand = float(v) + n * d ** spec.p
             best = min(best, cand)
         return best
-    dS = _region_distances(S, mesh)
+    dS = _region_distances(S, mesh, f.norm)
     vals = values_on(f, mesh)
     finite = np.isfinite(vals)
     if not finite.any():
@@ -279,7 +278,7 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
     else:
         ineq = Verdict(Status.INCONCLUSIVE, worst, witness={"rows": rows})
 
-    dS = _region_distances(S, mesh)
+    dS = _region_distances(S, mesh, f.norm)
     vals = values_on(f, mesh)
 
     def make(n):

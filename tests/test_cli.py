@@ -70,6 +70,18 @@ class TestRunScenario:
         assert main(["run", path, "--no-timings"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("operation,code", [("robustness", 2), ("penalty_limit", 3)])
+    def test_exact_instance_runs_without_a_mesh(self, tmp_path, capsys, operation, code):
+        path = write_scenario(tmp_path, {
+            "name": f"exact-{operation}", "operation": operation,
+            "instance": "nogood-slice",
+            "params": {"region": {"center": [0.0], "radius": 0.5}},
+        })
+        assert main(["run", path, "--no-timings"]) == code
+        witness = json.loads(capsys.readouterr().out)["verdicts"][0]["witness"]
+        r = witness["r_value"] if operation == "robustness" else witness["uniform_infimum"]
+        assert r == "-1/2"
+
     def test_inconclusive_exits_three(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "name": "boundary",

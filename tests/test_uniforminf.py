@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    Ball, FunctionModel, INF, LimitConfig, MeshSpec, PenaltySpec, Status,
-    WholeSpace, carac_W_bridge, nogoodlsc, penalty_limit, penalty_value,
+    Ball, FunctionModel, INF, LimitConfig, MAX, MeshSpec, PenaltySpec, Predicate,
+    Status, WholeSpace, carac_W_bridge, nogoodlsc, penalty_limit, penalty_value,
     plain_infimum, robustness, uniform_infimum,
 )
 
@@ -246,3 +246,12 @@ def test_uniform_infimum_below_plain_and_penalty_monotone(seed):
     vals = [penalty_value(f, S, n, spec, mesh) for n in spec.n_schedule]
     assert vals == sorted(vals)
     assert vals[-1] <= plain + 1e-12
+
+
+def test_predicate_region_distance_uses_the_model_norm():
+    mesh = MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(1.0, 1.0))
+    # nodes (0,0), (0,1), (1,0), (1,1)
+    f = FunctionModel.tabulated(mesh, np.array([0.0, 0.0, 0.0, -2.0]), norm=MAX)
+    origin = Predicate(lambda p: p == (0.0, 0.0))
+    # d_S(1, 1) = 1 in the max norm, not sqrt(2)
+    assert penalty_value(f, origin, 1.0, PenaltySpec(), mesh) == -1.0
