@@ -21,7 +21,7 @@ from .functions import (EpigraphSample, FunctionModel, MeshSpec, Variant,
                         epi_hypo_gap_triple, inf_convolution, inf_over_region,
                         pasch_hausdorff, restrict, sample_epigraph,
                         sample_graph, sample_hypograph, tabulate, values_on)
-from .verdict import LimitConfig, Status, Verdict
+from .verdict import InvariantError, LimitConfig, Status, Verdict
 from .convergence import (FunctionSequence, SetSequence, graph_epi_gap,
                           hit_and_miss, in_lower_limit, in_upper_limit,
                           kuratowski_sets, recovery_sequence, slice_at_point,

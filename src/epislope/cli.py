@@ -29,7 +29,7 @@ from .slopes import frechet_membership, slope_stability_witness, strong_slope
 from .sumrules import decoupling_inequality, prop71_bridge, r2_witness
 from .uniforminf import (PenaltySpec, penalty_limit, penalty_value,
                          plain_infimum, robustness, uniform_infimum)
-from .verdict import LimitConfig, Status, Verdict, _jsonable
+from .verdict import InvariantError, LimitConfig, Status, Verdict, _jsonable
 
 EXIT = {Status.HOLDS: 0, Status.FAILS: 2, Status.INCONCLUSIVE: 3}
 
@@ -82,7 +82,9 @@ def _region_from(params: Dict[str, Any], payload: Dict[str, Any]):
     if spec is not None:
         return Ball(tuple(float(c) for c in spec["center"]),
                     float(spec["radius"]))
-    return payload.get("region")
+    if payload.get("region") is None:
+        raise ValueError("instance has no 'region' payload; give params.region")
+    return payload["region"]
 
 
 def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
@@ -159,6 +161,8 @@ def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
         return [("decoupling_inequality", dec), ("wijsman_bridge", wij)], tables
 
     if operation == "r2_witness":
+        if payload.get("oracles") is None:
+            raise ValueError("instance has no 'oracles' payload")
         verdict = r2_witness(payload["sum"], payload["oracles"],
                              payload["xbar"], payload["mesh"], cfg)
         return [("r2_witness", verdict)], tables
@@ -208,6 +212,9 @@ def run_scenario(path: str, seed: Optional[int] = None, out: Optional[str] = Non
     except (OSError, ValueError, KeyError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return 1
     text = report.to_json()
     if out:
         with open(out, "w") as fh:
@@ -230,9 +237,20 @@ def reproduce_example_4_2(n_max: int, dim_trunc: int,
     nonzero exit.  The model carries value layers 1..n_max+1: the infimum
     over B_{1/n}(0) is attained on layer n+1, so the truncation must keep
     one layer more than the table depth.
+
+    Layer n-1 lies just over 1/(n(n-1)) beyond B_{1/n}(0), so row n is
+    resolved only when the smallest delta rung is below that gap; a
+    deeper request is refused (exit 1) before any work.
     """
     from .uniforminf import nogoodlsc
 
+    delta_min = Fraction(min(EXACT_DELTAS))
+    if n_max * (n_max - 1) * delta_min >= 1:
+        deepest = max(n for n in range(1, n_max) if n * (n - 1) * delta_min < 1)
+        print(f"error: --n-max {n_max} is deeper than the delta ladder resolves: "
+              f"row n needs n(n-1) < 1/delta_min = {1 / delta_min}, "
+              f"so --n-max <= {deepest}", file=sys.stderr)
+        return 1
     cfg = LimitConfig(delta_ladder=EXACT_DELTAS)
     try:
         model = nogoodlsc(n_max + 1, dim_trunc, delta_min=min(EXACT_DELTAS))

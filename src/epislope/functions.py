@@ -22,7 +22,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF, ExtReal, check
-from .geometry import BoxNorm, EUCLIDEAN, Norm, NormKind, Point, PointSet
+from .geometry import (BoxNorm, EUCLIDEAN, Norm, NormKind, Point, PointSet,
+                       _row_blocks, gap_distance)
 from .regions import Ball, Region
 
 Box = Tuple[Tuple[float, float], ...]
@@ -324,33 +325,80 @@ def inf_convolution(f: FunctionModel, g: FunctionModel, mesh: MeshSpec) -> Funct
     return FunctionModel.tabulated(mesh, out, norm=f.norm, name=f"{f.name}▽{g.name}")
 
 
+def _ramp_pass(v: np.ndarray, slope: float) -> np.ndarray:
+    """1-D envelope of v along its last axis, min over j of
+    v_j + slope*|i - j|, for every line at once: with ramp_i = slope*i it
+    is min(ramp + cummin(v - ramp), revcummin(v + ramp) - ramp, v)."""
+    ramp = slope * np.arange(v.shape[-1])
+    fwd = ramp + np.minimum.accumulate(v - ramp, axis=-1)
+    bwd = np.minimum.accumulate((v + ramp)[..., ::-1], axis=-1)[..., ::-1] - ramp
+    return np.minimum(np.minimum(fwd, bwd), v)
+
+
+def _chessboard_envelope(v: np.ndarray, step: float) -> np.ndarray:
+    """min over nodes (k, l) of v[k, l] + step*max(|i - k|, |j - l|) on a
+    2-D grid.  The max norm on equal steps is the 8-neighbour path
+    length, so two raster scans give it exactly: a 1-D pass along every
+    row, then a forward and a backward scan in which each row takes step
+    plus the least of its N, NW and NE neighbours (S, SW and SE on the way
+    back) in the finished row before it.  The 1-D pass comes first, for
+    all rows at once: a row that is step-Lipschitz along itself stays so
+    under these updates, so no later row needs it again."""
+    out = _ramp_pass(v, step)
+    for grid in (out, out[::-1]):  # the backward scan runs on a reversed view
+        for r in range(1, len(grid)):
+            prev = grid[r - 1]
+            near = prev.copy()
+            np.minimum(near[1:], prev[:-1], out=near[1:])
+            np.minimum(near[:-1], prev[1:], out=near[:-1])
+            near += step
+            np.minimum(grid[r], near, out=grid[r])
+    return out
+
+
 def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel:
     """Lipschitz envelope f_n(x) = min over nodes y of f(y) + n||y - x||.
 
-    f_n <= f nodewise, and f_n is n-Lipschitz on node pairs.
+    f_n <= f nodewise, and f_n is n-Lipschitz on node pairs.  The kernel
+    depends on the norm and the mesh:
 
-    On a 1-D uniform mesh with ramp_i = n*h*i the envelope is the 1-D
-    distance transform min(ramp + cummin(f - ramp), revcummin(f + ramp) -
-    ramp, f), linear in the node count.  The closing min with f keeps
-    f_n <= f exact at every node, the argmin included; the closed form
-    n*h*(i - j) differs by rounding, up to ~1e-12 at 20 001 nodes, from
-    adding the step i - j times.  Other meshes use brute force over node
-    pairs.
+    - 1-D meshes (every norm) and the taxicab norm in any dimension: one
+      1-D distance-transform pass per axis, min(ramp + cummin(f - ramp),
+      revcummin(f + ramp) - ramp, f) with ramp_i = n*h*i.  Exact, since
+      the l1 cone is separable; linear in the node count.
+    - The max norm on a 2-D mesh with equal steps: two raster scans over
+      the 8 neighbours (``_chessboard_envelope``), linear in the count.
+    - Every other case (Euclidean in 2-D and up, unequal steps, the max
+      norm in 3-D and up): brute force over node pairs, walked in row
+      blocks under ``geometry.PAIRWISE_CELL_BUDGET`` cells.
+
+    The linear kernels build n||y - x|| from n*h and index differences,
+    the brute force from node coordinates, so the two differ by rounding,
+    ~1e-12 at 20 001 nodes.  Every kernel keeps the exact bounds
+    min f <= f_n <= f at every node (by the zero-distance term or a
+    closing min with f, and a clamp at min f), so f_n equals f at the
+    argmin of f bit for bit, as the true envelope does.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     fv = values_on(f, mesh)
-    if not np.isfinite(fv).any():
+    low = fv.min()
+    if low == INF:
         raise ValueError("f is +inf on the whole mesh")
-    if mesh.dim == 1:
-        ramp = n * mesh.h[0] * np.arange(len(fv))
-        fwd = ramp + np.minimum.accumulate(fv - ramp)
-        bwd = np.minimum.accumulate((fv + ramp)[::-1])[::-1] - ramp
-        out = np.minimum(np.minimum(fwd, bwd), fv)
+    if mesh.dim == 1 or f.norm.kind is NormKind.TAXICAB:
+        out = fv.reshape(mesh._counts)
+        for axis, step in enumerate(mesh.h):
+            out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * step), axis, -1)
+        out = out.ravel()
+    elif f.norm.kind is NormKind.MAX and mesh.dim == 2 and mesh.h[0] == mesh.h[1]:
+        out = _chessboard_envelope(fv.reshape(mesh._counts), n * mesh.h[0]).ravel()
     else:
         nodes = mesh.nodes()
-        D = f.norm.pairwise(nodes, nodes)
-        out = (fv[None, :] + n * D).min(axis=1)
+        out = np.empty(len(fv))
+        for rows in _row_blocks(len(nodes), len(nodes)):
+            out[rows] = (fv[None, :] + n * f.norm.pairwise(nodes[rows], nodes)).min(axis=1)
+    # every kernel keeps f_n <= f; the ramp form can round below min f
+    out = np.maximum(out, low)
     return FunctionModel.tabulated(mesh, out, norm=f.norm, lipschitz_hint=n,
                                    name=f"{f.name}▽{n}||.||")
 
@@ -365,25 +413,21 @@ def epi_hypo_gap_triple(f: FunctionModel, g: FunctionModel, mesh: MeshSpec,
     the minimizing pairs.  exact=False samples the clouds and computes
     plain gap distances, which agree within O(h + alpha_step).
     """
-    from .geometry import gap_distance
-
     if exact:
-        fg_mesh_f = values_on(f, mesh)
-        fg_mesh_g = values_on(g, mesh)
+        fv = values_on(f, mesh)
+        gv = values_on(g, mesh)
         nodes = mesh.nodes()
-        D = f.norm.pairwise(nodes, nodes)  # rows: g-nodes y, cols: f-nodes x
-        fx = fg_mesh_f[None, :]
-        gy = fg_mesh_g[:, None]
-        with np.errstate(invalid="ignore"):
-            vert = fx - gy
-        # f(x)=+inf: no epi/graph point at x; g(y)=+inf: hypo is all of R there.
-        vert = np.where(np.isposinf(fx) * np.ones_like(gy, dtype=bool), np.inf, vert)
-        vert = np.where(np.isposinf(gy) * np.ones_like(fx, dtype=bool), 0.0, vert)
-        vert = np.maximum(vert, 0.0)
-        dist = np.maximum(D, vert)
-        dist = np.where(np.isposinf(fx) * np.ones_like(gy, dtype=bool), np.inf, dist)
-        val = float(dist.min())
-        return val, val, val
+        fx = fv[None, :]
+        best = INF
+        for rows in _row_blocks(len(nodes), len(nodes)):
+            D = f.norm.pairwise(nodes[rows], nodes)  # rows: g-nodes y, cols: f-nodes x
+            with np.errstate(invalid="ignore"):
+                # g(y)=+inf: hypo is all of R there, no vertical gap
+                vert = np.maximum(fx - gv[rows, None], 0.0)
+            # f(x)=+inf: no epi/graph point at x
+            dist = np.where(np.isposinf(fx), np.inf, np.maximum(D, vert))
+            best = min(best, float(dist.min()))
+        return best, best, best
 
     epi_f = sample_epigraph(f, mesh, cap, alpha_step).cloud
     graph_f = sample_graph(f, mesh, cap)

@@ -4,6 +4,10 @@ Points are plain tuples of numbers (floats, or exact Fractions on the
 exact code paths).  Sets are finite samples; every infimum over a set is
 a genuine minimum over its points, with the empty-set convention
 ``inf over {} = INF``.
+
+Reductions over all point pairs (gap distances, diameters, brute-force
+envelopes) never build the whole distance matrix: they walk it in row
+blocks of at most ``PAIRWISE_CELL_BUDGET`` cells.
 """
 
 from __future__ import annotations
@@ -11,13 +15,25 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .extreal import INF, ExtReal
 
 Point = Tuple[float, ...]
+
+# Most cells (row x column distances) of one pairwise block: 8 MiB of
+# float64 distances, plus the per-axis differences they are built from.
+PAIRWISE_CELL_BUDGET = 1 << 20
+
+
+def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
+    """Row slices of a rows x cols pairwise matrix, each at most
+    PAIRWISE_CELL_BUDGET cells; a row longer than that is a block alone."""
+    step = max(1, PAIRWISE_CELL_BUDGET // max(cols, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 class NormKind(enum.Enum):
@@ -133,14 +149,20 @@ def point_set_distance(x: Sequence[float], S: PointSet) -> ExtReal:
 
 
 def gap_distance(A: PointSet, B: PointSet) -> ExtReal:
-    """D(A, B) = min pairwise distance; INF if either set is empty."""
+    """D(A, B) = min pairwise distance; INF if either set is empty.
+
+    Brute force over all pairs in every norm, walked in row blocks of A
+    under PAIRWISE_CELL_BUDGET cells: memory stays bounded whatever the
+    cloud sizes, and the result is the dense minimum bit for bit.
+    """
     if A.dim != B.dim:
         raise ValueError(f"dim mismatch {A.dim} != {B.dim}")
     if A.norm != B.norm:
         raise ValueError("norm mismatch between sets")
     if not A.points or not B.points:
         return INF
-    return float(A.norm.pairwise(A.array, B.array).min())
+    return min(float(A.norm.pairwise(A.array[rows], B.array).min())
+               for rows in _row_blocks(len(A), len(B)))
 
 
 def uniform_neighborhood_contains(S: PointSet, delta: float, x: Sequence[float]) -> bool:
@@ -154,7 +176,8 @@ def diameter(S: PointSet) -> ExtReal:
     """Max pairwise distance; 0 for empty or singleton sets."""
     if len(S) <= 1:
         return 0.0
-    return float(S.norm.pairwise(S.array, S.array).max())
+    return max(float(S.norm.pairwise(S.array[rows], S.array).max())
+               for rows in _row_blocks(len(S), len(S)))
 
 
 def ball_gap(y: Sequence[float], radius: float, S: PointSet) -> ExtReal:

@@ -20,7 +20,7 @@ from .extreal import INF, ExtReal
 from .functions import FunctionModel, MeshSpec, Variant, tilt_model, values_on
 from .convergence import (FunctionSequence, recovery_sequence, snap_half_node,
                           wijsman_at_point)
-from .verdict import LimitConfig, Status, Verdict
+from .verdict import InvariantError, LimitConfig, Status, Verdict
 
 
 @dataclass
@@ -120,8 +120,10 @@ def ekeland_point(f: FunctionModel, x0: Sequence[float], sigma: float,
             break
     # exact postcondition on the finite node set
     dz = f.norm.pairwise(ball[z:z + 1], ball)[0]
-    assert bvals[z] <= (bvals + sigma * dz).min()
-    assert bvals[z] <= bvals[start]
+    if not bvals[z] <= (bvals + sigma * dz).min():
+        raise InvariantError("Ekeland point beaten by a ball node within sigma")
+    if not bvals[z] <= bvals[start]:
+        raise InvariantError("Ekeland point above the start value")
     return tuple(ball[z])
 
 

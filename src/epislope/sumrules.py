@@ -20,7 +20,7 @@ from .extreal import INF, ExtReal
 from .functions import FunctionModel, MeshSpec, Variant, values_on
 from .geometry import MAX, Norm
 from .slopes import SubdifferentialOracle, slope_stability_witness, strong_slope
-from .verdict import LimitConfig, Status, Verdict
+from .verdict import InvariantError, LimitConfig, Status, Verdict
 
 PRODUCT_DIM_CAP = 4
 
@@ -143,9 +143,9 @@ def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> E
         mask = dist <= delta
         inf_d: ExtReal = float(values[mask].min()) if mask.any() else INF
         if inf_d == -math.inf:
-            raise AssertionError("-inf is not an extended-real value")
+            raise InvariantError("-inf is not an extended-real value")
         if prev is not None and _lt(inf_d, prev):
-            raise AssertionError("sup-inf not monotone along the delta ladder")
+            raise InvariantError("sup-inf not monotone along the delta ladder")
         prev = inf_d
         best = inf_d if best == -math.inf else _max(best, inf_d)
     return best
@@ -229,7 +229,7 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
             v2: ExtReal = float(F[m2].min()) if m2.any() else INF
             raw_rhs = v2 if raw_rhs == -math.inf else _max(raw_rhs, v2)
         if raw_lhs != lhs or raw_rhs != rhs:
-            raise AssertionError("raw and r-form evaluations disagree")
+            raise InvariantError("raw and r-form evaluations disagree")
         rows.append({"lambda": lam, "lhs": lhs, "rhs": rhs,
                      "margin": _margin(lhs, rhs)})
 

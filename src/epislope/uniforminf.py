@@ -21,9 +21,9 @@ import numpy as np
 from .extreal import INF, ExtReal
 from .functions import (FunctionModel, MeshSpec, SparsePoint, Variant,
                         restrict, sparse_norm_sq, values_on)
-from .geometry import Norm, NormKind
+from .geometry import Norm, NormKind, _row_blocks
 from .regions import Ball, Region, WholeSpace
-from .verdict import LimitConfig, Status, Verdict
+from .verdict import InvariantError, LimitConfig, Status, Verdict
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,11 @@ def _region_distances(S: Region, mesh: MeshSpec, norm: Norm) -> np.ndarray:
     member = np.array([S.contains(tuple(p)) for p in nodes])
     if not member.any():
         raise ValueError("region contains no mesh node")
-    return norm.pairwise(nodes, nodes[member]).min(axis=1)
+    inside = nodes[member]
+    out = np.empty(len(nodes))
+    for rows in _row_blocks(len(nodes), len(inside)):
+        out[rows] = norm.pairwise(nodes[rows], inside).min(axis=1)
+    return out
 
 
 def _exact_ball(S: Region) -> Tuple[Dict[int, Fraction], Fraction]:
@@ -98,7 +102,7 @@ def _exact_uniform_infimum(f: FunctionModel, S: Region, cfg: LimitConfig) -> Ext
             if v < inf_d and _exact_within(pt, center, reach):
                 inf_d = v
         if prev is not None and inf_d < prev:
-            raise AssertionError("uniform infimum not monotone along the delta ladder")
+            raise InvariantError("uniform infimum not monotone along the delta ladder")
         prev = inf_d
         best = inf_d if best is None else max(best, inf_d)
     return best
@@ -108,8 +112,9 @@ def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
                     cfg: LimitConfig) -> ExtReal:
     """r_S(f): max over the delta ladder of the infimum of f on B_delta(S).
 
-    Monotone nondecreasing as delta decreases (asserted); the max over the
-    decreasing ladder therefore equals the value at the smallest rung.
+    Monotone nondecreasing as delta decreases (checked, else
+    InvariantError); the max over the decreasing ladder therefore equals
+    the value at the smallest rung.
     """
     if f.variant is Variant.FINITE_EXCEPTION:
         return _exact_uniform_infimum(f, S, cfg)
@@ -125,7 +130,7 @@ def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
         mask = dS <= delta
         inf_d = float(vals[mask].min()) if mask.any() else INF
         if prev is not None and inf_d < prev - 1e-12:
-            raise AssertionError("uniform infimum not monotone along the delta ladder")
+            raise InvariantError("uniform infimum not monotone along the delta ladder")
         prev = inf_d
         best = max(best, inf_d)
     return best
@@ -171,13 +176,14 @@ def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
                   mesh: Optional[MeshSpec], cfg: LimitConfig) -> Tuple[ExtReal, Verdict]:
     """Penalty values along the multiplier schedule, compared with r_S(f).
 
-    The schedule of values is nondecreasing (asserted); the verdict
-    compares the last value with the uniform infimum within cfg.tol.
+    The schedule of values is nondecreasing (checked, else
+    InvariantError); the verdict compares the last value with the uniform
+    infimum within cfg.tol.
     """
     vals = [penalty_value(f, S, n, spec, mesh) for n in spec.n_schedule]
     for a, b in zip(vals, vals[1:]):
         if b < a - 1e-12:
-            raise AssertionError("penalty values must be nondecreasing in n")
+            raise InvariantError("penalty values must be nondecreasing in n")
     r = uniform_infimum(f, S, mesh, cfg)
     last = vals[-1]
     if last == INF and r == INF:

@@ -15,6 +15,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 
+class InvariantError(RuntimeError):
+    """A computed result broke a property its algorithm guarantees
+    (monotone ladders, Ekeland postconditions): a defect, not bad input.
+    Raised explicitly, never by ``assert``, so ``python -O`` keeps the
+    check; the command line maps it to exit code 1."""
+
+
 class Status(enum.Enum):
     HOLDS = "Holds"
     FAILS = "Fails"

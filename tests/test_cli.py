@@ -7,7 +7,7 @@ import json
 import pytest
 import yaml
 
-from epislope import catalogue
+from epislope import InvariantError, catalogue, cli
 from epislope.cli import main, scenario_report
 
 
@@ -82,6 +82,28 @@ class TestRunScenario:
         r = witness["r_value"] if operation == "robustness" else witness["uniform_infimum"]
         assert r == "-1/2"
 
+    @pytest.mark.parametrize("operation,instance,key", [
+        ("penalty_limit", "frechet-kink", "region"),
+        ("robustness", "frechet-kink", "region"),
+        ("r2_witness", "decouple-boundary", "oracles"),
+    ])
+    def test_missing_payload_is_refused(self, tmp_path, capsys, operation, instance, key):
+        path = write_scenario(tmp_path, {
+            "name": "no-payload", "operation": operation, "instance": instance})
+        assert main(["run", path, "--no-timings"]) == 1
+        assert f"no '{key}' payload" in capsys.readouterr().err
+
+    def test_invariant_violation_exits_one(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("penalty values must be nondecreasing in n")
+
+        monkeypatch.setattr(cli, "penalty_limit", broken)
+        path = write_scenario(tmp_path, {
+            "name": "broken", "operation": "penalty_limit",
+            "instance": "quadratic-at-origin"})
+        assert main(["run", path, "--no-timings"]) == 1
+        assert "invariant violated: penalty values" in capsys.readouterr().err
+
     def test_inconclusive_exits_three(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "name": "boundary",
@@ -120,6 +142,14 @@ class TestExactTable:
         err = capsys.readouterr().err
         assert code == 1
         assert "need I >= 64" in err
+
+    def test_depth_beyond_the_delta_ladder_is_refused(self, capsys):
+        # layer 6 lies just over 1/42 beyond B_{1/7}(0), inside the smallest rung 1/32
+        code = main(["reproduce-example-4-2", "--n-max", "7", "--no-timings"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--n-max <= 6" in captured.err
 
     def test_csv_export(self, tmp_path, capsys):
         out_csv = tmp_path / "table.csv"

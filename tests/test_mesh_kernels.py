@@ -1,17 +1,23 @@
-"""Mesh-native kernels against brute force at small sizes: the 1-D
-Lipschitz envelope, arithmetic node lookup (scalar and batched), batched
-component values on product meshes, and ball infima."""
+"""Mesh-native kernels against brute force at small sizes: the Lipschitz
+envelopes (1-D, separable taxicab, chessboard scans and the blocked
+fallback), row-blocked pairwise minima and their cell budget, arithmetic
+node lookup (scalar and batched), batched component values on product
+meshes, and ball infima."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from epislope import (Ball, EUCLIDEAN, MAX, TAXICAB, FunctionModel, INF, MeshSpec,
-                      inf_over_region, pasch_hausdorff)
+from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FunctionModel, INF,
+                      MeshSpec, Norm, PointSet, Predicate, epi_hypo_gap_triple,
+                      gap_distance, geometry, inf_over_region, pasch_hausdorff)
 from epislope.functions import _key
+from epislope.geometry import PAIRWISE_CELL_BUDGET
 from epislope.sumrules import _component_values, product_mesh
+from epislope.uniforminf import _region_distances
 
 STEPS = (0.01, 0.05, 0.1, 0.25)
 NORMS = (EUCLIDEAN, MAX, TAXICAB)
@@ -19,10 +25,12 @@ values = st.one_of(st.floats(-10.0, 10.0), st.just(math.inf))
 
 
 def grid(lo_cents, step, counts):
-    """Mesh with lower corner lo_cents / 100 and counts[i] nodes per axis."""
+    """Mesh with lower corner lo_cents / 100 and counts[i] nodes per axis;
+    step is one step for every axis or a tuple of per-axis steps."""
     lo = lo_cents / 100.0
-    return MeshSpec(box=tuple((lo, lo + step * (c - 1)) for c in counts),
-                    h=(step,) * len(counts))
+    steps = tuple(step) if isinstance(step, (tuple, list)) else (step,) * len(counts)
+    return MeshSpec(box=tuple((lo, lo + h * (c - 1)) for h, c in zip(steps, counts)),
+                    h=steps[:len(counts)])
 
 
 meshes = st.builds(grid, st.integers(-200, 200), st.sampled_from(STEPS),
@@ -48,6 +56,191 @@ def test_envelope_matches_brute_force(vals, step, n):
     finite = np.isfinite(brute)
     assert np.abs(env[finite] - brute[finite]).max(initial=0.0) <= 1e-12 * scale
     assert (env <= fv).all()
+
+
+def seeded_values(data, count):
+    """Random values laced with +inf, or an indicator-like seed: finite at
+    one to three nodes and +inf elsewhere.  Never +inf everywhere."""
+    if data.draw(st.booleans()):
+        fv = np.array(data.draw(st.lists(values, min_size=count, max_size=count)))
+    else:
+        fv = np.full(count, math.inf)
+        for i in data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=3)):
+            fv[i] = data.draw(st.floats(-1.0, 1.0))
+    if not np.isfinite(fv).any():
+        fv[data.draw(st.integers(0, count - 1))] = 0.0
+    return fv
+
+
+def dense_envelope(fv, n, mesh, norm):
+    nodes = mesh.nodes()
+    return (fv[None, :] + n * norm.pairwise(nodes, nodes)).min(axis=1)
+
+
+@contextlib.contextmanager
+def cell_budget(cells):
+    """Shrink the pairwise cell budget so that small inputs span many blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "PAIRWISE_CELL_BUDGET", cells)
+        yield
+
+
+# ------------------------------------------------ 2-D and 3-D envelopes
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-200, 200), st.lists(st.sampled_from(STEPS), min_size=3, max_size=3),
+       st.lists(st.integers(2, 7), min_size=1, max_size=3), st.floats(0.5, 64.0), st.data())
+def test_linear_envelopes_match_brute_force(lo_cents, steps, counts, n, data):
+    """Taxicab in 1-D to 3-D (any steps) and the max norm on equal-step 2-D
+    grids: the linear kernels agree with the brute force up to rounding."""
+    fv = seeded_values(data, int(np.prod(counts)))
+    cases = [(TAXICAB, grid(lo_cents, steps, counts))]
+    if len(counts) == 2:
+        cases.append((MAX, grid(lo_cents, steps[0], counts)))
+    scale = 1.0 + np.abs(fv[np.isfinite(fv)]).max()
+    for norm, mesh in cases:
+        env = pasch_hausdorff(FunctionModel.tabulated(mesh, fv, norm=norm), n, mesh).values
+        brute = dense_envelope(fv, n, mesh, norm)
+        assert np.isfinite(env).all() and np.isfinite(brute).all()
+        assert np.abs(env - brute).max() <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-200, 200), st.lists(st.sampled_from(STEPS), min_size=3, max_size=3),
+       st.lists(st.integers(2, 6), min_size=2, max_size=3), st.sampled_from((EUCLIDEAN, MAX)),
+       st.integers(1, 40), st.floats(0.5, 64.0), st.data())
+def test_blocked_fallback_is_the_dense_formula(lo_cents, steps, counts, norm, cells, n, data):
+    """Euclidean, unequal-step max and 3-D max envelopes run the dense
+    formula in row blocks: bit for bit the same result."""
+    mesh = grid(lo_cents, steps, counts)
+    assume(norm is EUCLIDEAN or mesh.dim == 3 or mesh.h[0] != mesh.h[1])
+    fv = seeded_values(data, mesh.node_count)
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    with cell_budget(cells):
+        env = pasch_hausdorff(f, n, mesh).values
+    assert np.array_equal(env, dense_envelope(fv, n, mesh, norm))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-200, 200), st.sampled_from(STEPS),
+       st.one_of(st.lists(st.integers(2, 300), min_size=1, max_size=1),
+                 st.lists(st.integers(2, 20), min_size=2, max_size=2)),
+       st.sampled_from(NORMS), st.floats(0.5, 64.0), st.integers(0, 2 ** 32 - 1))
+def test_envelope_keeps_exact_bounds(lo_cents, step, counts, norm, n, seed):
+    """min f <= f_n <= f at every node and min f_n == min f, exactly,
+    although the ramp form rounds by up to an ulp either way."""
+    mesh = grid(lo_cents, step, counts)
+    rng = np.random.default_rng(seed)
+    fv = rng.uniform(-1e3, 1e3, mesh.node_count)
+    fv[rng.random(mesh.node_count) < 0.2] = math.inf
+    fv[rng.integers(mesh.node_count)] = rng.uniform(-1e3, 1e3)
+    env = pasch_hausdorff(FunctionModel.tabulated(mesh, fv, norm=norm), n, mesh).values
+    low = fv[np.isfinite(fv)].min()
+    assert (low <= env).all() and (env <= fv).all()
+    assert env.min() == low
+
+
+# ------------------------------------------------ row-blocked pairwise minima
+
+clouds = st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5)),
+                  min_size=1, max_size=30)
+cloud_norms = st.sampled_from(NORMS + tuple(BoxNorm(base, 2) for base in NORMS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds, clouds, cloud_norms, st.integers(1, 40))
+def test_blocked_gap_distance_is_the_dense_min(a, b, norm, cells):
+    A, B = PointSet.of(a, norm=norm), PointSet.of(b, norm=norm)
+    with cell_budget(cells):
+        gap = gap_distance(A, B)
+    assert gap == float(norm.pairwise(A.array, B.array).min())
+
+
+def test_gap_distance_edge_cases_unchanged():
+    A = PointSet.of([(0.0, 1.0)])
+    assert gap_distance(A, PointSet.of([], dim=2)) == INF
+    assert gap_distance(PointSet.of([], dim=2), A) == INF
+    with pytest.raises(ValueError, match="norm mismatch"):
+        gap_distance(A, PointSet.of([(0.0, 1.0)], norm=MAX))
+    with pytest.raises(ValueError, match="dim mismatch"):
+        gap_distance(A, PointSet.of([(0.0,)]))
+
+
+def dense_exact_gap(fv, gv, nodes, norm):
+    """The exact gap triple's node-pair formula on the whole matrix."""
+    D = norm.pairwise(nodes, nodes)
+    fx, gy = fv[None, :], gv[:, None]
+    with np.errstate(invalid="ignore"):
+        vert = fx - gy
+    vert = np.where(np.isposinf(fx) * np.ones_like(gy, dtype=bool), np.inf, vert)
+    vert = np.where(np.isposinf(gy) * np.ones_like(fx, dtype=bool), 0.0, vert)
+    dist = np.maximum(D, np.maximum(vert, 0.0))
+    return float(np.where(np.isposinf(fx) * np.ones_like(gy, dtype=bool), np.inf, dist).min())
+
+
+@settings(max_examples=100, deadline=None)
+@given(meshes, st.sampled_from(NORMS), st.integers(1, 40), st.data())
+def test_blocked_exact_gap_triple_is_the_dense_min(mesh, norm, cells, data):
+    fv = seeded_values(data, mesh.node_count)
+    gv = np.array(data.draw(st.lists(values, min_size=mesh.node_count,
+                                     max_size=mesh.node_count)))
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    g = FunctionModel.tabulated(mesh, gv, norm=norm)
+    with cell_budget(cells):
+        triple = epi_hypo_gap_triple(f, g, mesh, cap=0.0, floor=0.0, alpha_step=1.0,
+                                     exact=True)
+    want = dense_exact_gap(fv, gv, mesh.nodes(), norm)
+    assert triple == (want, want, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(meshes, st.sampled_from(NORMS), st.integers(1, 40), st.data())
+def test_blocked_predicate_distances_are_the_dense_min(mesh, norm, cells, data):
+    nodes = mesh.nodes()
+    picked = data.draw(st.sets(st.integers(0, len(nodes) - 1), min_size=1, max_size=4))
+    keys = {tuple(nodes[i]) for i in picked}
+    region = Predicate(lambda p: tuple(p) in keys)
+    with cell_budget(cells):
+        d = _region_distances(region, mesh, norm)
+    member = np.array([tuple(p) in keys for p in nodes])
+    assert np.array_equal(d, norm.pairwise(nodes, nodes[member]).min(axis=1))
+
+
+@contextlib.contextmanager
+def recorded_pairwise():
+    """Record the cell count of every Norm.pairwise / BoxNorm.pairwise call."""
+    calls = []
+
+    def wrap(cls):
+        inner = cls.pairwise
+
+        def pairwise(self, A, B):
+            calls.append((cls, len(A) * len(B)))
+            return inner(self, A, B)
+        return pairwise
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (Norm, BoxNorm):
+            mp.setattr(cls, "pairwise", wrap(cls))
+        yield calls
+
+
+def test_no_pairwise_call_exceeds_the_cell_budget():
+    mesh = MeshSpec(box=((-1.0, 1.0), (-1.0, 1.0)), h=(0.02, 0.02))  # 101 x 101
+    rng = np.random.default_rng(3)
+    f = FunctionModel.tabulated(mesh, rng.uniform(-1.0, 1.0, mesh.node_count))
+    with recorded_pairwise() as calls:
+        pasch_hausdorff(f, 2.0, mesh)
+    assert max(cells for _, cells in calls) <= PAIRWISE_CELL_BUDGET
+    assert sum(cells for _, cells in calls) == mesh.node_count ** 2  # each cell once
+
+    box = BoxNorm(EUCLIDEAN, 2)
+    A = PointSet.of(rng.uniform(-1.0, 1.0, (5000, 3)), norm=box)
+    B = PointSet.of(rng.uniform(2.0, 3.0, (5000, 3)), norm=box)
+    with recorded_pairwise() as calls:
+        gap_distance(A, B)
+    assert max(cells for _, cells in calls) <= PAIRWISE_CELL_BUDGET
+    assert sum(cells for cls, cells in calls if cls is BoxNorm) == 5000 * 5000
 
 
 # ---------------------------------------------------------- node lookup

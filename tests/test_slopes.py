@@ -2,6 +2,10 @@
 Fréchet-subdifferential membership, and slope-control witnesses."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +117,35 @@ class TestEkelandPoint:
             z = ekeland_point(f, x0, 0.5, 0.5, mesh)
             assert float(f(z)) <= float(f(x0)) + 1e-12
             self._check_postcondition(f, z, x0, 0.5, 0.5, mesh)
+
+    def test_postcondition_survives_python_O(self):
+        """The postcondition is a raised InvariantError, which python -O
+        keeps; here argmin is made to return the argmax, so the descent
+        stops at once, short of an Ekeland point."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from epislope import FunctionModel, InvariantError, MeshSpec, slopes\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(3)\n"
+            "class ArgmaxNumpy:\n"
+            "    def __getattr__(self, name):\n"
+            "        return np.argmax if name == 'argmin' else getattr(np, name)\n"
+            "slopes.np = ArgmaxNumpy()\n"
+            "mesh = MeshSpec.line(-1.0, 1.0, 0.05)\n"
+            "f = FunctionModel.tabulated(mesh, mesh.nodes()[:, 0] ** 2)\n"
+            "try:\n"
+            "    slopes.ekeland_point(f, (0.5,), 0.1, 1.0, mesh)\n"
+            "except InvariantError as exc:\n"
+            "    print('InvariantError:', exc)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("InvariantError: Ekeland point beaten")
 
     def test_invalid_inputs(self):
         mesh = line(h=0.1)
