@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import yaml
 
@@ -29,7 +28,8 @@ from .slopes import frechet_membership, slope_stability_witness, strong_slope
 from .sumrules import decoupling_inequality, prop71_bridge, r2_witness
 from .uniforminf import (PenaltySpec, penalty_limit, penalty_value,
                          plain_infimum, robustness, uniform_infimum)
-from .verdict import InvariantError, LimitConfig, Status, Verdict, _jsonable
+from .verdict import (InvariantError, LimitConfig, Status, Verdict, _jsonable,
+                      combine, decide)
 
 EXIT = {Status.HOLDS: 0, Status.FAILS: 2, Status.INCONCLUSIVE: 3}
 
@@ -58,14 +58,6 @@ class RunReport:
         return json.dumps(body, indent=2, sort_keys=False)
 
 
-def _overall(verdicts: List[Verdict]) -> Status:
-    if any(v.fails for v in verdicts):
-        return Status.FAILS
-    if all(v.holds for v in verdicts):
-        return Status.HOLDS
-    return Status.INCONCLUSIVE
-
-
 def _build_config(overrides: Dict[str, Any]) -> LimitConfig:
     kwargs = {}
     allowed = {"n_schedule", "delta_ladder", "radius_ladder",
@@ -87,87 +79,128 @@ def _region_from(params: Dict[str, Any], payload: Dict[str, Any]):
     return payload["region"]
 
 
-def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
-            cfg: LimitConfig) -> Tuple[List[Tuple[str, Verdict]], Dict[str, Any]]:
-    """Run one catalogue operation; returns labelled verdicts and tables."""
-    tables: Dict[str, Any] = {}
-    cfg = payload.get("cfg", cfg)
+Labelled = Tuple[List[Tuple[str, Verdict]], Dict[str, Any]]
 
-    if operation == "penalty_limit":
-        spec = PenaltySpec(p=float(params.get("p", 1.0)))
-        region = _region_from(params, payload)
-        value, verdict = penalty_limit(payload["model"], region, spec,
-                                       payload.get("mesh"), cfg)
-        tables["penalty_limit"] = value
-        return [("penalty_limit", verdict)], tables
 
-    if operation == "robustness":
-        region = _region_from(params, payload)
-        report = robustness(payload["model"], region, payload.get("mesh"), cfg)
-        status = Status.HOLDS if report.robust else Status.FAILS
-        gap = report.gap if report.gap != float("inf") else float("inf")
-        verdict = Verdict(status, float(gap) if gap != float("inf") else 0.0,
-                          witness={"r_value": report.r_value,
-                                   "plain_inf": report.plain_inf})
-        return [("robustness", verdict)], tables
+def _penalty_limit(payload, params, cfg) -> Labelled:
+    spec = PenaltySpec(p=float(params.get("p", 1.0)))
+    region = _region_from(params, payload)
+    value, verdict = penalty_limit(payload["model"], region, spec,
+                                   payload.get("mesh"), cfg)
+    return [("penalty_limit", verdict)], {"penalty_limit": value}
 
-    if operation == "wijsman_at_point":
-        seq = payload["seq_factory"]()
-        probe = tuple(params.get("probe", payload["probe"]))
-        verdict = wijsman_at_point(seq, payload["limit"], probe,
-                                   lambda_max=float(params.get("lambda_max", 0.5)),
-                                   cfg=cfg, mesh=payload["mesh"])
-        return [("wijsman_at_point", verdict)], tables
 
-    if operation == "slope_stability":
-        seq = payload["seq_factory"]()
-        probe = tuple(params.get("probe", payload["probe"]))
-        wit = slope_stability_witness(seq, payload["limit"], probe,
-                                      payload["mesh"], cfg)
-        worst = wit.suffix_max_slope(cfg.window_size)
-        excess = max(0.0, worst - wit.limsup_bound)
-        status = Status.HOLDS if excess == 0.0 else (
-            Status.FAILS if excess >= cfg.decision_band else Status.INCONCLUSIVE)
-        verdict = Verdict(status, wit.limsup_bound - worst,
-                          witness={"suffix_max_slope": worst,
-                                   "limsup_bound": wit.limsup_bound,
-                                   "slopes": wit.slopes})
-        tables["witness_points"] = wit.points
-        return [("slope_stability", verdict)], tables
+def _robustness(payload, params, cfg) -> Labelled:
+    region = _region_from(params, payload)
+    report = robustness(payload["model"], region, payload.get("mesh"), cfg)
+    status = Status.HOLDS if report.robust else Status.FAILS
+    verdict = Verdict(status, float(report.gap) if report.gap != float("inf") else 0.0,
+                      witness={"r_value": report.r_value,
+                               "plain_inf": report.plain_inf})
+    return [("robustness", verdict)], {}
 
-    if operation == "frechet_membership":
-        xstar = tuple(float(c) for c in params["xstar"])
-        probe = tuple(params.get("probe", payload["probes"][0]))
-        verdict = frechet_membership(payload["model"], probe, xstar,
-                                     payload["mesh"], cfg)
-        return [("frechet_membership", verdict)], tables
 
-    if operation == "strong_slope":
-        probe = tuple(params.get("probe", payload["probes"][0]))
-        est = strong_slope(payload["model"], probe, payload["mesh"], cfg)
-        tables["slope"] = {"value": est.value, "radius": est.radius_used,
-                           "trace": est.ratio_trace}
-        verdict = Verdict(Status.HOLDS, 0.0, witness=tables["slope"])
-        return [("strong_slope", verdict)], tables
+def _wijsman_at_point(payload, params, cfg) -> Labelled:
+    seq = payload["seq_factory"]()
+    probe = tuple(params.get("probe", payload["probe"]))
+    verdict = wijsman_at_point(seq, payload["limit"], probe,
+                               lambda_max=float(params.get("lambda_max", 0.5)),
+                               cfg=cfg, mesh=payload["mesh"])
+    return [("wijsman_at_point", verdict)], {}
 
-    if operation == "decoupling_inequality":
-        verdict = decoupling_inequality(payload["sum"], payload["xbar"],
-                                        payload["mesh"], cfg)
-        return [("decoupling_inequality", verdict)], tables
 
-    if operation == "prop71_bridge":
-        dec, wij = prop71_bridge(payload["sum"], payload["xbar"],
+def _slope_stability(payload, params, cfg) -> Labelled:
+    seq = payload["seq_factory"]()
+    probe = tuple(params.get("probe", payload["probe"]))
+    wit = slope_stability_witness(seq, payload["limit"], probe,
+                                  payload["mesh"], cfg)
+    worst = wit.suffix_max_slope(cfg.window_size)
+    # the limsup bound already includes cfg.tol: Holds allows no excess over it
+    status = decide(max(0.0, worst - wit.limsup_bound), 0.0, cfg.decision_band)
+    verdict = Verdict(status, wit.limsup_bound - worst,
+                      witness={"suffix_max_slope": worst,
+                               "limsup_bound": wit.limsup_bound,
+                               "slopes": wit.slopes})
+    return [("slope_stability", verdict)], {"witness_points": wit.points}
+
+
+def _frechet_membership(payload, params, cfg) -> Labelled:
+    if "xstar" not in params:
+        raise ValueError("frechet_membership needs params.xstar, the dual vector")
+    xstar = tuple(float(c) for c in params["xstar"])
+    probe = tuple(params.get("probe", payload["probes"][0]))
+    verdict = frechet_membership(payload["model"], probe, xstar,
                                  payload["mesh"], cfg)
-        return [("decoupling_inequality", dec), ("wijsman_bridge", wij)], tables
+    return [("frechet_membership", verdict)], {}
 
-    if operation == "r2_witness":
-        if payload.get("oracles") is None:
-            raise ValueError("instance has no 'oracles' payload")
-        verdict = r2_witness(payload["sum"], payload["oracles"],
-                             payload["xbar"], payload["mesh"], cfg)
-        return [("r2_witness", verdict)], tables
 
-    raise ValueError(f"unknown operation '{operation}'")
+def _strong_slope(payload, params, cfg) -> Labelled:
+    probe = tuple(params.get("probe", payload["probes"][0]))
+    est = strong_slope(payload["model"], probe, payload["mesh"], cfg)
+    slope = {"value": est.value, "radius": est.radius_used, "trace": est.ratio_trace}
+    return [("strong_slope", Verdict(Status.HOLDS, 0.0, witness=slope))], {"slope": slope}
+
+
+def _decoupling_inequality(payload, params, cfg) -> Labelled:
+    verdict = decoupling_inequality(payload["sum"], payload["xbar"],
+                                    payload["mesh"], cfg)
+    return [("decoupling_inequality", verdict)], {}
+
+
+def _prop71_bridge(payload, params, cfg) -> Labelled:
+    dec, wij = prop71_bridge(payload["sum"], payload["xbar"], payload["mesh"], cfg)
+    return [("decoupling_inequality", dec), ("wijsman_bridge", wij)], {}
+
+
+def _r2_witness(payload, params, cfg) -> Labelled:
+    verdict = r2_witness(payload["sum"], payload["oracles"], payload["xbar"],
+                         payload["mesh"], cfg)
+    return [("r2_witness", verdict)], {}
+
+
+@dataclass(frozen=True)
+class Operation:
+    """An ``epislope run`` operation: the instance payload keys it reads
+    (the region is separate, as params may give it), whether it accepts
+    exact (finite-exception) instances, and its runner."""
+
+    needs: Tuple[str, ...]
+    exact: bool
+    run: Callable[[Dict[str, Any], Dict[str, Any], LimitConfig], Labelled]
+
+
+_SEQUENCE = ("seq_factory", "limit", "probe", "mesh")
+_SUM = ("sum", "xbar", "mesh")
+OPERATIONS: Dict[str, Operation] = {
+    "penalty_limit": Operation(("model",), True, _penalty_limit),
+    "robustness": Operation(("model",), True, _robustness),
+    "wijsman_at_point": Operation(_SEQUENCE, False, _wijsman_at_point),
+    "slope_stability": Operation(_SEQUENCE, False, _slope_stability),
+    "frechet_membership": Operation(("model", "probes", "mesh"), False, _frechet_membership),
+    "strong_slope": Operation(("model", "probes", "mesh"), False, _strong_slope),
+    "decoupling_inequality": Operation(_SUM, False, _decoupling_inequality),
+    "prop71_bridge": Operation(_SUM, False, _prop71_bridge),
+    "r2_witness": Operation(("sum", "oracles", "xbar", "mesh"), False, _r2_witness),
+}
+
+
+def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
+            cfg: LimitConfig) -> Labelled:
+    """Run one catalogue operation; returns labelled verdicts and tables.
+
+    An instance the operation cannot run on is refused (ValueError) before
+    any work, naming the first payload key it lacks."""
+    op = OPERATIONS.get(operation)
+    if op is None:
+        raise ValueError(f"unknown operation '{operation}'")
+    name = payload.get("name", "")
+    if payload.get("kind") == "exact" and not op.exact:
+        raise ValueError(f"{operation} does not accept the exact instance '{name}'")
+    for key in op.needs:
+        if payload.get(key) is None:
+            raise ValueError(f"instance '{name}' has no '{key}' payload; "
+                             f"{operation} reads {', '.join(op.needs)}")
+    return op.run(payload, params, payload.get("cfg", cfg))
 
 
 def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
@@ -184,7 +217,7 @@ def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
     labelled, tables = execute(doc["operation"], payload, params, cfg)
     elapsed = time.perf_counter() - start
 
-    overall = _overall([v for _, v in labelled])
+    overall = combine(v.status for _, v in labelled)
     report = RunReport(
         scenario=doc["name"],
         seed=seed,
@@ -215,16 +248,21 @@ def run_scenario(path: str, seed: Optional[int] = None, out: Optional[str] = Non
     except InvariantError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return 1
+    _emit(report, out)
+    return code
+
+
+def _emit(report: RunReport, out: Optional[str]) -> None:
+    """Write the JSON report to the file out, or to stdout."""
     text = report.to_json()
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return code
 
 
-EXACT_DELTAS = tuple(0.5 / (2 ** k) for k in range(5))  # smallest rung 1/32
+EXACT_DELTAS = catalogue.COARSE_DELTAS  # smallest rung 1/32
 
 
 def reproduce_example_4_2(n_max: int, dim_trunc: int,
@@ -284,12 +322,7 @@ def reproduce_example_4_2(n_max: int, dim_trunc: int,
         tables={"rows": rows},
         timings={"seconds": elapsed} if timings else None,
     )
-    text = report.to_json()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(report, out)
     return 0 if all_exact else 2
 
 

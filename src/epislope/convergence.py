@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .extreal import INF, ExtReal
-from .functions import (FunctionModel, MeshSpec, Variant, tilt_model, values_on)
+from .extreal import INF
+from .functions import FunctionModel, MeshSpec, tilt_model, values_on
 from .geometry import Norm, EUCLIDEAN, PointSet, point_set_distance
 from .regions import Ball
-from .verdict import LimitConfig, Status, Verdict
+from .verdict import (SLACK, LimitConfig, Status, Verdict, combine, decide,
+                      margin)
 
 
 @dataclass
@@ -66,17 +67,6 @@ class FunctionSequence:
                                 box=self.box, norm=self.norm)
 
 
-def _three_way(value: float, cfg: LimitConfig, witness=None, schedules=None) -> Verdict:
-    """Holds when value <= tol, Fails when value >= decision band."""
-    w = witness or {}
-    s = schedules or {}
-    if value <= cfg.tol:
-        return Verdict(Status.HOLDS, cfg.tol - value, w, s)
-    if value >= cfg.decision_band:
-        return Verdict(Status.FAILS, value, w, s)
-    return Verdict(Status.INCONCLUSIVE, value, w, s)
-
-
 def in_lower_limit(y: Sequence[float], seq: SetSequence, cfg: LimitConfig) -> Verdict:
     """y in Li S_n: d(y, S_n) -> 0, i.e. small over the suffix window."""
     dists = [point_set_distance(y, seq.at(n)) for n in cfg.n_schedule]
@@ -110,15 +100,8 @@ def wijsman_sets(seq: SetSequence, S: PointSet, probes: Sequence[Sequence[float]
     any_fail = None
     for y in probes:
         dS = point_set_distance(y, S)
-        diffs = []
-        for n in cfg.n_schedule:
-            dn = point_set_distance(y, seq.at(n))
-            if dS == INF and dn == INF:
-                diffs.append(0.0)
-            elif dS == INF or dn == INF:
-                diffs.append(math.inf)
-            else:
-                diffs.append(abs(dn - dS))
+        diffs = [abs(margin(dS, point_set_distance(y, seq.at(n))))
+                 for n in cfg.n_schedule]
         win = cfg.window(diffs)
         per_probe.append({"probe": tuple(y), "window_max": max(win)})
         worst_hold = max(worst_hold, max(win))
@@ -127,7 +110,9 @@ def wijsman_sets(seq: SetSequence, S: PointSet, probes: Sequence[Sequence[float]
     witness = {"per_probe": per_probe}
     if any_fail is not None:
         return Verdict(Status.FAILS, any_fail["window_min"], witness | {"failed": any_fail})
-    return _three_way(worst_hold, cfg, witness)
+    status = decide(worst_hold, cfg.tol, cfg.decision_band)
+    return Verdict(status, cfg.tol - worst_hold if status is Status.HOLDS else worst_hold,
+                   witness)
 
 
 def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
@@ -144,8 +129,10 @@ def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
     dists = [point_set_distance(y, seq.at(n)) for n in cfg.n_schedule]
     if dyS != INF and dyS <= cfg.tol:
         win = cfg.window(dists)
-        witness = {"branch": "hit", "window_max": max(win)}
-        return _three_way(float(max(win)), cfg, witness)
+        worst = float(max(win))
+        status = decide(worst, cfg.tol, cfg.decision_band)
+        return Verdict(status, cfg.tol - worst if status is Status.HOLDS else worst,
+                       {"branch": "hit", "window_max": max(win)})
     gap0 = max(0.0, (dyS if dyS != INF else math.inf) - lam)
     if gap0 > cfg.tol:
         best = 0.0
@@ -172,14 +159,9 @@ def kuratowski_sets(seq: SetSequence, S: PointSet, probes: Sequence[Sequence[flo
 def _aggregate(verdicts: List[Verdict], tags: List[dict]) -> Verdict:
     rows = [t | {"status": v.status.value, "margin": v.margin}
             for v, t in zip(verdicts, tags)]
-    witness = {"parts": rows}
-    if any(v.fails for v in verdicts):
-        worst = min(v.margin for v in verdicts if v.fails)
-        return Verdict(Status.FAILS, worst, witness)
-    if all(v.holds for v in verdicts):
-        return Verdict(Status.HOLDS, min(v.margin for v in verdicts), witness)
-    return Verdict(Status.INCONCLUSIVE,
-                   min(v.margin for v in verdicts), witness)
+    status = combine(v.status for v in verdicts)
+    deciding = [v for v in verdicts if v.fails] if status is Status.FAILS else verdicts
+    return Verdict(status, min(v.margin for v in deciding), {"parts": rows})
 
 
 def _ball_mask(nodes: np.ndarray, x: Sequence[float], radius: float,
@@ -215,7 +197,7 @@ def recovery_sequence(seq: FunctionSequence, f: FunctionModel, x: Sequence[float
         r = ladder[min(j * len(ladder) // len(cfg.n_schedule), len(ladder) - 1)]
         mask = dist_x <= r
         if not mask.any():
-            mask = dist_x <= dist_x.min() + 1e-12
+            mask = dist_x <= dist_x.min() + SLACK
         vals = seq.node_values(n, mesh)[mask]
         cand_nodes = nodes[mask]
         cand_dist = dist_x[mask]
@@ -231,12 +213,9 @@ def recovery_sequence(seq: FunctionSequence, f: FunctionModel, x: Sequence[float
     ok_dist = dist_err <= r_min + cfg.tol
     witness = {"picks": [{"n": p[0], "x_n": p[1], "f_n": p[2], "dist": p[3]} for p in picks],
                "window_value_err": value_err, "window_dist": dist_err}
-    if value_err <= cfg.tol and ok_dist:
-        v = Verdict(Status.HOLDS, cfg.tol - value_err, witness)
-    elif value_err >= cfg.decision_band or not ok_dist:
-        v = Verdict(Status.FAILS, value_err, witness)
-    else:
-        v = Verdict(Status.INCONCLUSIVE, value_err, witness)
+    status = decide(value_err, cfg.tol, cfg.decision_band) if ok_dist else Status.FAILS
+    v = Verdict(status, cfg.tol - value_err if status is Status.HOLDS else value_err,
+                witness)
     return [p[1] for p in picks], v
 
 
@@ -271,26 +250,16 @@ def wijsman_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float]
                 sel = vals[_ball_mask(nodes, x, h / 4, f.norm)]
             infs.append(float(sel.min()) if sel.size else INF)
         liminf = min(cfg.window(infs))
-        if r_val == INF and liminf == INF:
-            margin = math.inf
-        elif r_val == INF:
-            margin = -math.inf
-        elif liminf == INF:
-            margin = math.inf
-        else:
-            margin = liminf - float(r_val)
+        m = margin(r_val, liminf)
         rows.append({"lambda": lam, "r_value": r_val, "liminf_inf": liminf,
-                     "margin": margin})
-        worst = min(worst, margin)
+                     "margin": m})
+        worst = min(worst, m)
     witness = {"recovery": rec.status.value, "rows": rows}
     sched = {"lambda_max": lambda_max}
     if rec.fails:
         return Verdict(Status.FAILS, rec.margin, witness | {"reason": "recovery"}, sched)
-    if worst >= -cfg.tol and rec.holds:
-        return Verdict(Status.HOLDS, worst, witness, sched)
-    if worst <= -cfg.decision_band:
-        return Verdict(Status.FAILS, worst, witness, sched)
-    return Verdict(Status.INCONCLUSIVE, worst, witness, sched)
+    status = combine([rec.status, decide(-worst, cfg.tol, cfg.decision_band)])
+    return Verdict(status, worst, witness, sched)
 
 
 def tilt(f: FunctionModel, xstar: Sequence[float]) -> FunctionModel:

@@ -25,6 +25,7 @@ from .extreal import INF, ExtReal, check
 from .geometry import (BoxNorm, EUCLIDEAN, Norm, NormKind, Point, PointSet,
                        _row_blocks, gap_distance)
 from .regions import Ball, Region
+from .verdict import SLACK
 
 Box = Tuple[Tuple[float, float], ...]
 
@@ -143,10 +144,6 @@ class Variant(enum.Enum):
 SparsePoint = Tuple[Tuple[int, Fraction], ...]
 
 
-def sparse_norm_sq(p: SparsePoint) -> Fraction:
-    return sum((v * v for _, v in p), Fraction(0))
-
-
 @dataclass
 class FunctionModel:
     """Evaluator from points to extended reals over a declared box."""
@@ -244,7 +241,7 @@ def sample_epigraph(f: FunctionModel, mesh: MeshSpec, cap: float,
         if not np.isfinite(v) or v > cap:
             continue
         a = v
-        while a <= cap + 1e-12:
+        while a <= cap + SLACK:
             pts.append(tuple(p) + (min(a, cap),))
             a += alpha_step
     if not pts:
@@ -274,7 +271,7 @@ def sample_hypograph(f: FunctionModel, mesh: MeshSpec, cap: float, floor: float,
     for p, v in zip(mesh.nodes(), vals):
         top = cap if not np.isfinite(v) else min(float(v), cap)
         a = top
-        while a >= floor - 1e-12:
+        while a >= floor - SLACK:
             pts.append(tuple(p) + (max(a, floor),))
             a -= alpha_step
     if not pts:

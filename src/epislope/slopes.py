@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .extreal import INF, ExtReal
-from .functions import FunctionModel, MeshSpec, Variant, tilt_model, values_on
+from .functions import FunctionModel, MeshSpec, tilt_model, values_on
 from .convergence import (FunctionSequence, recovery_sequence, snap_half_node,
                           wijsman_at_point)
-from .verdict import InvariantError, LimitConfig, Status, Verdict
+from .verdict import (FORMS_AGREE_TOL, SLACK, InvariantError, LimitConfig,
+                      Status, Verdict, decide)
 
 
 @dataclass
@@ -68,7 +69,7 @@ def strong_slope(f: FunctionModel, x: Sequence[float], mesh: MeshSpec,
     nodes = mesh.nodes()
     d = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
     vals = values_on(f, mesh)
-    if d.min() > 1e-12:
+    if d.min() > SLACK:
         raise ValueError("x must be a mesh node")
     with np.errstate(invalid="ignore"):
         num = fx - vals
@@ -76,7 +77,7 @@ def strong_slope(f: FunctionModel, x: Sequence[float], mesh: MeshSpec,
     pos = np.maximum(num, 0.0)
     trace = []
     for r in sorted(cfg.radius_ladder, reverse=True):
-        mask = (d > 1e-12) & (d <= r)
+        mask = (d > SLACK) & (d <= r)
         if not mask.any():
             continue
         sup = float((pos[mask] / d[mask]).max())
@@ -209,21 +210,18 @@ def frechet_membership(f: FunctionModel, x: Sequence[float],
     vals = values_on(f, mesh)
     fx = float(f(x))
     inner = nodes @ np.asarray(xstar, dtype=float) - float(np.asarray(x) @ np.asarray(xstar, dtype=float))
-    mask = (d > 1e-12) & (d <= est.radius_used)
+    mask = (d > SLACK) & (d <= est.radius_used)
     with np.errstate(invalid="ignore"):
         quot = (vals[mask] - fx - inner[mask]) / d[mask]
     quot = np.where(np.isfinite(vals[mask]), quot, np.inf)
     liminf = float(quot.min()) if quot.size else math.inf
     slope_from_liminf = max(0.0, -liminf)
-    agree = abs(slope_from_liminf - s) <= 1e-9
+    agree = abs(slope_from_liminf - s) <= FORMS_AGREE_TOL
 
     witness = {"slope": s, "liminf_quotient": liminf,
                "forms_agree": agree, "radius": est.radius_used}
-    if s <= cfg.tol:
-        return Verdict(Status.HOLDS, cfg.tol - s, witness)
-    if s >= cfg.decision_band:
-        return Verdict(Status.FAILS, s, witness)
-    return Verdict(Status.INCONCLUSIVE, s, witness)
+    status = decide(s, cfg.tol, cfg.decision_band)
+    return Verdict(status, cfg.tol - s if status is Status.HOLDS else s, witness)
 
 
 def _min_pair_norm(xs: List[Tuple[float, ...]], ys: List[Tuple[float, ...]],
@@ -272,11 +270,8 @@ def p2_witness(f: FunctionModel, f_oracle: SubdifferentialOracle,
     worst = max(row["min_sum_norm"] for row in suffix)
     excess = max(0.0, worst - s)
     witness = {"slope": s, "rows": rows, "suffix_max": worst}
-    if excess <= cfg.tol:
-        return Verdict(Status.HOLDS, cfg.tol - excess, witness)
-    if excess >= cfg.decision_band:
-        return Verdict(Status.FAILS, excess, witness)
-    return Verdict(Status.INCONCLUSIVE, excess, witness)
+    status = decide(excess, cfg.tol, cfg.decision_band)
+    return Verdict(status, cfg.tol - excess if status is Status.HOLDS else excess, witness)
 
 
 def sequence_p2_stability(seqF: FunctionSequence,
@@ -322,8 +317,5 @@ def sequence_p2_stability(seqF: FunctionSequence,
     worst = max(suffix)
     excess = max(0.0, worst - s)
     witness = {"slope": s, "rows": rows, "suffix_max": worst}
-    if excess <= cfg.tol:
-        return Verdict(Status.HOLDS, cfg.tol - excess, witness)
-    if excess >= cfg.decision_band:
-        return Verdict(Status.FAILS, excess, witness)
-    return Verdict(Status.INCONCLUSIVE, excess, witness)
+    status = decide(excess, cfg.tol, cfg.decision_band)
+    return Verdict(status, cfg.tol - excess if status is Status.HOLDS else excess, witness)

@@ -20,7 +20,9 @@ from .extreal import INF, ExtReal
 from .functions import FunctionModel, MeshSpec, Variant, values_on
 from .geometry import MAX, Norm
 from .slopes import SubdifferentialOracle, slope_stability_witness, strong_slope
-from .verdict import InvariantError, LimitConfig, Status, Verdict
+from .uniforminf import _sup_inf
+from .verdict import (InvariantError, LimitConfig, Verdict, combine, decide,
+                      margin)
 
 PRODUCT_DIM_CAP = 4
 
@@ -134,46 +136,12 @@ def _product_data(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec):
     return pm, F, dDelta, comp_dist
 
 
-def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> ExtReal:
-    """sup over the delta ladder of inf{values : dist <= delta}; monotone
-    nondecreasing as delta shrinks, so equals the smallest-rung value."""
-    best: ExtReal = -math.inf
-    prev = None
-    for delta in ladder:
-        mask = dist <= delta
-        inf_d: ExtReal = float(values[mask].min()) if mask.any() else INF
-        if inf_d == -math.inf:
-            raise InvariantError("-inf is not an extended-real value")
-        if prev is not None and _lt(inf_d, prev):
-            raise InvariantError("sup-inf not monotone along the delta ladder")
-        prev = inf_d
-        best = inf_d if best == -math.inf else _max(best, inf_d)
-    return best
-
-
-def _lt(a: ExtReal, b: ExtReal) -> bool:
-    if a == INF:
-        return False
-    if b == INF:
-        return True
-    return float(a) < float(b) - 1e-12
-
-
-def _max(a: ExtReal, b: ExtReal) -> ExtReal:
-    if a == INF or b == INF:
-        return INF
-    return max(float(a), float(b))
-
-
-def _margin(lhs: ExtReal, rhs: ExtReal) -> float:
-    """rhs - lhs with INF == INF treated as equality."""
-    if lhs == INF and rhs == INF:
-        return 0.0
-    if rhs == INF:
-        return math.inf
-    if lhs == INF:
-        return -math.inf
-    return float(rhs) - float(lhs)
+def _summed_values(ds: DecoupledSum, mesh: MeshSpec) -> np.ndarray:
+    """sum_i f_i at every base mesh node."""
+    total = np.zeros(mesh.node_count)
+    for f in ds.components:
+        total = total + values_on(f, mesh)
+    return total
 
 
 def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
@@ -197,11 +165,8 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
     by that amount.
     """
     pm, F, dDelta, comp_dist = _product_data(ds, xbar, mesh)
-    base = mesh.nodes()
-    sum_vals = np.zeros(len(base))
-    for f in ds.components:
-        sum_vals = sum_vals + values_on(f, mesh)
-    dist_x = ds.base_norm.pairwise(np.asarray([xbar], dtype=float), base)[0]
+    sum_vals = _summed_values(ds, mesh)
+    dist_x = ds.base_norm.pairwise(np.asarray([xbar], dtype=float), mesh.nodes())[0]
 
     rows = []
     step = max(mesh.h)
@@ -224,14 +189,14 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
         for delta in cfg.delta_ladder:
             m1 = (dist_x - lam) <= delta  # same float predicate as the r-form
             v1: ExtReal = float(sum_vals[m1].min()) if m1.any() else INF
-            raw_lhs = v1 if raw_lhs == -math.inf else _max(raw_lhs, v1)
+            raw_lhs = max(raw_lhs, v1)
             m2 = inball & (dDelta <= delta)
             v2: ExtReal = float(F[m2].min()) if m2.any() else INF
-            raw_rhs = v2 if raw_rhs == -math.inf else _max(raw_rhs, v2)
+            raw_rhs = max(raw_rhs, v2)
         if raw_lhs != lhs or raw_rhs != rhs:
             raise InvariantError("raw and r-form evaluations disagree")
         rows.append({"lambda": lam, "lhs": lhs, "rhs": rhs,
-                     "margin": _margin(lhs, rhs)})
+                     "margin": margin(lhs, rhs)})
 
     holding_prefix = 0
     for row in rows:
@@ -242,25 +207,29 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
     m0 = rows[0]["margin"]
     witness = {"rows": rows, "holding_prefix_rungs": holding_prefix,
                "lipschitz_slack": slack, "product_nodes": pm.node_count}
-    sched = {"lambda_ladder": lambdas}
-    if m0 >= -(cfg.tol + slack):
-        return Verdict(Status.HOLDS, m0, witness, sched)
-    if m0 <= -(cfg.decision_band + slack):
-        return Verdict(Status.FAILS, m0, witness, sched)
-    return Verdict(Status.INCONCLUSIVE, m0, witness, sched)
+    status = decide(-m0, cfg.tol + slack, cfg.decision_band + slack)
+    return Verdict(status, m0, witness, {"lambda_ladder": lambdas})
 
 
-def _diagonal_models(ds: DecoupledSum, mesh: MeshSpec):
-    """(product mesh, F model, F_Delta model, d_Delta node values)."""
+def _penalized_diagonal(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec):
+    """(product mesh, the diagonally penalized sequence F + n * d_Delta,
+    its limit the diagonal restriction F_Delta, the diagonal point
+    (xbar, ..., xbar)), all under the max product norm."""
+    from .convergence import FunctionSequence
+
     xbar0 = tuple(lo for lo, _ in mesh.box)
     pm, F, dDelta, _ = _product_data(ds, xbar0, mesh)
     if ds.base_norm.kind is not MAX.kind and mesh.dim != 1:
         raise ValueError("product norm requires base dim 1 or a max base norm")
-    norm = MAX
-    Fm = FunctionModel.tabulated(pm, F, norm=norm, name="F")
     Fd = FunctionModel.tabulated(pm, np.where(dDelta == 0.0, F, np.inf),
-                                 norm=norm, name="F_diag")
-    return pm, Fm, Fd, dDelta
+                                 norm=MAX, name="F_diag")
+
+    def make(n):
+        return FunctionModel.tabulated(pm, F + n * dDelta, norm=MAX, name=f"F+{n}d")
+
+    seq = FunctionSequence(make, box=pm.box, norm=MAX)
+    z = tuple(float(c) for c in xbar) * ds.k
+    return pm, seq, Fd, z
 
 
 def prop71_bridge(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec,
@@ -269,17 +238,10 @@ def prop71_bridge(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec,
     diagonally penalized sequence F + n * d_Delta converging to the
     diagonal restriction F_Delta at (xbar, ..., xbar)).  The two statuses
     agree whenever both are decisive."""
-    from .convergence import FunctionSequence, wijsman_at_point
+    from .convergence import wijsman_at_point
 
     dec = decoupling_inequality(ds, xbar, mesh, cfg)
-    pm, Fm, Fd, dDelta = _diagonal_models(ds, mesh)
-    z = tuple(float(c) for c in xbar) * ds.k
-
-    def make(n):
-        return FunctionModel.tabulated(pm, Fm.values + n * dDelta,
-                                       norm=Fm.norm, name=f"F+{n}d")
-
-    seq = FunctionSequence(make, box=pm.box, norm=Fm.norm)
+    pm, seq, Fd, z = _penalized_diagonal(ds, xbar, mesh)
     wij = wijsman_at_point(seq, Fd, z, lambda_max=2 * max(cfg.radius_ladder),
                            cfg=cfg, mesh=pm)
     return dec, wij
@@ -311,23 +273,11 @@ def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
     dec = decoupling_inequality(ds, xbar, mesh, cfg)
     if not dec.holds:
         raise ValueError("decoupling inequality does not hold at xbar")
-    from .convergence import FunctionSequence
-
-    pm, Fm, Fd, dDelta = _diagonal_models(ds, mesh)
-    z = tuple(float(c) for c in xbar) * ds.k
-
-    def make(n):
-        return FunctionModel.tabulated(pm, Fm.values + n * dDelta,
-                                       norm=Fm.norm, name=f"F+{n}d")
-
-    seq = FunctionSequence(make, box=pm.box, norm=Fm.norm)
+    pm, seq, Fd, z = _penalized_diagonal(ds, xbar, mesh)
     wit = slope_stability_witness(seq, Fd, z, pm, cfg)
 
-    sum_vals = np.zeros(mesh.node_count)
-    for f in ds.components:
-        sum_vals = sum_vals + values_on(f, mesh)
-    sum_model = FunctionModel.tabulated(mesh, sum_vals, norm=ds.base_norm,
-                                        name="sum f_i")
+    sum_model = FunctionModel.tabulated(mesh, _summed_values(ds, mesh),
+                                        norm=ds.base_norm, name="sum f_i")
     s = float(strong_slope(sum_model, xbar, mesh, cfg).value)
 
     d = mesh.dim
@@ -354,19 +304,12 @@ def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
     excess_a = max(0.0, max(win_a) - s)
     zero_tol = max(cfg.tol, 2 * min(mesh.h))
     val_b = max(win_b)
-    ok_a = excess_a <= cfg.tol
-    ok_b = val_b <= zero_tol
-    bad_a = excess_a >= cfg.decision_band
-    bad_b = val_b >= cfg.decision_band
     witness = {"slope": s, "rows": rows, "suffix_sum_norm": max(win_a),
                "suffix_diam_norm": val_b, "zero_tol": zero_tol,
                "split_consistent": True}
-    margin = min(cfg.tol - excess_a, zero_tol - val_b)
-    if ok_a and ok_b:
-        return Verdict(Status.HOLDS, margin, witness)
-    if bad_a or bad_b:
-        return Verdict(Status.FAILS, margin, witness)
-    return Verdict(Status.INCONCLUSIVE, margin, witness)
+    status = combine([decide(excess_a, cfg.tol, cfg.decision_band),
+                      decide(val_b, zero_tol, cfg.decision_band)])
+    return Verdict(status, min(cfg.tol - excess_a, zero_tol - val_b), witness)
 
 
 def _combos(samples: List[List[Tuple[float, ...]]]):

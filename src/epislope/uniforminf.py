@@ -20,10 +20,11 @@ import numpy as np
 
 from .extreal import INF, ExtReal
 from .functions import (FunctionModel, MeshSpec, SparsePoint, Variant,
-                        restrict, sparse_norm_sq, values_on)
+                        restrict, values_on)
 from .geometry import Norm, NormKind, _row_blocks
-from .regions import Ball, Region, WholeSpace
-from .verdict import InvariantError, LimitConfig, Status, Verdict
+from .regions import Ball, Region
+from .verdict import (SLACK, InvariantError, LimitConfig, Status, Verdict,
+                      decide, margin)
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,18 @@ def _exact_ball(S: Region) -> Tuple[Dict[int, Fraction], Fraction]:
     return center, Fraction(S.radius)
 
 
-def _exact_within(pt: SparsePoint, center: Dict[int, Fraction],
-                  reach: Fraction) -> bool:
-    """||pt - center|| <= reach, decided on squared rationals."""
-    if reach < 0:
-        return False
+def _exact_dist_sq(pt: SparsePoint, center: Dict[int, Fraction]) -> Fraction:
+    """||pt - center||^2 in exact rationals."""
     diff = dict(center)
     for i, v in pt:
         diff[i] = v - diff.get(i, Fraction(0))
-    nsq = sum((v * v for v in diff.values()), Fraction(0))
-    return nsq <= reach * reach
+    return sum((v * v for v in diff.values()), Fraction(0))
+
+
+def _exact_within(pt: SparsePoint, center: Dict[int, Fraction],
+                  reach: Fraction) -> bool:
+    """||pt - center|| <= reach, decided on squared rationals."""
+    return reach >= 0 and _exact_dist_sq(pt, center) <= reach * reach
 
 
 def _exact_uniform_infimum(f: FunctionModel, S: Region, cfg: LimitConfig) -> ExtReal:
@@ -124,12 +127,21 @@ def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
     vals = values_on(f, mesh)
     if not (dS <= max(cfg.delta_ladder)).any():
         raise ValueError("no mesh node within the largest delta of the region")
+    return _sup_inf(vals, dS, cfg.delta_ladder)
+
+
+def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> float:
+    """sup over the delta ladder of inf{values : dist <= delta} (INF for an
+    empty rung); monotone nondecreasing as delta shrinks (checked, else
+    InvariantError), so it equals the smallest-rung value."""
     best = -math.inf
     prev = None
-    for delta in cfg.delta_ladder:
-        mask = dS <= delta
-        inf_d = float(vals[mask].min()) if mask.any() else INF
-        if prev is not None and inf_d < prev - 1e-12:
+    for delta in ladder:
+        mask = dist <= delta
+        inf_d = float(values[mask].min()) if mask.any() else INF
+        if inf_d == -math.inf:
+            raise InvariantError("-inf is not an extended-real value")
+        if prev is not None and inf_d < prev - SLACK:
             raise InvariantError("uniform infimum not monotone along the delta ladder")
         prev = inf_d
         best = max(best, inf_d)
@@ -156,11 +168,7 @@ def penalty_value(f: FunctionModel, S: Region, n: float, spec: PenaltySpec,
         center, radius = _exact_ball(S)
         best = float(f.default)  # center of the ball: d_S = 0, default value
         for pt, v in f.exceptions.items():
-            diff = dict(center)
-            for i, c in pt:
-                diff[i] = c - diff.get(i, Fraction(0))
-            nsq = sum((c * c for c in diff.values()), Fraction(0))
-            d = max(0.0, math.sqrt(float(nsq)) - float(radius))
+            d = max(0.0, math.sqrt(float(_exact_dist_sq(pt, center))) - float(radius))
             cand = float(v) + n * d ** spec.p
             best = min(best, cand)
         return best
@@ -182,22 +190,13 @@ def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
     """
     vals = [penalty_value(f, S, n, spec, mesh) for n in spec.n_schedule]
     for a, b in zip(vals, vals[1:]):
-        if b < a - 1e-12:
+        if b < a - SLACK:
             raise InvariantError("penalty values must be nondecreasing in n")
     r = uniform_infimum(f, S, mesh, cfg)
     last = vals[-1]
-    if last == INF and r == INF:
-        gap = 0.0
-    elif last == INF or r == INF:
-        gap = math.inf
-    else:
-        gap = abs(float(last) - float(r))
-    if gap <= cfg.tol:
-        v = Verdict(Status.HOLDS, cfg.tol - gap)
-    elif gap >= cfg.decision_band:
-        v = Verdict(Status.FAILS, gap)
-    else:
-        v = Verdict(Status.INCONCLUSIVE, gap)
+    gap = abs(margin(r, last))
+    status = decide(gap, cfg.tol, cfg.decision_band)
+    v = Verdict(status, cfg.tol - gap if status is Status.HOLDS else gap)
     v.witness = {"penalty_values": [(n, pv) for n, pv in zip(spec.n_schedule, vals)],
                  "uniform_infimum": r, "gap": gap}
     v.schedules = {"p": spec.p, "n_schedule": list(spec.n_schedule)}
@@ -209,12 +208,7 @@ def robustness(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
     """r_S(f) versus inf_S f; the infimum is robust when they agree."""
     r = uniform_infimum(f, S, mesh, cfg)
     plain = plain_infimum(f, S, mesh)
-    if r == INF and plain == INF:
-        gap: ExtReal = 0
-    elif r == INF or plain == INF:
-        gap = INF
-    else:
-        gap = plain - r
+    gap = margin(r, plain)
     robust = gap != INF and abs(float(gap)) <= cfg.tol
     return RobustnessReport(r_value=r, plain_inf=plain, robust=robust, gap=gap)
 
@@ -267,22 +261,11 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
         ball = Ball(center=tuple(float(c) for c in x), radius=lam, norm=f.norm)
         lhs = uniform_infimum(f_S, ball, mesh, cfg)
         rhs = uniform_infimum(restrict(f, ball), S, mesh, cfg)
-        if lhs == INF and rhs == INF:
-            margin = math.inf
-        elif lhs == INF:
-            margin = -math.inf
-        elif rhs == INF:
-            margin = math.inf
-        else:
-            margin = float(rhs) - float(lhs)
-        rows.append({"lambda": lam, "lhs": lhs, "rhs": rhs, "margin": margin})
-        worst = min(worst, margin)
-    if worst >= -cfg.tol:
-        ineq = Verdict(Status.HOLDS, worst, witness={"rows": rows})
-    elif worst <= -cfg.decision_band:
-        ineq = Verdict(Status.FAILS, worst, witness={"rows": rows})
-    else:
-        ineq = Verdict(Status.INCONCLUSIVE, worst, witness={"rows": rows})
+        m = margin(lhs, rhs)
+        rows.append({"lambda": lam, "lhs": lhs, "rhs": rhs, "margin": m})
+        worst = min(worst, m)
+    ineq = Verdict(decide(-worst, cfg.tol, cfg.decision_band), worst,
+                   witness={"rows": rows})
 
     dS = _region_distances(S, mesh, f.norm)
     vals = values_on(f, mesh)

@@ -12,7 +12,17 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
+
+from .extreal import INF, ExtReal
+
+# Absolute float-rounding slack, for comparisons that are exact in real
+# arithmetic: a ladder value may undershoot its predecessor or overshoot
+# its cap by this much, and a distance at or below it is a zero distance.
+SLACK = 1e-12
+# Largest difference at which two float evaluations of one quantity (the
+# slope and liminf-quotient forms of Fréchet membership) count as agreeing.
+FORMS_AGREE_TOL = 1e-9
 
 
 class InvariantError(RuntimeError):
@@ -26,6 +36,39 @@ class Status(enum.Enum):
     HOLDS = "Holds"
     FAILS = "Fails"
     INCONCLUSIVE = "Inconclusive"
+
+
+def decide(excess: ExtReal, tol: float, band: float) -> Status:
+    """The three-valued rule: Holds when excess <= tol, else Fails when
+    excess >= band, else Inconclusive."""
+    if excess <= tol:
+        return Status.HOLDS
+    if excess >= band:
+        return Status.FAILS
+    return Status.INCONCLUSIVE
+
+
+def margin(lhs: ExtReal, rhs: ExtReal) -> ExtReal:
+    """rhs - lhs on extended reals, in their own arithmetic (Fractions stay
+    exact).  Two infinities are equal (0.0); one infinite side gives +inf
+    when it is rhs and -inf when it is lhs."""
+    if lhs == INF and rhs == INF:
+        return 0.0
+    if rhs == INF:
+        return INF
+    if lhs == INF:
+        return -INF
+    return rhs - lhs
+
+
+def combine(statuses: Iterable[Status]) -> Status:
+    """Any Fails gives Fails; all Holds gives Holds; else Inconclusive."""
+    statuses = list(statuses)
+    if Status.FAILS in statuses:
+        return Status.FAILS
+    if all(s is Status.HOLDS for s in statuses):
+        return Status.HOLDS
+    return Status.INCONCLUSIVE
 
 
 @dataclass

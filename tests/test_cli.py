@@ -86,12 +86,25 @@ class TestRunScenario:
         ("penalty_limit", "frechet-kink", "region"),
         ("robustness", "frechet-kink", "region"),
         ("r2_witness", "decouple-boundary", "oracles"),
+        ("strong_slope", "envelope-of-kink", "model"),
+        ("frechet_membership", "envelope-of-kink", "model"),
+        ("wijsman_at_point", "abs-kink", "seq_factory"),
+        ("slope_stability", "abs-kink", "seq_factory"),
+        ("decoupling_inequality", "abs-kink", "sum"),
+        ("prop71_bridge", "abs-kink", "sum"),
     ])
     def test_missing_payload_is_refused(self, tmp_path, capsys, operation, instance, key):
         path = write_scenario(tmp_path, {
             "name": "no-payload", "operation": operation, "instance": instance})
         assert main(["run", path, "--no-timings"]) == 1
         assert f"no '{key}' payload" in capsys.readouterr().err
+
+    def test_missing_dual_vector_is_refused(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "name": "no-xstar", "operation": "frechet_membership",
+            "instance": "abs-kink"})
+        assert main(["run", path, "--no-timings"]) == 1
+        assert "needs params.xstar" in capsys.readouterr().err
 
     def test_invariant_violation_exits_one(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -20,7 +20,7 @@ import sys
 import pytest
 import yaml
 
-from epislope import catalogue
+from epislope import catalogue, cli
 from epislope.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -63,6 +63,10 @@ GOLDEN_PAIRS = [pair for pair in _pairs() if _golden_path(*pair).exists()]
 
 def test_corpus_is_present():
     assert len(GOLDEN_PAIRS) >= 50
+
+
+def test_operations_are_the_cli_table():
+    assert tuple(cli.OPERATIONS) == OPERATIONS
 
 
 @pytest.mark.parametrize("operation,instance", GOLDEN_PAIRS,

@@ -1,0 +1,91 @@
+"""The shared verdict rule: decide, the INF-aware margin, and combine."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from epislope.extreal import INF
+from epislope.verdict import Status, combine, decide, margin
+
+TOL, BAND = 1e-6, 0.05
+
+
+class TestDecide:
+    @pytest.mark.parametrize("excess,status", [
+        (-1.0, Status.HOLDS),
+        (0.0, Status.HOLDS),
+        (TOL, Status.HOLDS),
+        (0.01, Status.INCONCLUSIVE),
+        (BAND, Status.FAILS),
+        (INF, Status.FAILS),
+    ])
+    def test_cutoffs(self, excess, status):
+        assert decide(excess, TOL, BAND) is status
+
+    def test_just_past_each_cutoff(self):
+        assert decide(math.nextafter(TOL, 1.0), TOL, BAND) is Status.INCONCLUSIVE
+        assert decide(math.nextafter(BAND, 0.0), TOL, BAND) is Status.INCONCLUSIVE
+
+    def test_slack_widens_both_cutoffs(self):
+        slack = 0.01
+        assert decide(0.005, TOL + slack, BAND + slack) is Status.HOLDS
+        assert decide(0.055, TOL + slack, BAND + slack) is Status.INCONCLUSIVE
+        assert decide(BAND + slack, TOL + slack, BAND + slack) is Status.FAILS
+
+    def test_zero_tol_holds_only_without_excess(self):
+        assert decide(0.0, 0.0, BAND) is Status.HOLDS
+        assert decide(1e-300, 0.0, BAND) is Status.INCONCLUSIVE
+
+    def test_holds_is_tested_first(self):
+        # a tolerance at or above the band: an excess inside both holds
+        assert decide(0.07, 0.1, BAND) is Status.HOLDS
+        assert decide(0.2, 0.1, BAND) is Status.FAILS
+
+    def test_fractions(self):
+        assert decide(Fraction(1, 3), Fraction(1, 3), 1) is Status.HOLDS
+        assert decide(Fraction(1, 2), Fraction(1, 3), 1) is Status.INCONCLUSIVE
+
+
+class TestMargin:
+    @pytest.mark.parametrize("lhs,rhs,expected", [
+        (1.0, 3.0, 2.0),
+        (3.0, 1.0, -2.0),
+        (INF, INF, 0.0),
+        (1.0, INF, INF),
+        (INF, 1.0, -INF),
+        (Fraction(1, 3), INF, INF),
+        (INF, Fraction(1, 3), -INF),
+    ])
+    def test_table(self, lhs, rhs, expected):
+        assert margin(lhs, rhs) == expected
+
+    def test_both_infinite_is_a_zero_float(self):
+        m = margin(INF, INF)
+        assert m == 0.0 and isinstance(m, float) and not math.isnan(m)
+
+    def test_fractions_stay_exact(self):
+        m = margin(Fraction(1, 3), Fraction(1, 2))
+        assert isinstance(m, Fraction) and m == Fraction(1, 6)
+        assert margin(Fraction(-1, 2), Fraction(-1, 3)) == Fraction(1, 6)
+
+
+HOLDS, FAILS, INCONCLUSIVE = Status.HOLDS, Status.FAILS, Status.INCONCLUSIVE
+
+
+class TestCombine:
+    @pytest.mark.parametrize("statuses,expected", [
+        ([HOLDS], HOLDS),
+        ([HOLDS, HOLDS], HOLDS),
+        ([HOLDS, INCONCLUSIVE], INCONCLUSIVE),
+        ([INCONCLUSIVE, INCONCLUSIVE], INCONCLUSIVE),
+        ([FAILS], FAILS),
+        ([HOLDS, FAILS], FAILS),
+        ([INCONCLUSIVE, FAILS, HOLDS], FAILS),
+        ([], HOLDS),
+    ])
+    def test_table(self, statuses, expected):
+        assert combine(statuses) is expected
+
+    def test_accepts_a_generator(self):
+        assert combine(s for s in (Status.HOLDS, Status.INCONCLUSIVE)) is Status.INCONCLUSIVE
