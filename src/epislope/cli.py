@@ -26,8 +26,8 @@ from .convergence import wijsman_at_point
 from .regions import Ball
 from .slopes import frechet_membership, slope_stability_witness, strong_slope
 from .sumrules import decoupling_inequality, prop71_bridge, r2_witness
-from .uniforminf import (PenaltySpec, penalty_limit, penalty_value,
-                         plain_infimum, robustness, uniform_infimum)
+from .uniforminf import (PenaltySpec, penalty_limit, penalty_value, robustness,
+                         uniform_infimum)
 from .verdict import (InvariantError, LimitConfig, Status, Verdict, _jsonable,
                       combine, decide)
 
@@ -300,8 +300,8 @@ def reproduce_example_4_2(n_max: int, dim_trunc: int,
     all_exact = True
     for n in range(1, n_max + 1):
         ball = Ball(center=(0.0,) * dim_trunc, radius=Fraction(1, n))
-        r = uniform_infimum(model, ball, None, cfg)
-        inf = plain_infimum(model, ball, None)
+        rep = robustness(model, ball, None, cfg)  # one pass for both infima
+        r, inf = rep.r_value, rep.plain_inf
         ok = (r == Fraction(-1, n)) and (inf == Fraction(-1, n + 1))
         all_exact = all_exact and ok
         rows.append({"n": n, "r": str(r), "inf": str(inf), "exact": ok})

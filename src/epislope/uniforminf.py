@@ -6,7 +6,12 @@ arbitrarily small balls.
 Mesh-backed models evaluate r over the delta ladder by brute force on
 nodes.  Finite-exception models evaluate everything in exact rational
 arithmetic: exception points are compared by exact coordinates, never
-snapped to a mesh.
+snapped to a mesh.  Each public call makes one pass over the exceptions
+into a value-layer index (per distinct value below the default, the least
+squared distance to the ball's center, in integer arithmetic); every delta
+rung, the plain infimum and each penalty value is then a walk over those
+few layers.  ``penalty_limit`` and ``robustness`` share one index between
+their parts.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,46 +74,93 @@ def _region_distances(S: Region, mesh: MeshSpec, norm: Norm) -> np.ndarray:
     return out
 
 
-def _exact_ball(S: Region) -> Tuple[Dict[int, Fraction], Fraction]:
-    """(sparse center, radius) of a ball region with rational data."""
-    if not isinstance(S, Ball):
-        raise ValueError("exact evaluation supports ball regions only")
-    if S.norm.kind is not NormKind.EUCLIDEAN:
-        raise ValueError("exact ball evaluation requires the Euclidean norm")
-    center = {i: Fraction(c) for i, c in enumerate(S.center) if c != 0}
-    return center, Fraction(S.radius)
+def _dist_sq(pt: SparsePoint, center: Dict[int, int], scale: int) -> Tuple[int, int]:
+    """scale * (||pt - c||^2 - ||c||^2) as (numerator, positive denominator),
+    where c is ``center`` (integer numerators by coordinate) over the
+    common denominator ``scale``.  The sum of p_i (p_i - 2 c_i) runs over
+    pt's own coordinates only, so no other coordinate of c is visited."""
+    num, den = 0, 1
+    for i, x in pt:
+        a, b = x.as_integer_ratio()
+        bb = b * b
+        num = num * bb + a * (a * scale - 2 * center.get(i, 0) * b) * den
+        den *= bb
+    return num, den
 
 
-def _exact_dist_sq(pt: SparsePoint, center: Dict[int, Fraction]) -> Fraction:
-    """||pt - center||^2 in exact rationals."""
-    diff = dict(center)
-    for i, v in pt:
-        diff[i] = v - diff.get(i, Fraction(0))
-    return sum((v * v for v in diff.values()), Fraction(0))
+class _ValueLayers:
+    """The exceptions of a finite-exception model that lie below its
+    default, one layer per distinct value, ascending by value, each with
+    the least exact squared distance from its points to the center of a
+    rational Euclidean ball.
 
+    Built by one pass over the exceptions per public call and never kept
+    past it: the model's exceptions may change between calls, and a cache
+    held by a long-lived model grows with every region it has seen.
+    Every exact answer is a walk over the few layers.
+    """
 
-def _exact_within(pt: SparsePoint, center: Dict[int, Fraction],
-                  reach: Fraction) -> bool:
-    """||pt - center|| <= reach, decided on squared rationals."""
-    return reach >= 0 and _exact_dist_sq(pt, center) <= reach * reach
-
-
-def _exact_uniform_infimum(f: FunctionModel, S: Region, cfg: LimitConfig) -> ExtReal:
-    center, radius = _exact_ball(S)
-    best: Optional[ExtReal] = None
-    prev: Optional[ExtReal] = None
-    for delta in cfg.delta_ladder:
-        reach = radius + Fraction(delta)
-        # the default value is attained inside every ball neighborhood
-        inf_d: ExtReal = f.default
+    def __init__(self, f: FunctionModel, S: Region):
+        if not isinstance(S, Ball):
+            raise ValueError("exact evaluation supports ball regions only")
+        if S.norm.kind is not NormKind.EUCLIDEAN:
+            raise ValueError("exact ball evaluation requires the Euclidean norm")
+        ratios = {i: Fraction(c).as_integer_ratio()
+                  for i, c in enumerate(S.center) if c != 0}
+        scale = math.lcm(*(b for _, b in ratios.values()))
+        center = {i: a * (scale // b) for i, (a, b) in ratios.items()}
+        # [num, den, first value] by exact ratio: hashing a Fraction costs a
+        # modular inverse, hashing its integer pair does not
+        least: Dict[object, list] = {}
         for pt, v in f.exceptions.items():
-            if v < inf_d and _exact_within(pt, center, reach):
-                inf_d = v
-        if prev is not None and inf_d < prev:
-            raise InvariantError("uniform infimum not monotone along the delta ladder")
-        prev = inf_d
-        best = inf_d if best is None else max(best, inf_d)
-    return best
+            num, den = _dist_sq(pt, center, scale)
+            try:
+                key = v.as_integer_ratio()
+            except OverflowError:  # an infinite value
+                key = v
+            cur = least.setdefault(key, [num, den, v])
+            if num * cur[1] < cur[0] * den:
+                cur[:2] = num, den
+        offset = Fraction(sum(c * c for c in center.values()), scale * scale)
+        self.default = f.default
+        self.radius = Fraction(S.radius)
+        self.layers: List[Tuple[ExtReal, Fraction]] = sorted(
+            ((v, offset + Fraction(num, den * scale))
+             for num, den, v in least.values() if v < f.default))
+
+    def infimum(self, reach: Fraction) -> ExtReal:
+        """inf f on the closed ball of radius ``reach`` about the center:
+        the lowest layer within reach (compared squared), else the default,
+        which is attained on every ball."""
+        if reach >= 0:
+            reach_sq = reach * reach
+            for v, d_sq in self.layers:
+                if d_sq <= reach_sq:
+                    return v
+        return self.default
+
+    def uniform_infimum(self, ladder: Sequence[float]) -> ExtReal:
+        best: Optional[ExtReal] = None
+        prev: Optional[ExtReal] = None
+        for delta in ladder:
+            inf_d = self.infimum(self.radius + Fraction(delta))
+            if prev is not None and inf_d < prev:
+                raise InvariantError("uniform infimum not monotone along the delta ladder")
+            prev = inf_d
+            best = inf_d if best is None else max(best, inf_d)
+        return best
+
+    def penalty(self, n: float, p: float) -> float:
+        """min of f + n * d_S^p in floats.  Within a layer the term grows
+        with the squared distance, so the layer's least one gives its
+        minimum; a value at or above the default never undercuts the
+        default at the center."""
+        best = float(self.default)  # the ball's center: d_S = 0, default value
+        radius = float(self.radius)
+        for v, d_sq in self.layers:
+            d = max(0.0, math.sqrt(float(d_sq)) - radius)
+            best = min(best, float(v) + n * d ** p)
+        return best
 
 
 def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
@@ -120,7 +172,7 @@ def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
     the value at the smallest rung.
     """
     if f.variant is Variant.FINITE_EXCEPTION:
-        return _exact_uniform_infimum(f, S, cfg)
+        return _ValueLayers(f, S).uniform_infimum(cfg.delta_ladder)
     if mesh is None:
         raise ValueError("mesh required for non-exact models")
     dS = _region_distances(S, mesh, f.norm)
@@ -151,12 +203,8 @@ def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> f
 def plain_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec]) -> ExtReal:
     """inf_S f, exact on finite-exception models."""
     if f.variant is Variant.FINITE_EXCEPTION:
-        center, radius = _exact_ball(S)
-        inf_s: ExtReal = f.default  # the default is attained on the ball
-        for pt, v in f.exceptions.items():
-            if v < inf_s and _exact_within(pt, center, radius):
-                inf_s = v
-        return inf_s
+        layers = _ValueLayers(f, S)
+        return layers.infimum(layers.radius)
     from .functions import inf_over_region
     return inf_over_region(f, S, mesh)
 
@@ -165,13 +213,7 @@ def penalty_value(f: FunctionModel, S: Region, n: float, spec: PenaltySpec,
                   mesh: Optional[MeshSpec]) -> ExtReal:
     """inf over the sample space of f(x) + n * d_S(x)^p."""
     if f.variant is Variant.FINITE_EXCEPTION:
-        center, radius = _exact_ball(S)
-        best = float(f.default)  # center of the ball: d_S = 0, default value
-        for pt, v in f.exceptions.items():
-            d = max(0.0, math.sqrt(float(_exact_dist_sq(pt, center))) - float(radius))
-            cand = float(v) + n * d ** spec.p
-            best = min(best, cand)
-        return best
+        return _ValueLayers(f, S).penalty(n, spec.p)
     dS = _region_distances(S, mesh, f.norm)
     vals = values_on(f, mesh)
     finite = np.isfinite(vals)
@@ -188,11 +230,14 @@ def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
     InvariantError); the verdict compares the last value with the uniform
     infimum within cfg.tol.
     """
-    vals = [penalty_value(f, S, n, spec, mesh) for n in spec.n_schedule]
+    exact = _ValueLayers(f, S) if f.variant is Variant.FINITE_EXCEPTION else None
+    vals = [penalty_value(f, S, n, spec, mesh) if exact is None else exact.penalty(n, spec.p)
+            for n in spec.n_schedule]
     for a, b in zip(vals, vals[1:]):
         if b < a - SLACK:
             raise InvariantError("penalty values must be nondecreasing in n")
-    r = uniform_infimum(f, S, mesh, cfg)
+    r = (uniform_infimum(f, S, mesh, cfg) if exact is None
+         else exact.uniform_infimum(cfg.delta_ladder))
     last = vals[-1]
     gap = abs(margin(r, last))
     status = decide(gap, cfg.tol, cfg.decision_band)
@@ -206,8 +251,13 @@ def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
 def robustness(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
                cfg: LimitConfig) -> RobustnessReport:
     """r_S(f) versus inf_S f; the infimum is robust when they agree."""
-    r = uniform_infimum(f, S, mesh, cfg)
-    plain = plain_infimum(f, S, mesh)
+    if f.variant is Variant.FINITE_EXCEPTION:
+        exact = _ValueLayers(f, S)
+        r = exact.uniform_infimum(cfg.delta_ladder)
+        plain = exact.infimum(exact.radius)
+    else:
+        r = uniform_infimum(f, S, mesh, cfg)
+        plain = plain_infimum(f, S, mesh)
     gap = margin(r, plain)
     robust = gap != INF and abs(float(gap)) <= cfg.tol
     return RobustnessReport(r_value=r, plain_inf=plain, robust=robust, gap=gap)

@@ -148,6 +148,10 @@ class LimitConfig:
             raise ValueError("ladders must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.tol >= self.decision_band:
+            # decide() would leave no Inconclusive band between the two
+            raise ValueError(f"tol ({self.tol}) must be below decision_band "
+                             f"({self.decision_band})")
         w = self.window_size
         if w < 1 or w > len(self.n_schedule):
             raise ValueError("eventually_window out of range")

@@ -51,6 +51,15 @@ class TestRunScenario:
         assert main(["run", path]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_config_tol_at_the_band_exits_one(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "name": "no-band", "operation": "penalty_limit",
+            "instance": "quadratic-at-origin",
+            "config": {"tol": 0.1, "decision_band": 0.05}})
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert "0.1" in err and "0.05" in err
+
     def test_failing_verdict_exits_two(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "name": "engineered-failure",

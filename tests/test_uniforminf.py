@@ -255,3 +255,135 @@ def test_predicate_region_distance_uses_the_model_norm():
     origin = Predicate(lambda p: p == (0.0, 0.0))
     # d_S(1, 1) = 1 in the max norm, not sqrt(2)
     assert penalty_value(f, origin, 1.0, PenaltySpec(), mesh) == -1.0
+
+
+# ---------------------------------------------------------------- exact path
+# An independent per-exception scan: every distance is a Fraction sum over
+# the union of the point's and the center's coordinates.
+
+def _scan_dist_sq(pt, center):
+    diff = {i: Fraction(c) for i, c in enumerate(center) if c != 0}
+    for i, x in pt:
+        diff[i] = Fraction(x) - diff.get(i, Fraction(0))
+    return sum((d * d for d in diff.values()), Fraction(0))
+
+
+def _scan_infimum(f, S, reach):
+    inf = f.default
+    for pt, v in f.exceptions.items():
+        if v < inf and reach >= 0 and _scan_dist_sq(pt, S.center) <= reach * reach:
+            inf = v
+    return inf
+
+
+def _scan_uniform_infimum(f, S, cfg):
+    best = None
+    for delta in cfg.delta_ladder:
+        inf_d = _scan_infimum(f, S, Fraction(S.radius) + Fraction(delta))
+        best = inf_d if best is None else max(best, inf_d)
+    return best
+
+
+def _scan_penalty_value(f, S, n, p):
+    best = float(f.default)
+    for pt, v in f.exceptions.items():
+        d = max(0.0, math.sqrt(float(_scan_dist_sq(pt, S.center))) - float(Fraction(S.radius)))
+        best = min(best, float(v) + n * d ** p)
+    return best
+
+
+def _same(got, want):
+    """Equal value and type; floats equal bit for bit."""
+    if isinstance(want, float):
+        return type(got) is float and got.hex() == want.hex()
+    return type(got) is type(want) and got == want
+
+
+_COORDS = st.sampled_from([Fraction(k, d) for k in (-2, -1, 1, 2, 3) for d in (1, 2, 3)])
+
+
+@st.composite
+def exact_instances(draw):
+    """A small finite-exception model, a Euclidean ball and a ladder.  Few
+    coordinate and value choices force ties in value and in distance."""
+    dim = draw(st.integers(1, 4))
+    points = draw(st.lists(
+        st.dictionaries(st.integers(0, dim - 1), _COORDS, max_size=dim),
+        max_size=10))
+    kind = draw(st.sampled_from([Fraction, int, float]))
+    level = st.integers(-3, 3).map(lambda k: kind(k) if kind is not float else k / 2)
+    values = st.one_of(level, st.just(INF))
+    exceptions = {tuple(sorted(pt.items())): draw(values) for pt in points}
+    default = draw(st.one_of(level, st.just(INF)) if draw(st.booleans()) else level)
+    f = FunctionModel.finite_exception(default=default, exceptions=exceptions,
+                                       ambient_dim=dim)
+    if exceptions and draw(st.booleans()):  # a center on the exceptions' support
+        sparse = dict(draw(st.sampled_from(sorted(exceptions))))
+        center = tuple(sparse.get(i, Fraction(0)) for i in range(dim))
+    else:
+        center = tuple(draw(st.lists(st.sampled_from([0.0, 0.5, -1.0, Fraction(1, 3)]),
+                                     min_size=dim, max_size=dim)))
+    radius = draw(st.sampled_from([0, 0.0, Fraction(1, 2), 1.0, Fraction(5, 3)]))
+    ladder = tuple(sorted(set(draw(st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125]),
+                                            min_size=1, max_size=4))), reverse=True))
+    p = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return f, Ball(center, radius), LimitConfig(delta_ladder=ladder), p
+
+
+@given(exact_instances())
+@settings(max_examples=300, deadline=None)
+def test_exact_path_matches_a_per_exception_scan(instance):
+    f, S, cfg, p = instance
+    spec = PenaltySpec(p=p, n_schedule=(1.0, 4.0, 64.0))
+    r = _scan_uniform_infimum(f, S, cfg)
+    plain = _scan_infimum(f, S, Fraction(S.radius))
+    pens = [_scan_penalty_value(f, S, n, p) for n in spec.n_schedule]
+
+    assert _same(uniform_infimum(f, S, None, cfg), r)
+    assert _same(plain_infimum(f, S, None), plain)
+    for n, want in zip(spec.n_schedule, pens):
+        assert _same(penalty_value(f, S, n, spec, None), want)
+
+    last, verdict = penalty_limit(f, S, spec, None, cfg)
+    assert _same(last, pens[-1])
+    assert _same(verdict.witness["uniform_infimum"], r)
+    assert all(_same(got, want) for (_, got), want
+               in zip(verdict.witness["penalty_values"], pens))
+
+    rep = robustness(f, S, None, cfg)
+    assert _same(rep.r_value, r) and _same(rep.plain_inf, plain)
+
+
+class TestExactWork:
+    """One squared distance per exception per exact call, and one per
+    exception in all for a penalty limit or a robustness report."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from epislope import uniforminf
+        counter = {"n": 0}
+        inner = uniforminf._dist_sq
+
+        def counted(*args):
+            counter["n"] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(uniforminf, "_dist_sq", counted)
+        return counter
+
+    def test_each_call_visits_each_exception_once(self, calls):
+        f = nogoodlsc(N=3, I=96, delta_min=1.0 / 32.0)
+        # one exception at the default and one above it still cost a visit
+        f.exceptions[((0, Fraction(7)),)] = Fraction(0)
+        f.exceptions[((1, Fraction(7)),)] = Fraction(1)
+        count = len(f.exceptions)
+        S = Ball(center=(0.0,) * 96, radius=Fraction(1, 2))
+        spec = PenaltySpec()
+        for call in (lambda: uniform_infimum(f, S, None, EXACT_CFG),
+                     lambda: plain_infimum(f, S, None),
+                     lambda: penalty_value(f, S, 2.0, spec, None),
+                     lambda: penalty_limit(f, S, spec, None, EXACT_CFG),
+                     lambda: robustness(f, S, None, EXACT_CFG)):
+            calls["n"] = 0
+            call()
+            assert calls["n"] == count

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from epislope.extreal import INF
-from epislope.verdict import Status, combine, decide, margin
+from epislope.verdict import LimitConfig, Status, combine, decide, margin
 
 TOL, BAND = 1e-6, 0.05
 
@@ -89,3 +89,16 @@ class TestCombine:
 
     def test_accepts_a_generator(self):
         assert combine(s for s in (Status.HOLDS, Status.INCONCLUSIVE)) is Status.INCONCLUSIVE
+
+
+class TestLimitConfigBand:
+    @pytest.mark.parametrize("tol,band", [(0.05, 0.05), (0.1, 0.05), (1e-6, 1e-6)])
+    def test_tol_at_or_above_the_band_is_refused(self, tol, band):
+        # decide() would have no Inconclusive band left
+        with pytest.raises(ValueError) as info:
+            LimitConfig(tol=tol, decision_band=band)
+        assert str(tol) in str(info.value) and str(band) in str(info.value)
+
+    def test_tol_just_below_the_band_is_accepted(self):
+        cfg = LimitConfig(tol=math.nextafter(0.05, 0.0), decision_band=0.05)
+        assert cfg.tol < cfg.decision_band
