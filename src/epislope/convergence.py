@@ -6,6 +6,12 @@ tilted graphs and epigraphs.
 
 Gap distances against balls use the exact identity
 D(B_r(y), A) = (d(y, A) - r)^+ rather than sampling the ball.
+
+Recovery sequences and Wijsman verdicts at a point x share one sweep
+(``_sweep``): the node distances to x are sorted once, so the nested
+balls B_r(x) are prefixes of one order, and each f_n of the n schedule is
+generated once, reduced to its recovery pick and ball infima, and
+dropped.  Memory is O(N) in the node count, not O(N) per f_n.
 """
 
 from __future__ import annotations
@@ -44,13 +50,18 @@ class SetSequence:
 
 @dataclass
 class FunctionSequence:
-    """Lazily generated sequence of function models on a shared box."""
+    """Lazily generated sequence of function models on a shared box.
+
+    ``model(n)`` caches every f_n it generates: tilted sequences and the
+    Ekeland loops ask for the same f_n more than once.  ``node_values(n,
+    mesh)`` streams: it reuses a cached f_n but never caches one itself,
+    so a sweep over the n schedule holds one f_n at a time.
+    """
 
     generator: Callable[[int], FunctionModel]
     box: tuple
     norm: Norm = EUCLIDEAN
     _models: Dict[int, FunctionModel] = field(default_factory=dict, repr=False)
-    _values: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def model(self, n: int) -> FunctionModel:
         if n not in self._models:
@@ -58,9 +69,8 @@ class FunctionSequence:
         return self._models[n]
 
     def node_values(self, n: int, mesh: MeshSpec) -> np.ndarray:
-        if n not in self._values:
-            self._values[n] = values_on(self.model(n), mesh)
-        return self._values[n]
+        model = self._models.get(n)
+        return values_on(self.generator(n) if model is None else model, mesh)
 
     def tilted(self, xstar: Sequence[float]) -> "FunctionSequence":
         return FunctionSequence(lambda n: tilt_model(self.model(n), xstar),
@@ -164,18 +174,75 @@ def _aggregate(verdicts: List[Verdict], tags: List[dict]) -> Verdict:
     return Verdict(status, min(v.margin for v in deciding), {"parts": rows})
 
 
-def _ball_mask(nodes: np.ndarray, x: Sequence[float], radius: float,
-               norm: Norm) -> np.ndarray:
-    d = norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
-    return d <= radius
-
-
 def snap_half_node(lam: float, h: float) -> float:
     """Snap a radius to a half-node offset to avoid boundary ties."""
     if lam <= 0:
         return 0.0
     k = max(0, int(math.floor(lam / h - 0.5)))
     return (k + 0.5) * h
+
+
+def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
+           cfg: LimitConfig, mesh: MeshSpec, reaches: Sequence[float] = ()):
+    """One pass over the n schedule for the recovery picks at x and the
+    infima of every f_n over the balls B_reach(x).
+
+    The distances from x to the nodes are sorted once (stable, so ties
+    keep node order); every ball is then a prefix of that order.  Each
+    f_n is fetched once and gathered in distance order up to the largest
+    prefix needed.  The ball infima are its prefix minima at the balls'
+    ends: one minimum per segment between consecutive ends, then a
+    running minimum over the segments.  The recovery pick in the
+    radius-r_n prefix is the first position of least error |f_n - f(x)|:
+    least error, then least distance, then least node index.
+
+    Returns f(x), the picks (n, x_n, f_n(x_n), ||x_n - x||, r_n) and the
+    infima as one list per reach, INF for an empty ball.
+    """
+    fx = f(x)
+    if fx == INF:
+        raise ValueError("recovery sequence needs f(x) finite")
+    fx = float(fx)
+    nodes = mesh.nodes()
+    dist = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
+    order = np.argsort(dist, kind="stable")
+    dist = dist[order]
+    ladder = cfg.radius_ladder
+    count = len(cfg.n_schedule)
+    radii = [ladder[min(j * len(ladder) // count, len(ladder) - 1)] for j in range(count)]
+    # an empty recovery ball falls back to the nodes nearest x
+    nearest = int(np.searchsorted(dist, dist[0] + SLACK, "right"))
+    ends = np.searchsorted(dist, radii, "right")
+    ends[ends == 0] = nearest
+    reach_ends = np.searchsorted(dist, np.asarray(reaches, dtype=float), "right")
+    filled = reach_ends > 0
+    cuts = np.unique(reach_ends[filled])
+    starts = np.concatenate(([0], cuts[:-1]))
+    slots = np.searchsorted(cuts, reach_ends[filled])
+    top = int(cuts[-1]) if cuts.size else 0
+    picks = []
+    infs = np.full((len(reaches), count), INF)
+    for j, n in enumerate(cfg.n_schedule):
+        vals = seq.node_values(n, mesh)[order[:max(ends[j], top)]]
+        # values are extended reals (never NaN or -inf): +inf has error +inf
+        k = int(np.argmin(np.abs(vals[:ends[j]] - fx)))
+        picks.append((n, tuple(nodes[order[k]]), float(vals[k]), float(dist[k]), radii[j]))
+        if top:
+            segments = np.minimum.reduceat(vals[:top], starts)
+            infs[filled, j] = np.minimum.accumulate(segments)[slots]
+    return fx, picks, infs.tolist()
+
+
+def _recovery_verdict(fx: float, picks, cfg: LimitConfig) -> Verdict:
+    win = cfg.window(picks)
+    value_err = max(abs(p[2] - fx) if math.isfinite(p[2]) else math.inf for p in win)
+    dist_err = max(p[3] for p in win)
+    ok_dist = dist_err <= min(cfg.radius_ladder) + cfg.tol
+    witness = {"picks": [{"n": p[0], "x_n": p[1], "f_n": p[2], "dist": p[3]} for p in picks],
+               "window_value_err": value_err, "window_dist": dist_err}
+    status = decide(value_err, cfg.tol, cfg.decision_band) if ok_dist else Status.FAILS
+    return Verdict(status, cfg.tol - value_err if status is Status.HOLDS else value_err,
+                   witness)
 
 
 def recovery_sequence(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
@@ -185,38 +252,41 @@ def recovery_sequence(seq: FunctionSequence, f: FunctionModel, x: Sequence[float
     x_n is the node in the shrinking ball B_{r_n}(x) whose value is
     closest to f(x), ties broken towards x.
     """
-    fx = f(x)
-    if fx == INF:
-        raise ValueError("recovery sequence needs f(x) finite")
-    fx = float(fx)
-    nodes = mesh.nodes()
-    dist_x = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
-    ladder = cfg.radius_ladder
-    picks = []
-    for j, n in enumerate(cfg.n_schedule):
-        r = ladder[min(j * len(ladder) // len(cfg.n_schedule), len(ladder) - 1)]
-        mask = dist_x <= r
-        if not mask.any():
-            mask = dist_x <= dist_x.min() + SLACK
-        vals = seq.node_values(n, mesh)[mask]
-        cand_nodes = nodes[mask]
-        cand_dist = dist_x[mask]
-        err = np.abs(vals - fx)
-        err = np.where(np.isfinite(vals), err, np.inf)
-        order = np.lexsort((cand_dist, err))
-        k = order[0]
-        picks.append((n, tuple(cand_nodes[k]), float(vals[k]), float(cand_dist[k]), r))
-    win = cfg.window(picks)
-    value_err = max(abs(p[2] - fx) if math.isfinite(p[2]) else math.inf for p in win)
-    dist_err = max(p[3] for p in win)
-    r_min = min(ladder)
-    ok_dist = dist_err <= r_min + cfg.tol
-    witness = {"picks": [{"n": p[0], "x_n": p[1], "f_n": p[2], "dist": p[3]} for p in picks],
-               "window_value_err": value_err, "window_dist": dist_err}
-    status = decide(value_err, cfg.tol, cfg.decision_band) if ok_dist else Status.FAILS
-    v = Verdict(status, cfg.tol - value_err if status is Status.HOLDS else value_err,
-                witness)
-    return [p[1] for p in picks], v
+    fx, picks, _ = _sweep(seq, f, x, cfg, mesh)
+    return [p[1] for p in picks], _recovery_verdict(fx, picks, cfg)
+
+
+def _wijsman(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
+             lambda_max: float, cfg: LimitConfig, mesh: MeshSpec):
+    """``wijsman_at_point`` and the recovery picks of its sweep."""
+    from .uniforminf import uniform_infimum
+
+    h = min(mesh.h)
+    lambdas = [0.0] + [snap_half_node(lam, h) for lam in cfg.radius_ladder
+                       if lam < lambda_max]
+    lambdas = sorted(set(lambdas), reverse=True)
+    # the lambda = 0 row takes the nodes within h/4 of x
+    fx, picks, infs = _sweep(seq, f, x, cfg, mesh,
+                             [lam if lam > 0 else h / 4 for lam in lambdas])
+    rec = _recovery_verdict(fx, picks, cfg)
+    rows = []
+    worst = math.inf
+    for lam, row in zip(lambdas, infs):
+        ball = Ball(center=tuple(float(c) for c in x), radius=lam, norm=f.norm)
+        r_val = uniform_infimum(f, ball, mesh, cfg)
+        liminf = min(cfg.window(row))
+        m = margin(r_val, liminf)
+        rows.append({"lambda": lam, "r_value": r_val, "liminf_inf": liminf,
+                     "margin": m})
+        worst = min(worst, m)
+    witness = {"recovery": rec.status.value, "rows": rows}
+    sched = {"lambda_max": lambda_max}
+    picked = [p[1] for p in picks]
+    if rec.fails:
+        return Verdict(Status.FAILS, rec.margin, witness | {"reason": "recovery"},
+                       sched), picked
+    status = combine([rec.status, decide(-worst, cfg.tol, cfg.decision_band)])
+    return Verdict(status, worst, witness, sched), picked
 
 
 def wijsman_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
@@ -225,41 +295,10 @@ def wijsman_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float]
 
     a recovery sequence exists at x, and for each radius lam below
     lambda_max the uniform infimum of f on B_lam(x) is dominated by the
-    window liminf of inf over B_lam(x) of f_n.
+    window liminf of inf over B_lam(x) of f_n.  One sweep over the n
+    schedule gives both (``_sweep``).
     """
-    from .uniforminf import uniform_infimum
-
-    _, rec = recovery_sequence(seq, f, x, cfg, mesh)
-    nodes = mesh.nodes()
-    h = min(mesh.h)
-    lambdas = [0.0] + [snap_half_node(lam, h) for lam in cfg.radius_ladder
-                       if lam < lambda_max]
-    lambdas = sorted(set(lambdas), reverse=True)
-    rows = []
-    worst = math.inf
-    for lam in lambdas:
-        ball = Ball(center=tuple(float(c) for c in x), radius=lam, norm=f.norm)
-        r_val = uniform_infimum(f, ball, mesh, cfg)
-        mask = _ball_mask(nodes, x, lam, f.norm) if lam > 0 else None
-        infs = []
-        for n in cfg.n_schedule:
-            vals = seq.node_values(n, mesh)
-            if lam > 0:
-                sel = vals[mask]
-            else:
-                sel = vals[_ball_mask(nodes, x, h / 4, f.norm)]
-            infs.append(float(sel.min()) if sel.size else INF)
-        liminf = min(cfg.window(infs))
-        m = margin(r_val, liminf)
-        rows.append({"lambda": lam, "r_value": r_val, "liminf_inf": liminf,
-                     "margin": m})
-        worst = min(worst, m)
-    witness = {"recovery": rec.status.value, "rows": rows}
-    sched = {"lambda_max": lambda_max}
-    if rec.fails:
-        return Verdict(Status.FAILS, rec.margin, witness | {"reason": "recovery"}, sched)
-    status = combine([rec.status, decide(-worst, cfg.tol, cfg.decision_band)])
-    return Verdict(status, worst, witness, sched)
+    return _wijsman(seq, f, x, lambda_max, cfg, mesh)[0]
 
 
 def tilt(f: FunctionModel, xstar: Sequence[float]) -> FunctionModel:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .extreal import INF, ExtReal
 from .functions import FunctionModel, MeshSpec, tilt_model, values_on
-from .convergence import (FunctionSequence, recovery_sequence, snap_half_node,
+from .convergence import (FunctionSequence, _wijsman, snap_half_node,
                           wijsman_at_point)
 from .verdict import (FORMS_AGREE_TOL, SLACK, InvariantError, LimitConfig,
                       Status, Verdict, decide)
@@ -139,12 +139,11 @@ def slope_stability_witness(seq: FunctionSequence, f: FunctionModel,
     from a recovery sequence, apply the discrete Ekeland principle to f_n
     with slack sigma + 3*eps (eps = 1/n ladder) on a shrinking ball, and
     record values and slopes along the way."""
-    wij = wijsman_at_point(seq, f, x, lambda_max=2 * max(cfg.radius_ladder),
-                           cfg=cfg, mesh=mesh)
+    # the recovery picks come from the Wijsman verdict's own sweep
+    wij, picks = _wijsman(seq, f, x, 2 * max(cfg.radius_ladder), cfg, mesh)
     if wij.fails:
         raise ValueError("sequence is not Wijsman convergent to f at x")
     sigma = strong_slope(f, x, mesh, cfg).value
-    picks, _ = recovery_sequence(seq, f, x, cfg, mesh)
     h = min(mesh.h)
     points, vals, slopes, idx = [], [], [], []
     for j, n in enumerate(cfg.n_schedule):

@@ -282,12 +282,10 @@ def nogoodlsc(N: int, I: int, delta_min: float) -> FunctionModel:
             f"for N={N} and smallest delta rung {delta_min}")
     exceptions: Dict[SparsePoint, ExtReal] = {}
     for n in range(1, N + 1):
+        step, value = Fraction(1, n), Fraction(-1, n)
         for i in range(2, I + 1):
-            pt: SparsePoint = tuple(sorted({
-                0: Fraction(1, i * n),
-                i - 1: Fraction(1, n),
-            }.items()))
-            exceptions[pt] = Fraction(-1, n)
+            # coordinate 0 < i - 1, so the sparse point is already sorted
+            exceptions[((0, Fraction(1, i * n)), (i - 1, step))] = value
     return FunctionModel.finite_exception(default=Fraction(0), exceptions=exceptions,
                                           ambient_dim=I, name=f"nogoodlsc(N={N},I={I})")
 

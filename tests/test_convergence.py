@@ -1,20 +1,27 @@
 """Set and function convergence verdicts: lower/upper limits, Wijsman,
-hit-and-miss, Kuratowski, recovery sequences, slice convergence, tilts."""
+hit-and-miss, Kuratowski, recovery sequences, slice convergence, tilts;
+the one-sweep recovery and Wijsman kernel against a masked brute force,
+its work per f_n and its memory."""
 
 import json
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    FunctionModel, FunctionSequence, LimitConfig, MeshSpec, PointSet,
-    SetSequence, Status, Verdict, graph_epi_gap, hit_and_miss,
-    in_lower_limit, in_upper_limit, kuratowski_sets, pasch_hausdorff,
-    recovery_sequence, slice_at_point, tilt, tilt_gap_invariance,
-    wijsman_at_point, wijsman_sets,
+    EUCLIDEAN, MAX, TAXICAB, Ball, FunctionModel, FunctionSequence,
+    LimitConfig, MeshSpec, PointSet, SetSequence, Status, Verdict,
+    graph_epi_gap, hit_and_miss, in_lower_limit, in_upper_limit,
+    kuratowski_sets, pasch_hausdorff, recovery_sequence, slice_at_point,
+    tilt, tilt_gap_invariance, uniform_infimum, wijsman_at_point,
+    wijsman_sets,
 )
 from epislope.convergence import snap_half_node
+from epislope.verdict import SLACK, combine, decide, margin
 
 CFG = LimitConfig()
 
@@ -316,3 +323,165 @@ class TestVerdictPlumbing:
             # half-node offset: never an exact multiple of h
             assert abs(snapped / h - round(snapped / h)) == pytest.approx(0.5)
         assert snap_half_node(0.0, h) == 0.0
+
+
+# ------------------------------------------- one sweep against brute force
+
+def masked_recovery(vals_at, f, x, cfg, mesh):
+    """Recovery picks and verdict with one ball mask per n and a lexsort
+    on (error, distance), ties in node order."""
+    fx = float(f(x))
+    nodes = mesh.nodes()
+    dist_x = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
+    ladder = cfg.radius_ladder
+    picks = []
+    for j, n in enumerate(cfg.n_schedule):
+        r = ladder[min(j * len(ladder) // len(cfg.n_schedule), len(ladder) - 1)]
+        mask = dist_x <= r
+        if not mask.any():
+            mask = dist_x <= dist_x.min() + SLACK
+        vals = vals_at(n)[mask]
+        err = np.where(np.isfinite(vals), np.abs(vals - fx), np.inf)
+        k = np.lexsort((dist_x[mask], err))[0]
+        picks.append((n, tuple(nodes[mask][k]), float(vals[k]), float(dist_x[mask][k])))
+    win = cfg.window(picks)
+    value_err = max(abs(p[2] - fx) if math.isfinite(p[2]) else math.inf for p in win)
+    dist_err = max(p[3] for p in win)
+    witness = {"picks": [{"n": p[0], "x_n": p[1], "f_n": p[2], "dist": p[3]} for p in picks],
+               "window_value_err": value_err, "window_dist": dist_err}
+    ok_dist = dist_err <= min(ladder) + cfg.tol
+    status = decide(value_err, cfg.tol, cfg.decision_band) if ok_dist else Status.FAILS
+    margin_ = cfg.tol - value_err if status is Status.HOLDS else value_err
+    return [p[1] for p in picks], Verdict(status, margin_, witness)
+
+
+def masked_wijsman(vals_at, f, x, lambda_max, cfg, mesh):
+    """Wijsman at a point with one ball mask and one reduction per (n, lambda)."""
+    _, rec = masked_recovery(vals_at, f, x, cfg, mesh)
+    dist_x = f.norm.pairwise(np.asarray([x], dtype=float), mesh.nodes())[0]
+    h = min(mesh.h)
+    lambdas = sorted({0.0} | {snap_half_node(lam, h) for lam in cfg.radius_ladder
+                              if lam < lambda_max}, reverse=True)
+    rows, worst = [], math.inf
+    for lam in lambdas:
+        r_val = uniform_infimum(f, Ball(tuple(float(c) for c in x), lam, f.norm), mesh, cfg)
+        mask = dist_x <= (lam if lam > 0 else h / 4)
+        infs = [float(vals_at(n)[mask].min()) if mask.any() else math.inf
+                for n in cfg.n_schedule]
+        liminf = min(cfg.window(infs))
+        m = margin(r_val, liminf)
+        rows.append({"lambda": lam, "r_value": r_val, "liminf_inf": liminf, "margin": m})
+        worst = min(worst, m)
+    witness = {"recovery": rec.status.value, "rows": rows}
+    sched = {"lambda_max": lambda_max}
+    if rec.fails:
+        return Verdict(Status.FAILS, rec.margin, witness | {"reason": "recovery"}, sched)
+    status = combine([rec.status, decide(-worst, cfg.tol, cfg.decision_band)])
+    return Verdict(status, worst, witness, sched)
+
+
+def hexed(obj):
+    """Floats as float.hex, containers recursively: equality is bitwise."""
+    if isinstance(obj, dict):
+        return {k: hexed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [hexed(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    return obj
+
+
+# few distinct values, so that errors |f_n - f(x)| tie; +inf included
+TIED = st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, math.inf))
+SWEEP_CFG = LimitConfig(n_schedule=tuple(range(1, 9)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from((0.05, 0.1, 0.25)), st.integers(-4, 4),
+       st.one_of(st.lists(st.integers(2, 13), min_size=1, max_size=1),
+                 st.lists(st.integers(2, 5), min_size=2, max_size=2)),
+       st.sampled_from((EUCLIDEAN, MAX, TAXICAB)),
+       st.sampled_from(("node", "midpoint", "offset")),
+       st.sampled_from((0.1, 0.3, 0.5, 1.0)), st.data())
+def test_sweep_matches_masked_brute_force(step, lo_steps, counts, norm, probe_kind,
+                                          lambda_max, data):
+    """Recovery picks, Wijsman rows and witness equal the masked brute force
+    bit for bit: 1-D and 2-D meshes, all three norms, probes on a node, at
+    a midpoint (ties in distance) and off the mesh lattice, +inf values and
+    ties in error."""
+    lo = lo_steps * step
+    mesh = MeshSpec(box=tuple((lo, lo + step * (c - 1)) for c in counts),
+                    h=(step,) * len(counts))
+    count = mesh.node_count
+    tables = [np.array(data.draw(st.lists(TIED, min_size=count, max_size=count)))
+              for _ in range(data.draw(st.integers(1, 3)))]
+    corner = [data.draw(st.integers(0, c - 2)) for c in counts]
+    shift = {"node": 0.0, "midpoint": 0.5, "offset": 0.3}[probe_kind]
+    x = tuple(lo + step * (i + shift) for i in corner)
+    fv = np.array(data.draw(st.lists(TIED, min_size=count, max_size=count)))
+    fx = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
+    if probe_kind == "node":
+        fv[mesh.node_index(x)] = fx
+
+    def fn(p):
+        i = mesh.node_index(p)
+        return float(fv[i]) if i >= 0 else fx
+
+    f = FunctionModel.analytic(fn, mesh.box, norm=norm)
+
+    def vals_at(n):
+        return tables[n % len(tables)]
+
+    def make_seq():
+        return FunctionSequence(lambda n: FunctionModel.tabulated(mesh, vals_at(n), norm=norm),
+                                box=mesh.box, norm=norm)
+
+    picks, rec = recovery_sequence(make_seq(), f, x, SWEEP_CFG, mesh)
+    want_picks, want_rec = masked_recovery(vals_at, f, x, SWEEP_CFG, mesh)
+    assert hexed(picks) == hexed(want_picks)
+    assert hexed(rec.to_dict()) == hexed(want_rec.to_dict())
+    got = wijsman_at_point(make_seq(), f, x, lambda_max, SWEEP_CFG, mesh)
+    want = masked_wijsman(vals_at, f, x, lambda_max, SWEEP_CFG, mesh)
+    assert hexed(got.to_dict()) == hexed(want.to_dict())
+
+
+class TestSweepWork:
+    def envelope_sequence(self, mesh):
+        f = tabmodel(lambda x: abs(x - 0.3), mesh)
+        made = Counter()
+
+        def make(n):
+            made[n] += 1
+            return pasch_hausdorff(f, n, mesh)
+
+        return f, FunctionSequence(make, box=mesh.box), made
+
+    def test_each_f_n_is_generated_once_and_not_cached(self):
+        mesh = MeshSpec.line(-1.0, 1.0, 0.05)
+        f, seq, made = self.envelope_sequence(mesh)
+        assert wijsman_at_point(seq, f, (0.0,), 0.5, CFG, mesh).holds
+        assert made == Counter(CFG.n_schedule)
+        assert seq._models == {}
+
+    def test_cached_models_are_reused(self):
+        mesh = MeshSpec.line(-1.0, 1.0, 0.05)
+        f, seq, made = self.envelope_sequence(mesh)
+        for n in CFG.n_schedule[::2]:
+            seq.model(n)
+        recovery_sequence(seq, f, (0.0,), CFG, mesh)
+        assert made == Counter(CFG.n_schedule)
+
+    def test_memory_is_linear_in_the_node_count(self):
+        """One Wijsman verdict on a 4001-node line holds a few node arrays at
+        a time, not one per f_n of the schedule."""
+        mesh = MeshSpec.line(-1.0, 1.0, 5e-4)
+        nodes = mesh.node_count
+        assert nodes == 4001
+        f, seq, _ = self.envelope_sequence(mesh)
+        tracemalloc.start()
+        try:
+            wijsman_at_point(seq, f, (0.0,), 0.5, CFG, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(CFG.n_schedule) / 4 * nodes * 8

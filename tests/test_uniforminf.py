@@ -200,6 +200,19 @@ class TestSparseCounterexample:
             assert uniform_infimum(f, S, None, EXACT_CFG) == Fraction(-1, n)
             assert plain_infimum(f, S, None) == Fraction(-1, n + 1)
 
+    @pytest.mark.parametrize("N, I", [(1, 2), (1, 32), (3, 96), (4, 200)])
+    def test_exceptions_match_the_sorted_dict_build(self, N, I):
+        """Same points, values, value types and order as building each
+        point from a dict of its two coordinates through sorted()."""
+        want = []
+        for n in range(1, N + 1):
+            for i in range(2, I + 1):
+                pt = tuple(sorted({0: Fraction(1, i * n), i - 1: Fraction(1, n)}.items()))
+                want.append((pt, Fraction(-1, n)))
+        got = list(nogoodlsc(N=N, I=I, delta_min=N / I).exceptions.items())
+        assert got == want
+        assert all(type(c) is Fraction for pt, v in got for _, c in pt + ((0, v),))
+
     def test_exact_region_requirements(self):
         f = nogoodlsc(N=1, I=64, delta_min=1.0 / 32.0)
         with pytest.raises(ValueError):
