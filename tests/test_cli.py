@@ -3,12 +3,15 @@ the exact counterexample table, catalogue listing, sweeps, determinism."""
 
 import csv
 import json
+import pathlib
 
 import pytest
 import yaml
 
 from epislope import InvariantError, catalogue, cli
 from epislope.cli import main, scenario_report
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def write_scenario(tmp_path, doc, name="scenario.yaml"):
@@ -236,6 +239,17 @@ class TestSweep:
     def test_sweep_needs_a_region_instance(self, capsys):
         assert main(["sweep", "--instance", "envelope-of-jump"]) == 1
         assert "region" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instance,ps", [
+        ("quadratic-at-origin", ["1", "2"]),
+        ("dip-near-shell", ["0.5", "3"]),
+    ])
+    def test_csv_matches_golden(self, instance, ps, capsys):
+        code = main(["--seed", str(catalogue.DEFAULT_SEED), "sweep",
+                     "--instance", instance, "--p", *ps])
+        assert code == 0
+        golden = GOLDEN / f"sweep__{instance}.csv"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 class TestDeterminism:
