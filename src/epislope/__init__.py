@@ -13,6 +13,7 @@ declared finite schedule and reported as a three-valued verdict.
 __version__ = "0.1.0"
 
 from .extreal import INF, ExtReal
+from .verdict import InvariantError, LimitConfig, Status, Verdict
 from .geometry import (BoxNorm, EUCLIDEAN, MAX, Norm, NormKind, PointSet,
                        TAXICAB, ball_gap, diameter, gap_distance,
                        point_set_distance, uniform_neighborhood_contains)
@@ -21,15 +22,14 @@ from .functions import (EpigraphSample, FunctionModel, MeshSpec, Variant,
                         epi_hypo_gap_triple, inf_convolution, inf_over_region,
                         pasch_hausdorff, restrict, sample_epigraph,
                         sample_graph, sample_hypograph, tabulate, values_on)
-from .verdict import InvariantError, LimitConfig, Status, Verdict
-from .convergence import (FunctionSequence, SetSequence, graph_epi_gap,
-                          hit_and_miss, in_lower_limit, in_upper_limit,
-                          kuratowski_sets, recovery_sequence, slice_at_point,
-                          tilt, tilt_gap_invariance, wijsman_at_point,
-                          wijsman_sets)
-from .uniforminf import (PenaltySpec, RobustnessReport, carac_W_bridge,
-                         nogoodlsc, penalty_limit, penalty_value,
-                         plain_infimum, robustness, uniform_infimum)
+from .uniforminf import (PenaltySpec, RobustnessReport, nogoodlsc,
+                         penalty_limit, penalty_value, plain_infimum,
+                         robustness, uniform_infimum)
+from .convergence import (FunctionSequence, SetSequence, carac_W_bridge,
+                          graph_epi_gap, hit_and_miss, in_lower_limit,
+                          in_upper_limit, kuratowski_sets, recovery_sequence,
+                          slice_at_point, tilt, tilt_gap_invariance,
+                          wijsman_at_point, wijsman_sets)
 from .slopes import (SlopeEstimate, StabilityWitness, SubdifferentialOracle,
                      ekeland_point, frechet_membership, p2_witness,
                      sequence_p2_stability, slope_stability_witness,

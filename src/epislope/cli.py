@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -26,8 +27,7 @@ from .convergence import wijsman_at_point
 from .regions import Ball
 from .slopes import frechet_membership, slope_stability_witness, strong_slope
 from .sumrules import decoupling_inequality, prop71_bridge, r2_witness
-from .uniforminf import (PenaltySpec, penalty_limit, penalty_value, robustness,
-                         uniform_infimum)
+from .uniforminf import PenaltySpec, nogoodlsc, penalty_limit, robustness
 from .verdict import (InvariantError, LimitConfig, Status, Verdict, _jsonable,
                       combine, decide)
 
@@ -234,20 +234,29 @@ def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
     return report, code
 
 
+def _refusing(command: Callable[..., int]) -> Callable[..., int]:
+    """Wrap a CLI command so that bad input and broken invariants exit 1
+    with ``error: ...`` on stderr, never a traceback."""
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except (OSError, ValueError, KeyError, yaml.YAMLError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+        except InvariantError as exc:
+            print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return 1
+    return run
+
+
+@_refusing
 def run_scenario(path: str, seed: Optional[int] = None, out: Optional[str] = None,
                  timings: bool = True) -> int:
-    try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("scenario file must contain a mapping")
-        report, code = scenario_report(doc, seed=seed, timings=timings)
-    except (OSError, ValueError, KeyError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvariantError as exc:
-        print(f"error: invariant violated: {exc}", file=sys.stderr)
-        return 1
+    with open(path) as fh:
+        doc = yaml.safe_load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("scenario file must contain a mapping")
+    report, code = scenario_report(doc, seed=seed, timings=timings)
     _emit(report, out)
     return code
 
@@ -265,6 +274,7 @@ def _emit(report: RunReport, out: Optional[str]) -> None:
 EXACT_DELTAS = catalogue.COARSE_DELTAS  # smallest rung 1/32
 
 
+@_refusing
 def reproduce_example_4_2(n_max: int, dim_trunc: int,
                           csv_path: Optional[str] = None,
                           out: Optional[str] = None,
@@ -278,23 +288,18 @@ def reproduce_example_4_2(n_max: int, dim_trunc: int,
 
     Layer n-1 lies just over 1/(n(n-1)) beyond B_{1/n}(0), so row n is
     resolved only when the smallest delta rung is below that gap; a
-    deeper request is refused (exit 1) before any work.
+    deeper request, or an empty table, is refused (exit 1) before any work.
     """
-    from .uniforminf import nogoodlsc
-
+    if n_max < 1:
+        raise ValueError(f"--n-max {n_max} leaves the table empty: need --n-max >= 1")
     delta_min = Fraction(min(EXACT_DELTAS))
     if n_max * (n_max - 1) * delta_min >= 1:
         deepest = max(n for n in range(1, n_max) if n * (n - 1) * delta_min < 1)
-        print(f"error: --n-max {n_max} is deeper than the delta ladder resolves: "
-              f"row n needs n(n-1) < 1/delta_min = {1 / delta_min}, "
-              f"so --n-max <= {deepest}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--n-max {n_max} is deeper than the delta ladder resolves: "
+                         f"row n needs n(n-1) < 1/delta_min = {1 / delta_min}, "
+                         f"so --n-max <= {deepest}")
     cfg = LimitConfig(delta_ladder=EXACT_DELTAS)
-    try:
-        model = nogoodlsc(n_max + 1, dim_trunc, delta_min=min(EXACT_DELTAS))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model = nogoodlsc(n_max + 1, dim_trunc, delta_min=min(EXACT_DELTAS))
     start = time.perf_counter()
     rows = []
     all_exact = True
@@ -339,20 +344,20 @@ def list_catalogue(filter_text: Optional[str] = None, as_json: bool = False) -> 
     return 0
 
 
+@_refusing
 def sweep(instance: str, ps: Sequence[float], csv_path: Optional[str],
           seed: Optional[int] = None) -> int:
+    """CSV of penalty values and r_S(f), one ``penalty_limit`` per exponent."""
     payload = catalogue.get(instance, seed=seed)
     if "model" not in payload or payload.get("region") is None:
-        print("error: sweep needs a function instance with a region", file=sys.stderr)
-        return 1
+        raise ValueError("sweep needs a function instance with a region")
     cfg = payload.get("cfg") or LimitConfig()
     rows = []
     for p in ps:
-        spec = PenaltySpec(p=float(p))
-        mesh = payload["mesh"] if payload["kind"] != "exact" else None
-        r = uniform_infimum(payload["model"], payload["region"], mesh, cfg)
-        for n in spec.n_schedule:
-            value = penalty_value(payload["model"], payload["region"], n, spec, mesh)
+        _, verdict = penalty_limit(payload["model"], payload["region"],
+                                   PenaltySpec(p=float(p)), payload["mesh"], cfg)
+        r = verdict.witness["uniform_infimum"]
+        for n, value in verdict.witness["penalty_values"]:
             rows.append({"p": p, "n": n, "penalty_value": value,
                          "uniform_infimum": r,
                          "gap": abs(float(value) - float(r))

@@ -12,6 +12,9 @@ Recovery sequences and Wijsman verdicts at a point x share one sweep
 balls B_r(x) are prefixes of one order, and each f_n of the n schedule is
 generated once, reduced to its recovery pick and ball infima, and
 dropped.  Memory is O(N) in the node count, not O(N) per f_n.
+
+The penalty/Wijsman bridge ``carac_W_bridge`` lives here, above
+``uniforminf`` in the import order.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF
-from .functions import FunctionModel, MeshSpec, tilt_model, values_on
+from .functions import (FunctionModel, MeshSpec, epi_hypo_gap_triple, restrict,
+                        tilt_model, values_on)
 from .geometry import Norm, EUCLIDEAN, PointSet, point_set_distance
-from .regions import Ball
+from .regions import Ball, Region
+from .uniforminf import _region_distances, uniform_infimum
 from .verdict import (SLACK, LimitConfig, Status, Verdict, combine, decide,
-                      margin)
+                      excess_verdict, margin)
 
 
 @dataclass
@@ -120,9 +125,7 @@ def wijsman_sets(seq: SetSequence, S: PointSet, probes: Sequence[Sequence[float]
     witness = {"per_probe": per_probe}
     if any_fail is not None:
         return Verdict(Status.FAILS, any_fail["window_min"], witness | {"failed": any_fail})
-    status = decide(worst_hold, cfg.tol, cfg.decision_band)
-    return Verdict(status, cfg.tol - worst_hold if status is Status.HOLDS else worst_hold,
-                   witness)
+    return excess_verdict(worst_hold, cfg.tol, cfg.decision_band, witness)
 
 
 def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
@@ -139,16 +142,14 @@ def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
     dists = [point_set_distance(y, seq.at(n)) for n in cfg.n_schedule]
     if dyS != INF and dyS <= cfg.tol:
         win = cfg.window(dists)
-        worst = float(max(win))
-        status = decide(worst, cfg.tol, cfg.decision_band)
-        return Verdict(status, cfg.tol - worst if status is Status.HOLDS else worst,
-                       {"branch": "hit", "window_max": max(win)})
-    gap0 = max(0.0, (dyS if dyS != INF else math.inf) - lam)
+        return excess_verdict(float(max(win)), cfg.tol, cfg.decision_band,
+                              {"branch": "hit", "window_max": max(win)})
+    gap0 = max(0.0, dyS - lam)
     if gap0 > cfg.tol:
         best = 0.0
         rows = []
         for delta in cfg.delta_ladder:
-            gaps = [max(0.0, (d if d != INF else math.inf) - lam - delta) for d in dists]
+            gaps = [max(0.0, d - lam - delta) for d in dists]
             liminf = min(cfg.window(gaps))
             rows.append({"delta": delta, "liminf_gap": liminf})
             best = max(best, liminf)
@@ -237,12 +238,11 @@ def _recovery_verdict(fx: float, picks, cfg: LimitConfig) -> Verdict:
     win = cfg.window(picks)
     value_err = max(abs(p[2] - fx) if math.isfinite(p[2]) else math.inf for p in win)
     dist_err = max(p[3] for p in win)
-    ok_dist = dist_err <= min(cfg.radius_ladder) + cfg.tol
     witness = {"picks": [{"n": p[0], "x_n": p[1], "f_n": p[2], "dist": p[3]} for p in picks],
                "window_value_err": value_err, "window_dist": dist_err}
-    status = decide(value_err, cfg.tol, cfg.decision_band) if ok_dist else Status.FAILS
-    return Verdict(status, cfg.tol - value_err if status is Status.HOLDS else value_err,
-                   witness)
+    if dist_err > min(cfg.radius_ladder) + cfg.tol:
+        return Verdict(Status.FAILS, value_err, witness)
+    return excess_verdict(value_err, cfg.tol, cfg.decision_band, witness)
 
 
 def recovery_sequence(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
@@ -259,8 +259,6 @@ def recovery_sequence(seq: FunctionSequence, f: FunctionModel, x: Sequence[float
 def _wijsman(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
              lambda_max: float, cfg: LimitConfig, mesh: MeshSpec):
     """``wijsman_at_point`` and the recovery picks of its sweep."""
-    from .uniforminf import uniform_infimum
-
     h = min(mesh.h)
     lambdas = [0.0] + [snap_half_node(lam, h) for lam in cfg.radius_ladder
                        if lam < lambda_max]
@@ -301,6 +299,41 @@ def wijsman_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float]
     return _wijsman(seq, f, x, lambda_max, cfg, mesh)[0]
 
 
+def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
+                   mesh: MeshSpec, cfg: LimitConfig) -> Tuple[Verdict, Verdict]:
+    """Both sides of the penalty/Wijsman equivalence for f_n = f + n d_S^p.
+
+    Returns (verdict of r_{B_lambda(x)}(f_S) <= r_S(f_{B_lambda(x)}) over
+    the small-lambda ladder, verdict of Wijsman convergence of the
+    penalized sequence to f_S at x).  The two statuses agree whenever both
+    are decisive.
+    """
+    f_S = restrict(f, S)
+    rows = []
+    worst = math.inf
+    for lam in cfg.radius_ladder:
+        ball = Ball(center=tuple(float(c) for c in x), radius=lam, norm=f.norm)
+        lhs = uniform_infimum(f_S, ball, mesh, cfg)
+        rhs = uniform_infimum(restrict(f, ball), S, mesh, cfg)
+        m = margin(lhs, rhs)
+        rows.append({"lambda": lam, "lhs": lhs, "rhs": rhs, "margin": m})
+        worst = min(worst, m)
+    ineq = Verdict(decide(-worst, cfg.tol, cfg.decision_band), worst,
+                   witness={"rows": rows})
+
+    dS = _region_distances(S, mesh, f.norm)
+    vals = values_on(f, mesh)
+
+    def make(n):
+        return FunctionModel.tabulated(mesh, vals + n * dS ** p, norm=f.norm,
+                                       name=f"{f.name}+{n}d^p")
+
+    seq = FunctionSequence(make, box=mesh.box, norm=f.norm)
+    wij = wijsman_at_point(seq, f_S, x, lambda_max=max(cfg.radius_ladder) * 2,
+                           cfg=cfg, mesh=mesh)
+    return ineq, wij
+
+
 def tilt(f: FunctionModel, xstar: Sequence[float]) -> FunctionModel:
     """x -> f(x) + <xstar, x>."""
     return tilt_model(f, xstar)
@@ -331,7 +364,6 @@ def slice_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
 
 def graph_epi_gap(g: FunctionModel, f: FunctionModel, mesh: MeshSpec) -> float:
     """D(graph g, epi f) in the box norm, vertical extents exact."""
-    from .functions import epi_hypo_gap_triple
     return epi_hypo_gap_triple(f, g, mesh, cap=0.0, floor=0.0, alpha_step=1.0,
                                exact=True)[2]
 

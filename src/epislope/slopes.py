@@ -10,6 +10,7 @@ form (smooth, convex piecewise-linear, envelopes thereof).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -21,7 +22,7 @@ from .functions import FunctionModel, MeshSpec, tilt_model, values_on
 from .convergence import (FunctionSequence, _wijsman, snap_half_node,
                           wijsman_at_point)
 from .verdict import (FORMS_AGREE_TOL, SLACK, InvariantError, LimitConfig,
-                      Status, Verdict, decide)
+                      Verdict, excess_verdict)
 
 
 @dataclass
@@ -128,10 +129,6 @@ def ekeland_point(f: FunctionModel, x0: Sequence[float], sigma: float,
     return tuple(ball[z])
 
 
-def _eps_for(n: int) -> float:
-    return 1.0 / n
-
-
 def slope_stability_witness(seq: FunctionSequence, f: FunctionModel,
                             x: Sequence[float], mesh: MeshSpec,
                             cfg: LimitConfig) -> StabilityWitness:
@@ -147,7 +144,7 @@ def slope_stability_witness(seq: FunctionSequence, f: FunctionModel,
     h = min(mesh.h)
     points, vals, slopes, idx = [], [], [], []
     for j, n in enumerate(cfg.n_schedule):
-        eps = _eps_for(n)
+        eps = 1.0 / n
         lam = max(2 * h, snap_half_node(eps / 2, h))
         mu = max(1.5 * h, ((sigma + 2 * eps) / (sigma + 3 * eps)) * lam)
         fn = seq.model(n)
@@ -219,18 +216,20 @@ def frechet_membership(f: FunctionModel, x: Sequence[float],
 
     witness = {"slope": s, "liminf_quotient": liminf,
                "forms_agree": agree, "radius": est.radius_used}
-    status = decide(s, cfg.tol, cfg.decision_band)
-    return Verdict(status, cfg.tol - s if status is Status.HOLDS else s, witness)
+    return excess_verdict(s, cfg.tol, cfg.decision_band, witness)
 
 
-def _min_pair_norm(xs: List[Tuple[float, ...]], ys: List[Tuple[float, ...]],
-                   norm) -> float:
-    best = math.inf
-    for a in xs:
-        for b in ys:
-            v = norm([p + q for p, q in zip(a, b)])
-            best = min(best, v)
-    return best
+def _least_sum_norm(samples: Sequence[Sequence[Tuple[float, ...]]],
+                    norm) -> Tuple[float, Optional[Tuple[Tuple[float, ...], ...]]]:
+    """(least ||x_1 + ... + x_k|| over x_i in samples[i], the first tuple
+    in ``itertools.product`` order that reaches it); (inf, None) when a
+    sample is empty."""
+    best, least = math.inf, None
+    for combo in itertools.product(*samples):
+        v = float(norm([sum(c) for c in zip(*combo)]))
+        if v < best:
+            best, least = v, combo
+    return best, least
 
 
 def p2_witness(f: FunctionModel, f_oracle: SubdifferentialOracle,
@@ -256,21 +255,15 @@ def p2_witness(f: FunctionModel, f_oracle: SubdifferentialOracle,
         masky = d <= r
         if not maskx.any() or not masky.any():
             continue
-        xs = [f_oracle.at(tuple(p)) for p in nodes[maskx]]
-        ys = [phi_oracle.at(tuple(p)) for p in nodes[masky]]
-        best = math.inf
-        for xl in xs:
-            for yl in ys:
-                best = min(best, _min_pair_norm(xl, yl, f.norm))
-        rows.append({"radius": r, "min_sum_norm": best})
+        xs = [e for p in nodes[maskx] for e in f_oracle.at(tuple(p))]
+        ys = [e for p in nodes[masky] for e in phi_oracle.at(tuple(p))]
+        rows.append({"radius": r, "min_sum_norm": _least_sum_norm([xs, ys], f.norm)[0]})
     if not rows:
         raise ValueError("no witness candidates within the radius ladder")
     suffix = rows[len(rows) // 2:]
     worst = max(row["min_sum_norm"] for row in suffix)
-    excess = max(0.0, worst - s)
     witness = {"slope": s, "rows": rows, "suffix_max": worst}
-    status = decide(excess, cfg.tol, cfg.decision_band)
-    return Verdict(status, cfg.tol - excess if status is Status.HOLDS else excess, witness)
+    return excess_verdict(max(0.0, worst - s), cfg.tol, cfg.decision_band, witness)
 
 
 def sequence_p2_stability(seqF: FunctionSequence,
@@ -300,21 +293,9 @@ def sequence_p2_stability(seqF: FunctionSequence,
         r = max(2 * h, 1.0 / n)
         d = f.norm.pairwise(zn[None, :], nodes)[0]
         mask = d <= r
-        fo = oraclesF(n)
-        xs = [fo.at(tuple(p)) for p in nodes[mask]]
-        if oraclesPhi is not None:
-            po = oraclesPhi(n)
-            ys = [po.at(tuple(p)) for p in nodes[mask]]
-        else:
-            ys = [[tuple(0.0 for _ in range(mesh.dim))]]
-        best = math.inf
-        for xl in xs:
-            for yl in ys:
-                best = min(best, _min_pair_norm(xl, yl, f.norm))
-        rows.append({"n": n, "min_sum_norm": best})
-    suffix = cfg.window([row["min_sum_norm"] for row in rows])
-    worst = max(suffix)
-    excess = max(0.0, worst - s)
+        oracles = [oraclesF(n)] if oraclesPhi is None else [oraclesF(n), oraclesPhi(n)]
+        samples = [[e for p in nodes[mask] for e in o.at(tuple(p))] for o in oracles]
+        rows.append({"n": n, "min_sum_norm": _least_sum_norm(samples, f.norm)[0]})
+    worst = max(cfg.window([row["min_sum_norm"] for row in rows]))
     witness = {"slope": s, "rows": rows, "suffix_max": worst}
-    status = decide(excess, cfg.tol, cfg.decision_band)
-    return Verdict(status, cfg.tol - excess if status is Status.HOLDS else excess, witness)
+    return excess_verdict(max(0.0, worst - s), cfg.tol, cfg.decision_band, witness)

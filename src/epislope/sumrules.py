@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .extreal import INF, ExtReal
 from .functions import FunctionModel, MeshSpec, Variant, values_on
 from .geometry import MAX, Norm
-from .slopes import SubdifferentialOracle, slope_stability_witness, strong_slope
+from .convergence import FunctionSequence, wijsman_at_point
+from .slopes import (SubdifferentialOracle, _least_sum_norm,
+                     slope_stability_witness, strong_slope)
 from .uniforminf import _sup_inf
 from .verdict import (InvariantError, LimitConfig, Verdict, combine, decide,
                       margin)
@@ -112,19 +114,14 @@ def _component_values(f: FunctionModel, coords: np.ndarray) -> np.ndarray:
     return np.array([float(f(tuple(p))) for p in coords])
 
 
-def _product_data(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec):
-    """(product mesh, F values, d_Delta values, per-component base distances)."""
+def _product_data(ds: DecoupledSum, mesh: MeshSpec):
+    """(product mesh, F values, d_Delta values)."""
     pm = product_mesh(mesh, ds.k)
     P = pm.nodes()
     d = mesh.dim
     F = np.zeros(len(P))
-    comp_dist = []
-    xb = np.asarray([xbar], dtype=float)
     for i, f in enumerate(ds.components):
-        coords = P[:, i * d:(i + 1) * d]
-        F = F + _component_values(f, coords)
-        comp_dist.append(ds.base_norm.pairwise(xb, coords)[0])
-    comp_dist = np.stack(comp_dist)
+        F = F + _component_values(f, P[:, i * d:(i + 1) * d])
     if d == 1:
         blocks = P.reshape(len(P), ds.k)
         dDelta = (blocks.max(axis=1) - blocks.min(axis=1)) / 2.0
@@ -133,7 +130,7 @@ def _product_data(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec):
         dDelta = np.array([diagonal_distance(
             [tuple(P[j, i * d:(i + 1) * d]) for i in range(ds.k)], geom, mesh)
             for j in range(len(P))])
-    return pm, F, dDelta, comp_dist
+    return pm, F, dDelta
 
 
 def _summed_values(ds: DecoupledSum, mesh: MeshSpec) -> np.ndarray:
@@ -164,9 +161,13 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
     component, so declared Lipschitz hints widen the Holds/Fails cutoffs
     by that amount.
     """
-    pm, F, dDelta, comp_dist = _product_data(ds, xbar, mesh)
+    pm, F, dDelta = _product_data(ds, mesh)
     sum_vals = _summed_values(ds, mesh)
     dist_x = ds.base_norm.pairwise(np.asarray([xbar], dtype=float), mesh.nodes())[0]
+    # product nodes run in C order over the components' base nodes, so the
+    # product distance from (xbar, ..., xbar) is the max of their dist_x
+    parts = np.unravel_index(np.arange(pm.node_count), (mesh.node_count,) * ds.k)
+    ball_dist = np.max([dist_x[i] for i in parts], axis=0)
 
     rows = []
     step = max(mesh.h)
@@ -180,7 +181,7 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
         # a diagonal point to B^k_lam(xbar) under the max norm is
         # (||x - xbar|| - lam)^+, so this reduces to base-ball infima
         lhs = _sup_inf(sum_vals, np.maximum(0.0, dist_x - lam), cfg.delta_ladder)
-        inball = (comp_dist <= lam).all(axis=0)
+        inball = ball_dist <= lam
         Fb = np.where(inball, F, np.inf)
         rhs = _sup_inf(Fb, dDelta, cfg.delta_ladder)
         # raw two-sided form, computed independently rung by rung
@@ -215,10 +216,7 @@ def _penalized_diagonal(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec)
     """(product mesh, the diagonally penalized sequence F + n * d_Delta,
     its limit the diagonal restriction F_Delta, the diagonal point
     (xbar, ..., xbar)), all under the max product norm."""
-    from .convergence import FunctionSequence
-
-    xbar0 = tuple(lo for lo, _ in mesh.box)
-    pm, F, dDelta, _ = _product_data(ds, xbar0, mesh)
+    pm, F, dDelta = _product_data(ds, mesh)
     if ds.base_norm.kind is not MAX.kind and mesh.dim != 1:
         raise ValueError("product norm requires base dim 1 or a max base norm")
     Fd = FunctionModel.tabulated(pm, np.where(dDelta == 0.0, F, np.inf),
@@ -238,20 +236,11 @@ def prop71_bridge(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec,
     diagonally penalized sequence F + n * d_Delta converging to the
     diagonal restriction F_Delta at (xbar, ..., xbar)).  The two statuses
     agree whenever both are decisive."""
-    from .convergence import wijsman_at_point
-
     dec = decoupling_inequality(ds, xbar, mesh, cfg)
     pm, seq, Fd, z = _penalized_diagonal(ds, xbar, mesh)
     wij = wijsman_at_point(seq, Fd, z, lambda_max=2 * max(cfg.radius_ladder),
                            cfg=cfg, mesh=pm)
     return dec, wij
-
-
-def _oracle_split(oracles: Sequence[SubdifferentialOracle],
-                  xs: Sequence[Sequence[float]]) -> List[List[Tuple[float, ...]]]:
-    """Per-component oracle samples at per-component points; the product
-    element is their tuple, so componentwise splitting holds structurally."""
-    return [list(o.at(tuple(x))) for o, x in zip(oracles, xs)]
 
 
 def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
@@ -285,15 +274,10 @@ def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
     for j, n in enumerate(cfg.n_schedule):
         p = wit.points[j]
         xs = [p[i * d:(i + 1) * d] for i in range(ds.k)]
-        samples = _oracle_split(oracles, xs)
-        best_sum = math.inf
-        best_elems = None
-        for combo in _combos(samples):
-            total = tuple(sum(c[t] for c in combo) for t in range(d))
-            v = float(ds.base_norm(total))
-            if v < best_sum:
-                best_sum = v
-                best_elems = combo
+        # the product element is the tuple of per-component samples, so
+        # componentwise splitting holds structurally
+        best_sum, best_elems = _least_sum_norm(
+            [o.at(tuple(x)) for o, x in zip(oracles, xs)], ds.base_norm)
         diam = max(float(ds.base_norm.dist(a, b)) for a in xs for b in xs)
         elem_max = max(float(ds.base_norm(e)) for e in best_elems)
         rows.append({"n": n, "points": xs, "elements": best_elems,
@@ -310,12 +294,3 @@ def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
     status = combine([decide(excess_a, cfg.tol, cfg.decision_band),
                       decide(val_b, zero_tol, cfg.decision_band)])
     return Verdict(status, min(cfg.tol - excess_a, zero_tol - val_b), witness)
-
-
-def _combos(samples: List[List[Tuple[float, ...]]]):
-    if not samples:
-        yield ()
-        return
-    for head in samples[0]:
-        for tail in _combos(samples[1:]):
-            yield (head,) + tail

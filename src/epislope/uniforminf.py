@@ -12,6 +12,8 @@ squared distance to the ball's center, in integer arithmetic); every delta
 rung, the plain infimum and each penalty value is then a walk over those
 few layers.  ``penalty_limit`` and ``robustness`` share one index between
 their parts.  Nothing is cached across calls.
+
+The penalty/Wijsman bridge ``carac_W_bridge`` lives in ``convergence``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import numpy as np
 
 from .extreal import INF, ExtReal
 from .functions import (FunctionModel, MeshSpec, SparsePoint, Variant,
-                        restrict, values_on)
+                        inf_over_region, values_on)
 from .geometry import Norm, NormKind, _row_blocks
 from .regions import Ball, Region
-from .verdict import (SLACK, InvariantError, LimitConfig, Status, Verdict,
-                      decide, margin)
+from .verdict import (SLACK, InvariantError, LimitConfig, Verdict,
+                      excess_verdict, margin)
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class PenaltySpec:
     n_schedule: Tuple[float, ...] = tuple(2.0 ** k for k in range(9))
 
     def __post_init__(self):
-        if self.p <= 0:
+        if not self.p > 0:  # also refuses NaN
             raise ValueError("exponent p must be positive")
         if list(self.n_schedule) != sorted(set(self.n_schedule)) or min(self.n_schedule) <= 0:
             raise ValueError("n_schedule must be increasing positive")
@@ -205,7 +207,6 @@ def plain_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec]) -> ExtR
     if f.variant is Variant.FINITE_EXCEPTION:
         layers = _ValueLayers(f, S)
         return layers.infimum(layers.radius)
-    from .functions import inf_over_region
     return inf_over_region(f, S, mesh)
 
 
@@ -240,12 +241,11 @@ def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
          else exact.uniform_infimum(cfg.delta_ladder))
     last = vals[-1]
     gap = abs(margin(r, last))
-    status = decide(gap, cfg.tol, cfg.decision_band)
-    v = Verdict(status, cfg.tol - gap if status is Status.HOLDS else gap)
-    v.witness = {"penalty_values": [(n, pv) for n, pv in zip(spec.n_schedule, vals)],
-                 "uniform_infimum": r, "gap": gap}
-    v.schedules = {"p": spec.p, "n_schedule": list(spec.n_schedule)}
-    return last, v
+    return last, excess_verdict(
+        gap, cfg.tol, cfg.decision_band,
+        witness={"penalty_values": list(zip(spec.n_schedule, vals)),
+                 "uniform_infimum": r, "gap": gap},
+        schedules={"p": spec.p, "n_schedule": list(spec.n_schedule)})
 
 
 def robustness(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
@@ -288,40 +288,3 @@ def nogoodlsc(N: int, I: int, delta_min: float) -> FunctionModel:
             exceptions[((0, Fraction(1, i * n)), (i - 1, step))] = value
     return FunctionModel.finite_exception(default=Fraction(0), exceptions=exceptions,
                                           ambient_dim=I, name=f"nogoodlsc(N={N},I={I})")
-
-
-def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
-                   mesh: MeshSpec, cfg: LimitConfig) -> Tuple[Verdict, Verdict]:
-    """Both sides of the penalty/Wijsman equivalence for f_n = f + n d_S^p.
-
-    Returns (verdict of r_{B_lambda(x)}(f_S) <= r_S(f_{B_lambda(x)}) over
-    the small-lambda ladder, verdict of Wijsman convergence of the
-    penalized sequence to f_S at x).  The two statuses agree whenever both
-    are decisive.
-    """
-    from .convergence import FunctionSequence, wijsman_at_point
-
-    f_S = restrict(f, S)
-    rows = []
-    worst = math.inf
-    lambdas = [lam for lam in cfg.radius_ladder]
-    for lam in lambdas:
-        ball = Ball(center=tuple(float(c) for c in x), radius=lam, norm=f.norm)
-        lhs = uniform_infimum(f_S, ball, mesh, cfg)
-        rhs = uniform_infimum(restrict(f, ball), S, mesh, cfg)
-        m = margin(lhs, rhs)
-        rows.append({"lambda": lam, "lhs": lhs, "rhs": rhs, "margin": m})
-        worst = min(worst, m)
-    ineq = Verdict(decide(-worst, cfg.tol, cfg.decision_band), worst,
-                   witness={"rows": rows})
-
-    dS = _region_distances(S, mesh, f.norm)
-    vals = values_on(f, mesh)
-
-    def make(n):
-        return FunctionModel.tabulated(mesh, vals + n * dS ** p, norm=f.norm,
-                                       name=f"{f.name}+{n}d^p")
-
-    seq = FunctionSequence(make, box=mesh.box, norm=f.norm)
-    wij = wijsman_at_point(seq, f_S, x, lambda_max=max(lambdas) * 2, cfg=cfg, mesh=mesh)
-    return ineq, wij

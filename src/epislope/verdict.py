@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .extreal import INF, ExtReal
@@ -103,10 +105,18 @@ class Verdict:
         return json.dumps(self.to_dict(), sort_keys=False)
 
 
-def _jsonable(obj):
-    import math
-    from fractions import Fraction
+def excess_verdict(excess: ExtReal, tol: float, band: float,
+                   witness: Optional[Dict[str, Any]] = None,
+                   schedules: Optional[Dict[str, Any]] = None) -> Verdict:
+    """``decide`` on a one-sided excess, with the margin ``tol - excess``
+    on Holds and the excess itself otherwise."""
+    status = decide(excess, tol, band)
+    return Verdict(status, tol - excess if status is Status.HOLDS else excess,
+                   {} if witness is None else witness,
+                   {} if schedules is None else schedules)
 
+
+def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

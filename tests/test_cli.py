@@ -176,6 +176,14 @@ class TestExactTable:
         assert captured.out == ""
         assert "--n-max <= 6" in captured.err
 
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_empty_table_is_refused(self, n_max, capsys):
+        code = main(["reproduce-example-4-2", "--n-max", n_max, "--no-timings"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--n-max >= 1" in captured.err
+
     def test_csv_export(self, tmp_path, capsys):
         out_csv = tmp_path / "table.csv"
         code = main(["reproduce-example-4-2", "--n-max", "3",
@@ -239,6 +247,18 @@ class TestSweep:
     def test_sweep_needs_a_region_instance(self, capsys):
         assert main(["sweep", "--instance", "envelope-of-jump"]) == 1
         assert "region" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,named", [
+        (["--instance", "nope"], "nope"),
+        (["--instance", "abs-kink", "--p", "-1"], "positive"),
+        (["--instance", "abs-kink", "--p", "1", "0"], "positive"),
+        (["--instance", "abs-kink", "--p", "nan"], "positive"),
+    ])
+    def test_bad_input_is_refused_without_a_traceback(self, args, named, capsys):
+        assert main(["sweep", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
 
     @pytest.mark.parametrize("instance,ps", [
         ("quadratic-at-origin", ["1", "2"]),

@@ -9,13 +9,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    FunctionModel, FunctionSequence, LimitConfig, MeshSpec, Status,
+    EUCLIDEAN, MAX, TAXICAB, FunctionModel, FunctionSequence, LimitConfig,
+    MeshSpec, Status,
     SubdifferentialOracle, ekeland_point, frechet_membership, p2_witness,
     pasch_hausdorff, sequence_p2_stability, slope_stability_witness,
     stationary_sequence, strong_slope,
 )
+from epislope.slopes import _least_sum_norm
 
 CFG = LimitConfig()
 
@@ -300,3 +303,53 @@ class TestSlopeControl:
         v = sequence_p2_stability(seq, lambda n: quadratic_oracle(), None,
                                   None, f, (0.0,), mesh, CFG)
         assert v.holds
+
+
+def _nested_combos(samples):
+    """Every tuple of one element per sample, first sample outermost."""
+    if not samples:
+        yield ()
+        return
+    for head in samples[0]:
+        for tail in _nested_combos(samples[1:]):
+            yield (head,) + tail
+
+
+def _nested_least_sum_norm(samples, norm):
+    best, least = math.inf, None
+    for combo in _nested_combos(samples):
+        v = float(norm(tuple(sum(c[t] for c in combo) for t in range(len(combo[0])))))
+        if v < best:
+            best, least = v, combo
+    return best, least
+
+
+@st.composite
+def oracle_samples(draw):
+    """k = 1..3 samples of 1-D or 2-D elements; coarse coordinates make
+    ties common, and a sample may be empty."""
+    k = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 2))
+    coord = st.one_of(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)),
+                      st.floats(-4.0, 4.0, allow_nan=False))
+    element = st.tuples(*[coord] * dim)
+    return [draw(st.lists(element, max_size=4)) for _ in range(k)]
+
+
+class TestLeastSumNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_samples(), st.sampled_from((EUCLIDEAN, MAX, TAXICAB)))
+    def test_matches_the_nested_loop_search(self, samples, norm):
+        value, least = _least_sum_norm(samples, norm)
+        ref_value, ref_least = _nested_least_sum_norm(samples, norm)
+        assert value == ref_value
+        assert least == ref_least
+        if least is not None:
+            assert all(a is b for a, b in zip(least, ref_least))
+
+    def test_first_least_combination_wins_a_tie(self):
+        samples = [[(1.0,), (-1.0,)], [(-1.0,), (1.0,)]]
+        assert _least_sum_norm(samples, EUCLIDEAN) == (0.0, ((1.0,), (-1.0,)))
+
+    def test_an_empty_sample_has_no_combination(self):
+        assert _least_sum_norm([[(1.0,)], []], MAX) == (math.inf, None)

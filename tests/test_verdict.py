@@ -1,4 +1,5 @@
-"""The shared verdict rule: decide, the INF-aware margin, and combine."""
+"""The shared verdict rule: decide, the INF-aware margin, combine, and the
+one-sided excess verdict."""
 
 import math
 from fractions import Fraction
@@ -6,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from epislope.extreal import INF
-from epislope.verdict import LimitConfig, Status, combine, decide, margin
+from epislope.verdict import (LimitConfig, Status, combine, decide,
+                              excess_verdict, margin)
 
 TOL, BAND = 1e-6, 0.05
 
@@ -68,6 +70,44 @@ class TestMargin:
         m = margin(Fraction(1, 3), Fraction(1, 2))
         assert isinstance(m, Fraction) and m == Fraction(1, 6)
         assert margin(Fraction(-1, 2), Fraction(-1, 3)) == Fraction(1, 6)
+
+
+class TestExcessVerdict:
+    @pytest.mark.parametrize("excess,status,expected_margin", [
+        (0.0, Status.HOLDS, TOL),
+        (TOL / 4, Status.HOLDS, TOL - TOL / 4),
+        (0.01, Status.INCONCLUSIVE, 0.01),
+        (BAND, Status.FAILS, BAND),
+        (INF, Status.FAILS, INF),
+    ])
+    def test_status_and_margin(self, excess, status, expected_margin):
+        v = excess_verdict(excess, TOL, BAND)
+        assert v.status is status and v.status is decide(excess, TOL, BAND)
+        assert v.margin == expected_margin
+
+    def test_witness_and_schedules_are_carried(self):
+        witness, schedules = {"gap": 0.01}, {"p": 1.0}
+        v = excess_verdict(0.01, TOL, BAND, witness, schedules)
+        assert v.witness is witness and v.schedules is schedules
+
+    @pytest.mark.parametrize("excess", [Fraction(1, 50), Fraction(1, 10)])
+    def test_fraction_excess_stays_a_fraction(self, excess):
+        v = excess_verdict(excess, TOL, BAND)
+        assert v.status is not Status.HOLDS
+        assert isinstance(v.margin, Fraction) and v.margin == excess
+
+    def test_fraction_tolerance_keeps_the_holds_margin_exact(self):
+        v = excess_verdict(Fraction(1, 3), Fraction(1, 2), 1)
+        assert v.status is Status.HOLDS
+        assert isinstance(v.margin, Fraction) and v.margin == Fraction(1, 6)
+
+    def test_default_witness_and_schedules_are_fresh(self):
+        a, b = excess_verdict(0.0, TOL, BAND), excess_verdict(0.0, TOL, BAND)
+        assert a.witness == {} and a.schedules == {}
+        a.witness["x"] = 1
+        a.schedules["y"] = 2
+        assert b.witness == {} and b.schedules == {}
+        assert a.witness is not b.witness and a.schedules is not b.schedules
 
 
 HOLDS, FAILS, INCONCLUSIVE = Status.HOLDS, Status.FAILS, Status.INCONCLUSIVE
