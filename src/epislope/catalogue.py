@@ -22,7 +22,7 @@ from .regions import Ball
 from .slopes import SubdifferentialOracle
 from .sumrules import DecoupledSum
 from .uniforminf import nogoodlsc
-from .verdict import LimitConfig
+from .verdict import AT_NODE, LimitConfig
 
 SEED_ENV = "TOOLKIT_SEED"
 DEFAULT_SEED = 20260823
@@ -129,7 +129,7 @@ def _abs(seed):
 @_register("indicator-origin", "indicator penalty driver", "function")
 def _ind_origin(seed):
     mesh = default_mesh()
-    model = _node_value_model(mesh, lambda x: 0.0 if abs(x) < 5e-3 else math.inf,
+    model = _node_value_model(mesh, lambda x: 0.0 if abs(x) < AT_NODE else math.inf,
                               "ind{0}")
     return {"model": model, "mesh": mesh,
             "region": Ball((0.0,), 0.5, EUCLIDEAN), "probes": [(0.0,)]}
@@ -156,7 +156,7 @@ def _step(seed):
 @_register("dip-near-shell", "penalty-limit driver with an off-region dip", "function")
 def _dip(seed):
     mesh = default_mesh()
-    model = _node_value_model(mesh, lambda x: -0.5 if abs(x - 0.9) < 5e-3 else 0.0,
+    model = _node_value_model(mesh, lambda x: -0.5 if abs(x - 0.9) < AT_NODE else 0.0,
                               "dip@0.9")
     return {"model": model, "mesh": mesh,
             "region": Ball((0.0,), 0.5, EUCLIDEAN), "probes": [(0.0,)]}
@@ -292,7 +292,7 @@ def _pert_quad(seed):
 
 def _abs_oracle() -> SubdifferentialOracle:
     def at(x):
-        if abs(x[0]) < 5e-3:
+        if abs(x[0]) < AT_NODE:
             return [(-1.0,), (0.0,), (1.0,)]
         return [(math.copysign(1.0, x[0]),)]
     return SubdifferentialOracle(at, provenance="convex piecewise-linear")
@@ -308,7 +308,7 @@ def _quadratic_oracle() -> SubdifferentialOracle:
 
 def _shifted_abs_oracle(a: float) -> SubdifferentialOracle:
     def at(x):
-        if abs(x[0] - a) < 5e-3:
+        if abs(x[0] - a) < AT_NODE:
             return [(-1.0,), (0.0,), (1.0,)]
         return [(math.copysign(1.0, x[0] - a),)]
     return SubdifferentialOracle(at, provenance="convex piecewise-linear")
@@ -358,7 +358,7 @@ def _dec_lip(seed):
 @_register("decouple-indicator-pair", "decoupling holds: local uniform minimum", "sum")
 def _dec_ind(seed):
     mesh = coarse_mesh()
-    ind = _node_value_model(mesh, lambda x: 0.0 if abs(x) < 5e-3 else math.inf,
+    ind = _node_value_model(mesh, lambda x: 0.0 if abs(x) < AT_NODE else math.inf,
                             "ind{0}")
     return {"sum": DecoupledSum((ind, ind)), "oracles": None,
             "xbar": (0.0,), "mesh": mesh, "cfg": coarse_config()}
@@ -369,7 +369,7 @@ def _dec_fail(seed):
     mesh = coarse_mesh()
     nodes = mesh.nodes()[:, 0]
     idx = np.arange(len(nodes))
-    origin = np.abs(nodes) < 5e-3
+    origin = np.abs(nodes) < AT_NODE
     v1 = np.where(origin, 0.0, np.where(idx % 2 == 0, -1.0, np.inf))
     v2 = np.where(origin, 0.0, np.where(idx % 2 == 1, -1.0, np.inf))
     f1 = FunctionModel.tabulated(mesh, v1, name="even-spikes")
@@ -381,9 +381,9 @@ def _dec_fail(seed):
 @_register("decouple-boundary", "decoupling boundary case inside the inconclusive band", "sum")
 def _dec_boundary(seed):
     mesh = coarse_mesh()
-    ind = _node_value_model(mesh, lambda x: 0.0 if abs(x) < 5e-3 else math.inf,
+    ind = _node_value_model(mesh, lambda x: 0.0 if abs(x) < AT_NODE else math.inf,
                             "ind{0}")
-    bump = _node_value_model(mesh, lambda x: 0.01 if abs(x) < 5e-3 else 0.0,
+    bump = _node_value_model(mesh, lambda x: 0.01 if abs(x) < AT_NODE else 0.0,
                              "bump@0")
     return {"sum": DecoupledSum((ind, bump)), "oracles": None,
             "xbar": (0.0,), "mesh": mesh, "cfg": coarse_config()}

@@ -29,7 +29,7 @@ from .slopes import frechet_membership, slope_stability_witness, strong_slope
 from .sumrules import decoupling_inequality, prop71_bridge, r2_witness
 from .uniforminf import PenaltySpec, nogoodlsc, penalty_limit, robustness
 from .verdict import (InvariantError, LimitConfig, Status, Verdict, _jsonable,
-                      combine, decide)
+                      combine, decide, excess_verdict)
 
 EXIT = {Status.HOLDS: 0, Status.FAILS: 2, Status.INCONCLUSIVE: 3}
 
@@ -93,10 +93,9 @@ def _penalty_limit(payload, params, cfg) -> Labelled:
 def _robustness(payload, params, cfg) -> Labelled:
     region = _region_from(params, payload)
     report = robustness(payload["model"], region, payload.get("mesh"), cfg)
-    status = Status.HOLDS if report.robust else Status.FAILS
-    verdict = Verdict(status, float(report.gap) if report.gap != float("inf") else 0.0,
-                      witness={"r_value": report.r_value,
-                               "plain_inf": report.plain_inf})
+    # robust means r_S(f) = inf_S f: the excess is the gap between them
+    verdict = excess_verdict(abs(float(report.gap)), cfg.tol, cfg.decision_band,
+                             {"r_value": report.r_value, "plain_inf": report.plain_inf})
     return [("robustness", verdict)], {}
 
 

@@ -82,81 +82,68 @@ class FunctionSequence:
                                 box=self.box, norm=self.norm)
 
 
-def in_lower_limit(y: Sequence[float], seq: SetSequence, cfg: LimitConfig) -> Verdict:
-    """y in Li S_n: d(y, S_n) -> 0, i.e. small over the suffix window."""
+def _set_distances(y: Sequence[float], seq: SetSequence, cfg: LimitConfig):
+    """d(y, S_n) on the suffix window of the n schedule, and the witness
+    listing (n, d(y, S_n)) for every n."""
     dists = [point_set_distance(y, seq.at(n)) for n in cfg.n_schedule]
-    win = cfg.window(dists)
-    witness = {"distances": [(n, d) for n, d in zip(cfg.n_schedule, dists)]}
-    if max(win) <= cfg.tol:
-        return Verdict(Status.HOLDS, cfg.tol - max(win), witness)
-    if min(win) >= cfg.tol:
-        return Verdict(Status.FAILS, float(min(win)), witness)
-    return Verdict(Status.INCONCLUSIVE, float(min(win)), witness)
+    return cfg.window(dists), {"distances": list(zip(cfg.n_schedule, dists))}
+
+
+def in_lower_limit(y: Sequence[float], seq: SetSequence, cfg: LimitConfig) -> Verdict:
+    """y in Li S_n, the lower limit (Rockafellar & Wets 1998, ch. 4):
+    limsup d(y, S_n) = 0.  The excess is the window max of d(y, S_n)."""
+    win, witness = _set_distances(y, seq, cfg)
+    return excess_verdict(max(win), cfg.tol, cfg.decision_band, witness)
 
 
 def in_upper_limit(y: Sequence[float], seq: SetSequence, cfg: LimitConfig) -> Verdict:
-    """y in Ls S_n: liminf d(y, S_n) = 0, i.e. a window hit within tol."""
-    dists = [point_set_distance(y, seq.at(n)) for n in cfg.n_schedule]
-    win = cfg.window(dists)
-    low = min(win)
-    witness = {"distances": [(n, d) for n, d in zip(cfg.n_schedule, dists)]}
-    if low <= cfg.tol:
-        return Verdict(Status.HOLDS, cfg.tol - low, witness)
-    return Verdict(Status.FAILS, float(low), witness)
+    """y in Ls S_n, the upper limit (Rockafellar & Wets 1998, ch. 4):
+    liminf d(y, S_n) = 0.  The excess is the window min of d(y, S_n)."""
+    win, witness = _set_distances(y, seq, cfg)
+    return excess_verdict(min(win), cfg.tol, cfg.decision_band, witness)
 
 
 def wijsman_sets(seq: SetSequence, S: PointSet, probes: Sequence[Sequence[float]],
                  cfg: LimitConfig) -> Verdict:
-    """d(y, S_n) -> d(y, S) at every probe point."""
+    """Wijsman convergence S_n -> S (Beer 1993): d(y, S_n) -> d(y, S)
+    at every y, here at every probe.  The excess is the worst window value
+    of |d(y, S_n) - d(y, S)| over the probes."""
     if not probes:
         raise ValueError("probes must be nonempty")
     per_probe = []
-    worst_hold = 0.0
-    any_fail = None
     for y in probes:
         dS = point_set_distance(y, S)
-        diffs = [abs(margin(dS, point_set_distance(y, seq.at(n))))
-                 for n in cfg.n_schedule]
-        win = cfg.window(diffs)
-        per_probe.append({"probe": tuple(y), "window_max": max(win)})
-        worst_hold = max(worst_hold, max(win))
-        if min(win) >= cfg.tol:
-            any_fail = {"probe": tuple(y), "window_min": min(win)}
-    witness = {"per_probe": per_probe}
-    if any_fail is not None:
-        return Verdict(Status.FAILS, any_fail["window_min"], witness | {"failed": any_fail})
-    return excess_verdict(worst_hold, cfg.tol, cfg.decision_band, witness)
+        win, _ = _set_distances(y, seq, cfg)
+        per_probe.append({"probe": tuple(y),
+                          "window_max": max(abs(margin(dS, d)) for d in win)})
+    worst = max(row["window_max"] for row in per_probe)
+    return excess_verdict(worst, cfg.tol, cfg.decision_band, {"per_probe": per_probe})
 
 
 def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
                  lam: float, cfg: LimitConfig) -> Verdict:
-    """The hit-and-miss criterion at one probe and one radius.
+    """The hit-and-miss criterion (Beer 1993) at one probe and one radius.
 
-    Evaluates the hit part when y is (within tol) in S and the miss part
-    when the ball B_lam(y) has a positive gap to S; a probe that triggers
-    neither is vacuously Holds.
-    """
+    Hit part, for y in S (within tol): y in Li S_n.  Miss part, when B_lam(y)
+    has a positive gap to S: sup over delta of liminf (d(y, S_n) - lam -
+    delta)^+ > 0, a positivity test with that sup as margin.  A probe that
+    triggers neither part is vacuously Holds."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     dyS = point_set_distance(y, S)
-    dists = [point_set_distance(y, seq.at(n)) for n in cfg.n_schedule]
-    if dyS != INF and dyS <= cfg.tol:
-        win = cfg.window(dists)
-        return excess_verdict(float(max(win)), cfg.tol, cfg.decision_band,
+    win, _ = _set_distances(y, seq, cfg)
+    if dyS <= cfg.tol:
+        return excess_verdict(max(win), cfg.tol, cfg.decision_band,
                               {"branch": "hit", "window_max": max(win)})
-    gap0 = max(0.0, dyS - lam)
-    if gap0 > cfg.tol:
-        best = 0.0
-        rows = []
-        for delta in cfg.delta_ladder:
-            gaps = [max(0.0, d - lam - delta) for d in dists]
-            liminf = min(cfg.window(gaps))
-            rows.append({"delta": delta, "liminf_gap": liminf})
-            best = max(best, liminf)
-        witness = {"branch": "miss", "sup_liminf_gap": best, "rows": rows}
-        if best > cfg.tol:
-            return Verdict(Status.HOLDS, best, witness)
-        return Verdict(Status.FAILS, best, witness)
+    if max(0.0, dyS - lam) > cfg.tol:
+        # (d - lam - delta)^+ is monotone in d: its window min is at min d
+        low = min(win)
+        rows = [{"delta": delta, "liminf_gap": max(0.0, low - lam - delta)}
+                for delta in cfg.delta_ladder]
+        best = max(row["liminf_gap"] for row in rows)
+        status = decide(cfg.decision_band - best, 0.0, cfg.decision_band - cfg.tol)
+        return Verdict(status, best, {"branch": "miss", "sup_liminf_gap": best,
+                                      "rows": rows})
     return Verdict(Status.HOLDS, 0.0, {"branch": "vacuous"})
 
 
@@ -281,7 +268,7 @@ def _wijsman(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     sched = {"lambda_max": lambda_max}
     picked = [p[1] for p in picks]
     if rec.fails:
-        return Verdict(Status.FAILS, rec.margin, witness | {"reason": "recovery"},
+        return Verdict(rec.status, rec.margin, witness | {"reason": "recovery"},
                        sched), picked
     status = combine([rec.status, decide(-worst, cfg.tol, cfg.decision_band)])
     return Verdict(status, worst, witness, sched), picked

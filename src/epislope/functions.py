@@ -25,15 +25,13 @@ from .extreal import INF, ExtReal, check
 from .geometry import (BoxNorm, EUCLIDEAN, Norm, NormKind, Point, PointSet,
                        _row_blocks, gap_distance)
 from .regions import Ball, Region
-from .verdict import SLACK
+from .verdict import KEY_DECIMALS, SLACK
 
 Box = Tuple[Tuple[float, float], ...]
 
-_KEY_DECIMALS = 9
-
 
 def _key(p: Sequence[float]) -> Tuple[float, ...]:
-    return tuple(round(float(c), _KEY_DECIMALS) for c in p)
+    return tuple(round(float(c), KEY_DECIMALS) for c in p)
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class MeshSpec:
             i = round(q) if math.isfinite(q) else -1
             if not 0 <= i < count:
                 return -1
-            if round(c, _KEY_DECIMALS) != round(lo + step * i, _KEY_DECIMALS):
+            if round(c, KEY_DECIMALS) != round(lo + step * i, KEY_DECIMALS):
                 return -1
             flat = flat * count + i
         return flat
@@ -129,7 +127,7 @@ class MeshSpec:
                 q = np.rint((c - lo) / step)
             ok &= (q >= 0) & (q < count)
             i = np.where(ok, q, 0).astype(np.int64)
-            ok &= np.round(c, _KEY_DECIMALS) == np.round(lo + step * i, _KEY_DECIMALS)
+            ok &= np.round(c, KEY_DECIMALS) == np.round(lo + step * i, KEY_DECIMALS)
             flat = flat * count + i
         return np.where(ok, flat, -1)
 

@@ -255,7 +255,8 @@ def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
       (a) suffix max of ||sum_i x*_{i,n}|| <= slope of (sum f_i) at xbar
           within tol;
       (b) suffix max of diam(x_{1,n}, ..., x_{k,n}) * max_i ||x*_{i,n}||
-          vanishes, within a mesh-resolution floor max(tol, 2 min h).
+          vanishes; the witness points sit on nodes, so both cutoffs are
+          widened by the mesh allowance 2 min h.
     """
     if len(oracles) != ds.k:
         raise ValueError("one oracle per component is required")
@@ -276,8 +277,11 @@ def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
         xs = [p[i * d:(i + 1) * d] for i in range(ds.k)]
         # the product element is the tuple of per-component samples, so
         # componentwise splitting holds structurally
-        best_sum, best_elems = _least_sum_norm(
-            [o.at(tuple(x)) for o, x in zip(oracles, xs)], ds.base_norm)
+        samples = [list(o.at(tuple(x))) for o, x in zip(oracles, xs)]
+        for i, sample in enumerate(samples):
+            if not sample:
+                raise ValueError(f"oracle {i} returned an empty sample at {tuple(map(float, xs[i]))}")
+        best_sum, best_elems = _least_sum_norm(samples, ds.base_norm)
         diam = max(float(ds.base_norm.dist(a, b)) for a in xs for b in xs)
         elem_max = max(float(ds.base_norm(e)) for e in best_elems)
         rows.append({"n": n, "points": xs, "elements": best_elems,
@@ -286,11 +290,11 @@ def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
     win_a = cfg.window([row["sum_norm"] for row in rows])
     win_b = cfg.window([row["diam_times_norm"] for row in rows])
     excess_a = max(0.0, max(win_a) - s)
-    zero_tol = max(cfg.tol, 2 * min(mesh.h))
+    allowance = 2 * min(mesh.h)
     val_b = max(win_b)
     witness = {"slope": s, "rows": rows, "suffix_sum_norm": max(win_a),
-               "suffix_diam_norm": val_b, "zero_tol": zero_tol,
+               "suffix_diam_norm": val_b, "mesh_allowance": allowance,
                "split_consistent": True}
     status = combine([decide(excess_a, cfg.tol, cfg.decision_band),
-                      decide(val_b, zero_tol, cfg.decision_band)])
-    return Verdict(status, min(cfg.tol - excess_a, zero_tol - val_b), witness)
+                      decide(val_b, cfg.tol + allowance, cfg.decision_band + allowance)])
+    return Verdict(status, min(cfg.tol - excess_a, cfg.tol + allowance - val_b), witness)

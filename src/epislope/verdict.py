@@ -25,6 +25,12 @@ SLACK = 1e-12
 # Largest difference at which two float evaluations of one quantity (the
 # slope and liminf-quotient forms of Fréchet membership) count as agreeing.
 FORMS_AGREE_TOL = 1e-9
+# Decimals to which a coordinate is rounded before it is matched to a mesh
+# node: grid arithmetic errors sit far below, node steps far above.
+KEY_DECIMALS = 9
+# Largest offset at which a catalogue mesh node sits at a named point: half
+# the finest catalogue step 0.01, so one node matches.
+AT_NODE = 5e-3
 
 
 class InvariantError(RuntimeError):
@@ -152,10 +158,11 @@ class LimitConfig:
     def __post_init__(self):
         if not self.n_schedule or list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise ValueError("n_schedule must be nonempty and strictly increasing")
-        if not self.delta_ladder or list(self.delta_ladder) != sorted(set(self.delta_ladder), reverse=True):
-            raise ValueError("delta_ladder must be decreasing positive")
-        if min(self.delta_ladder) <= 0 or min(self.radius_ladder) <= 0:
-            raise ValueError("ladders must be positive")
+        for name in ("delta_ladder", "radius_ladder"):
+            ladder = list(getattr(self, name))
+            if not ladder or ladder != sorted(set(ladder), reverse=True) or ladder[-1] <= 0:
+                raise ValueError(f"{name} must be nonempty, strictly decreasing "
+                                 f"and positive: got {ladder}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.tol >= self.decision_band:

@@ -63,6 +63,27 @@ class TestRunScenario:
         err = capsys.readouterr().err
         assert "0.1" in err and "0.05" in err
 
+    @pytest.mark.parametrize("ladder", [[0.1, 0.5], []])
+    def test_config_radius_ladder_not_decreasing_exits_one(self, tmp_path, capsys, ladder):
+        path = write_scenario(tmp_path, {
+            "name": "growing-balls", "operation": "penalty_limit",
+            "instance": "quadratic-at-origin", "config": {"radius_ladder": ladder}})
+        assert main(["run", path]) == 1
+        assert "radius_ladder" in capsys.readouterr().err
+
+    def test_robustness_with_an_empty_region_fails_with_infinite_margin(self, tmp_path,
+                                                                        capsys):
+        # B(0.2505, 0.0004) holds no node: inf over it is +inf, while r
+        # sees the zero at 0.25 through its delta-enlargements
+        path = write_scenario(tmp_path, {
+            "name": "empty-ball", "operation": "robustness",
+            "instance": "indicator-interval",
+            "params": {"region": {"center": [0.2505], "radius": 0.0004}}})
+        assert main(["run", path, "--no-timings"]) == 2
+        verdict = json.loads(capsys.readouterr().out)["verdicts"][0]
+        assert verdict["status"] == "Fails" and verdict["margin"] == "inf"
+        assert verdict["witness"] == {"r_value": 0.0, "plain_inf": "inf"}
+
     def test_failing_verdict_exits_two(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "name": "engineered-failure",

@@ -53,10 +53,24 @@ class TestSetLimits:
     def test_alternating_not_in_lower_limit_but_in_upper(self):
         alt = setseq(lambda n: [((-1.0) ** n,)])
         # the window sees both hits and misses: never eventually near, so
-        # membership in the lower limit cannot Hold (the frequent hits keep
-        # the verdict from being an outright Fails margin)
+        # membership in the lower limit cannot Hold (its excess, the window
+        # max 2, is past the band: it Fails)
         assert not in_lower_limit((1.0,), alt, CFG).holds
         assert in_upper_limit((1.0,), alt, CFG).status is Status.HOLDS
+
+    def test_frequent_misses_fail_the_lower_limit(self):
+        # Li asks limsup d(y, S_n) = 0: the window max decides, however
+        # often the sequence hits y
+        v = in_lower_limit((1.0,), setseq(lambda n: [((-1.0) ** n,)]), CFG)
+        assert v.status is Status.FAILS and v.margin == 2.0
+
+    def test_distance_inside_the_band_is_inconclusive_for_both_limits(self):
+        # d(0, S_n) = 0.02 for every n: above tol, below decision_band
+        near = setseq(lambda n: [(0.02,)])
+        for limit in (in_lower_limit, in_upper_limit):
+            v = limit((0.0,), near, CFG)
+            assert v.status is Status.INCONCLUSIVE and v.margin == 0.02
+            assert v.witness["distances"][0] == (1, 0.02)
 
     def test_upper_limit_examples(self):
         assert in_upper_limit((0.0,), setseq(lambda n: [(1.0,)]), CFG).fails
@@ -81,6 +95,22 @@ class TestWijsmanSets:
         S = PointSet.of([(0.0,)])
         v = wijsman_sets(seq, S, probes=[(0.0,)], cfg=CFG)
         assert v.status is Status.FAILS
+
+    def test_offset_inside_the_band_is_inconclusive(self):
+        # |d(0, S_n) - d(0, S)| = 0.02 at every n: no early Fails at tol
+        v = wijsman_sets(setseq(lambda n: [(0.02,)]), PointSet.of([(0.0,)]),
+                         probes=[(0.0,)], cfg=CFG)
+        assert v.status is Status.INCONCLUSIVE and v.margin == 0.02
+        assert v.witness == {"per_probe": [{"probe": (0.0,), "window_max": 0.02}]}
+
+    def test_worst_probe_decides(self):
+        seq = setseq(lambda n: [(0.0,), (1.0 + 1.0 / n,)])
+        S = PointSet.of([(0.0,), (1.0,)])
+        v = wijsman_sets(seq, S, probes=[(-1.0,), (1.0,)], cfg=CFG)
+        worst = max(row["window_max"] for row in v.witness["per_probe"])
+        # the window is n = 33..64, so probe 1 sees |d - 0| = 1/33 at worst
+        assert worst == v.witness["per_probe"][1]["window_max"] == pytest.approx(1 / 33)
+        assert v.status is Status.INCONCLUSIVE and v.margin == worst
 
     def test_probes_required(self):
         with pytest.raises(ValueError):
@@ -112,6 +142,30 @@ class TestHitAndMiss:
         seq = setseq(lambda n: [(3.0 - 1.0 / n,)])
         v = hit_and_miss(seq, PointSet.of([(0.0,)]), (3.0,), 1.0, CFG)
         assert v.fails
+
+    def test_miss_gap_inside_the_band_is_inconclusive(self):
+        # S_n = {1.98} stays 1.02 from y = 3: the sup liminf gap to
+        # B_1(3) is 1.02 - 1 - min delta, about 0.0198, in (tol, band)
+        seq = setseq(lambda n: [(1.98,)])
+        v = hit_and_miss(seq, PointSet.of([(0.0,)]), (3.0,), 1.0, CFG)
+        best = (abs(3.0 - 1.98) - 1.0) - min(CFG.delta_ladder)
+        assert v.witness["branch"] == "miss"
+        assert v.status is Status.INCONCLUSIVE
+        assert v.margin == v.witness["sup_liminf_gap"] == best
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=64, max_size=64),
+           st.floats(min_value=0.0, max_value=2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_miss_rows_match_the_gap_at_every_n(self, points, lam):
+        # the closed form (min d - lam - delta)^+ against the window min
+        # of the per-n gaps, bit for bit
+        seq = setseq(lambda n: [(points[n - 1],)])
+        v = hit_and_miss(seq, PointSet.of([(-1.0,)]), (0.0,), lam, CFG)
+        if v.witness["branch"] != "miss":
+            return
+        for row in v.witness["rows"]:
+            gaps = [max(0.0, abs(p) - lam - row["delta"]) for p in points]
+            assert row["liminf_gap"] == min(CFG.window(gaps))
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
-"""Import structure of the package: every import sits at module level, and
-the relative imports between modules form no cycle, so the modules load
-in one order."""
+"""Structure of the package: every import sits at module level, the
+relative imports between modules form no cycle, so the modules load in one
+order, and outside ``verdict`` no status literal sets a status except at
+the listed sites."""
 
 import ast
 import pathlib
@@ -79,3 +80,47 @@ def test_modules_load_in_one_order():
     assert sorted(order + ["__init__"]) == sorted(MODULES)
     for position, name in enumerate(order):
         assert set(GRAPH[name]) <= set(order[:position]) | {"__init__"}, name
+
+
+STATUS_LITERALS = {"HOLDS", "FAILS", "INCONCLUSIVE"}
+# (module, function) of each status literal outside verdict.py that sets a
+# status without verdict.decide, and why no excess decides it there.
+STATUS_ALLOWLIST = {
+    ("cli", "_strong_slope"): "reports an estimate; it states nothing to decide",
+    ("cli", "reproduce_example_4_2"): "an exact rational equality check, not a tolerance",
+    ("convergence", "hit_and_miss"): "vacuous branch: the probe triggers neither part",
+    ("convergence", "_recovery_verdict"): "picks outside the smallest ball fail outright",
+}
+
+
+def _status_settings(tree):
+    """(enclosing function, literal) for every ``Status.HOLDS``,
+    ``Status.FAILS`` or ``Status.INCONCLUSIVE`` that is neither a comparison
+    operand nor a dict key: each such literal sets a status."""
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr in STATUS_LITERALS
+                and isinstance(node.value, ast.Name) and node.value.id == "Status"):
+            continue
+        up = parent[node]
+        if isinstance(up, ast.Compare) or (isinstance(up, ast.Dict) and node in up.keys):
+            continue
+        while up in parent and not isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            up = parent[up]
+        yield getattr(up, "name", "<module>"), node.attr
+
+
+def test_statuses_are_set_by_the_decision_rule():
+    sites = {(module, function) for module, tree in MODULES.items() if module != "verdict"
+             for function, _ in _status_settings(tree)}
+    assert sites == set(STATUS_ALLOWLIST)
+
+
+def test_the_status_check_finds_a_hand_written_ladder():
+    ladder = ast.parse(
+        "EXIT = {Status.HOLDS: 0}\n"
+        "def f(v, x):\n"
+        "    if v.status is Status.FAILS:\n"
+        "        return Verdict(Status.HOLDS if x else Status.INCONCLUSIVE, 0.0)\n")
+    assert sorted(_status_settings(ladder)) == [("f", "HOLDS"), ("f", "INCONCLUSIVE")]

@@ -13,7 +13,7 @@ from epislope import (
     prop71_bridge, r2_witness,
 )
 from epislope.sumrules import PRODUCT_DIM_CAP, product_mesh
-from epislope import catalogue
+from epislope import catalogue, sumrules
 
 COARSE = catalogue.coarse_config()
 
@@ -178,3 +178,32 @@ class TestSumRuleWitness:
         dummy = [SubdifferentialOracle(lambda x: [(0.0,)])] * 2
         with pytest.raises(ValueError, match="decoupling"):
             r2_witness(p["sum"], dummy, p["xbar"], p["mesh"], p["cfg"])
+
+    def test_empty_oracle_sample_is_refused(self):
+        p = get("sum-smooth-kink")
+        oracles = [p["oracles"][0], SubdifferentialOracle(lambda x: [])]
+        with pytest.raises(ValueError, match=r"oracle 1 .*empty sample at \(0\.0,\)"):
+            r2_witness(p["sum"], oracles, p["xbar"], p["mesh"], p["cfg"])
+
+    def test_part_b_between_the_widened_cutoffs_is_inconclusive(self, monkeypatch):
+        # witness points one mesh step apart and elements of norm 2.4 give
+        # diam * norm = 0.05 * 2.4 = 0.12: above tol + 2h = 0.100001, below
+        # band + 2h = 0.15.  The elements cancel, so part (a) Holds.
+        p = get("sum-smooth-kink")
+        real = sumrules.slope_stability_witness
+
+        def split(*args):
+            wit = real(*args)
+            wit.points = [(0.0, 0.05)] * len(wit.points)
+            return wit
+
+        monkeypatch.setattr(sumrules, "slope_stability_witness", split)
+        oracles = [SubdifferentialOracle(lambda x: [(2.4,)]),
+                   SubdifferentialOracle(lambda x: [(-2.4,)])]
+        v = r2_witness(p["sum"], oracles, p["xbar"], p["mesh"], p["cfg"])
+        allowance = 2 * min(p["mesh"].h)
+        assert v.witness["mesh_allowance"] == allowance == 0.1
+        assert v.witness["suffix_sum_norm"] == 0.0
+        assert v.witness["suffix_diam_norm"] == pytest.approx(0.12)
+        assert v.status is Status.INCONCLUSIVE
+        assert v.margin == p["cfg"].tol + allowance - v.witness["suffix_diam_norm"]

@@ -142,3 +142,17 @@ class TestLimitConfigBand:
     def test_tol_just_below_the_band_is_accepted(self):
         cfg = LimitConfig(tol=math.nextafter(0.05, 0.0), decision_band=0.05)
         assert cfg.tol < cfg.decision_band
+
+
+class TestLimitConfigLadders:
+    @pytest.mark.parametrize("name", ["delta_ladder", "radius_ladder"])
+    @pytest.mark.parametrize("ladder", [(), (0.1, 0.5), (0.5, 0.5, 0.1), (0.5, 0.0),
+                                        (0.5, -0.1)])
+    def test_bad_ladder_is_refused_by_name(self, name, ladder):
+        # an increasing radius ladder would grow the recovery balls with n
+        with pytest.raises(ValueError, match=name):
+            LimitConfig(**{name: ladder})
+
+    @pytest.mark.parametrize("name", ["delta_ladder", "radius_ladder"])
+    def test_strictly_decreasing_positive_ladder_is_accepted(self, name):
+        assert getattr(LimitConfig(**{name: (0.5, 0.1)}), name) == (0.5, 0.1)
