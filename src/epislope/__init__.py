@@ -18,17 +18,17 @@ from .geometry import (BoxNorm, EUCLIDEAN, MAX, Norm, NormKind, PointSet,
                        TAXICAB, ball_gap, diameter, gap_distance,
                        point_set_distance, uniform_neighborhood_contains)
 from .regions import Ball, FinitePoints, Predicate, Region, WholeSpace
-from .functions import (EpigraphSample, FunctionModel, MeshSpec, Variant,
-                        epi_hypo_gap_triple, inf_convolution, inf_over_region,
-                        pasch_hausdorff, restrict, sample_epigraph,
-                        sample_graph, sample_hypograph, tabulate, values_on)
+from .functions import (FunctionModel, MeshSpec, Variant, epi_hypo_gap_triple,
+                        inf_convolution, inf_over_region, pasch_hausdorff,
+                        restrict, sample_epigraph, sample_graph,
+                        sample_hypograph, tabulate, tilt, values_on)
 from .uniforminf import (PenaltySpec, RobustnessReport, nogoodlsc,
                          penalty_limit, penalty_value, plain_infimum,
                          robustness, uniform_infimum)
 from .convergence import (FunctionSequence, SetSequence, carac_W_bridge,
                           graph_epi_gap, hit_and_miss, in_lower_limit,
                           in_upper_limit, kuratowski_sets, recovery_sequence,
-                          slice_at_point, tilt, tilt_gap_invariance,
+                          slice_at_point, tilt_gap_invariance,
                           wijsman_at_point, wijsman_sets)
 from .slopes import (SlopeEstimate, StabilityWitness, SubdifferentialOracle,
                      ekeland_point, frechet_membership, p2_witness,

@@ -10,8 +10,8 @@ D(B_r(y), A) = (d(y, A) - r)^+ rather than sampling the ball.
 Recovery sequences and Wijsman verdicts at a point x share one sweep
 (``_sweep``): the node distances to x are sorted once, so the nested
 balls B_r(x) are prefixes of one order, and each f_n of the n schedule is
-generated once, reduced to its recovery pick and ball infima, and
-dropped.  Memory is O(N) in the node count, not O(N) per f_n.
+generated once, reduced to its recovery pick, ball infima and the
+caller's per-n step (the Ekeland witnesses of ``slopes``), and dropped.  Memory is O(N) in the node count, not O(N) per f_n.
 
 The penalty/Wijsman bridge ``carac_W_bridge`` lives here, above
 ``uniforminf`` in the import order.
@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .extreal import INF
 from .functions import (FunctionModel, MeshSpec, epi_hypo_gap_triple, restrict,
-                        tilt_model, values_on)
+                        tilt, values_on)
 from .geometry import Norm, EUCLIDEAN, PointSet, point_set_distance
 from .regions import Ball, Region
 from .uniforminf import _region_distances, uniform_infimum
@@ -57,28 +57,20 @@ class SetSequence:
 class FunctionSequence:
     """Lazily generated sequence of function models on a shared box.
 
-    ``model(n)`` caches every f_n it generates: tilted sequences and the
-    Ekeland loops ask for the same f_n more than once.  ``node_values(n,
-    mesh)`` streams: it reuses a cached f_n but never caches one itself,
-    so a sweep over the n schedule holds one f_n at a time.
+    Nothing is cached: a verdict over the n schedule calls ``generator``
+    once per f_n and holds one f_n at a time.  ``model(n)``, an uncached
+    alias that no program code calls, stays for ``perfbench/spans.py``.
     """
 
     generator: Callable[[int], FunctionModel]
     box: tuple
     norm: Norm = EUCLIDEAN
-    _models: Dict[int, FunctionModel] = field(default_factory=dict, repr=False)
 
     def model(self, n: int) -> FunctionModel:
-        if n not in self._models:
-            self._models[n] = self.generator(n)
-        return self._models[n]
-
-    def node_values(self, n: int, mesh: MeshSpec) -> np.ndarray:
-        model = self._models.get(n)
-        return values_on(self.generator(n) if model is None else model, mesh)
+        return self.generator(n)
 
     def tilted(self, xstar: Sequence[float]) -> "FunctionSequence":
-        return FunctionSequence(lambda n: tilt_model(self.model(n), xstar),
+        return FunctionSequence(lambda n: tilt(self.generator(n), xstar),
                                 box=self.box, norm=self.norm)
 
 
@@ -171,9 +163,11 @@ def snap_half_node(lam: float, h: float) -> float:
 
 
 def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
-           cfg: LimitConfig, mesh: MeshSpec, reaches: Sequence[float] = ()):
-    """One pass over the n schedule for the recovery picks at x and the
-    infima of every f_n over the balls B_reach(x).
+           cfg: LimitConfig, mesh: MeshSpec, reaches: Sequence[float] = (),
+           step: Optional[Callable] = None):
+    """One pass over the n schedule for the recovery picks at x, the
+    infima of every f_n over the balls B_reach(x), and ``step(n, f_n,
+    x_n)`` on each f_n and its recovery pick x_n.
 
     The distances from x to the nodes are sorted once (stable, so ties
     keep node order); every ball is then a prefix of that order.  Each
@@ -184,8 +178,9 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     radius-r_n prefix is the first position of least error |f_n - f(x)|:
     least error, then least distance, then least node index.
 
-    Returns f(x), the picks (n, x_n, f_n(x_n), ||x_n - x||, r_n) and the
-    infima as one list per reach, INF for an empty ball.
+    Returns f(x), the picks (n, x_n, f_n(x_n), ||x_n - x||, r_n), the
+    infima as one list per reach, INF for an empty ball, and the step's
+    results in schedule order (empty without a step).
     """
     fx = f(x)
     if fx == INF:
@@ -208,17 +203,20 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     starts = np.concatenate(([0], cuts[:-1]))
     slots = np.searchsorted(cuts, reach_ends[filled])
     top = int(cuts[-1]) if cuts.size else 0
-    picks = []
+    picks, stepped = [], []
     infs = np.full((len(reaches), count), INF)
     for j, n in enumerate(cfg.n_schedule):
-        vals = seq.node_values(n, mesh)[order[:max(ends[j], top)]]
+        fn = seq.generator(n)
+        vals = values_on(fn, mesh)[order[:max(ends[j], top)]]
         # values are extended reals (never NaN or -inf): +inf has error +inf
         k = int(np.argmin(np.abs(vals[:ends[j]] - fx)))
         picks.append((n, tuple(nodes[order[k]]), float(vals[k]), float(dist[k]), radii[j]))
         if top:
             segments = np.minimum.reduceat(vals[:top], starts)
             infs[filled, j] = np.minimum.accumulate(segments)[slots]
-    return fx, picks, infs.tolist()
+        if step is not None:
+            stepped.append(step(n, fn, picks[-1][1]))
+    return fx, picks, infs.tolist(), stepped
 
 
 def _recovery_verdict(fx: float, picks, cfg: LimitConfig) -> Verdict:
@@ -239,20 +237,23 @@ def recovery_sequence(seq: FunctionSequence, f: FunctionModel, x: Sequence[float
     x_n is the node in the shrinking ball B_{r_n}(x) whose value is
     closest to f(x), ties broken towards x.
     """
-    fx, picks, _ = _sweep(seq, f, x, cfg, mesh)
+    fx, picks, _, _ = _sweep(seq, f, x, cfg, mesh)
     return [p[1] for p in picks], _recovery_verdict(fx, picks, cfg)
 
 
 def _wijsman(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
-             lambda_max: float, cfg: LimitConfig, mesh: MeshSpec):
-    """``wijsman_at_point`` and the recovery picks of its sweep."""
+             lambda_max: float, cfg: LimitConfig, mesh: MeshSpec,
+             step: Optional[Callable] = None):
+    """``wijsman_at_point`` and the results of ``step(n, f_n, x_n)`` in
+    its sweep (see ``_sweep``), in schedule order."""
     h = min(mesh.h)
     lambdas = [0.0] + [snap_half_node(lam, h) for lam in cfg.radius_ladder
                        if lam < lambda_max]
     lambdas = sorted(set(lambdas), reverse=True)
     # the lambda = 0 row takes the nodes within h/4 of x
-    fx, picks, infs = _sweep(seq, f, x, cfg, mesh,
-                             [lam if lam > 0 else h / 4 for lam in lambdas])
+    fx, picks, infs, stepped = _sweep(seq, f, x, cfg, mesh,
+                                      [lam if lam > 0 else h / 4 for lam in lambdas],
+                                      step)
     rec = _recovery_verdict(fx, picks, cfg)
     rows = []
     worst = math.inf
@@ -266,12 +267,11 @@ def _wijsman(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
         worst = min(worst, m)
     witness = {"recovery": rec.status.value, "rows": rows}
     sched = {"lambda_max": lambda_max}
-    picked = [p[1] for p in picks]
     if rec.fails:
         return Verdict(rec.status, rec.margin, witness | {"reason": "recovery"},
-                       sched), picked
+                       sched), stepped
     status = combine([rec.status, decide(-worst, cfg.tol, cfg.decision_band)])
-    return Verdict(status, worst, witness, sched), picked
+    return Verdict(status, worst, witness, sched), stepped
 
 
 def wijsman_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
@@ -321,11 +321,6 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
     return ineq, wij
 
 
-def tilt(f: FunctionModel, xstar: Sequence[float]) -> FunctionModel:
-    """x -> f(x) + <xstar, x>."""
-    return tilt_model(f, xstar)
-
-
 def slice_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
                    lambda_max: float, directions: Sequence[Sequence[float]],
                    cfg: LimitConfig, mesh: MeshSpec) -> Verdict:
@@ -341,7 +336,7 @@ def slice_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     tags = []
     for d in directions:
         tseq = seq.tilted(d)
-        tf = tilt_model(f, d)
+        tf = tilt(f, d)
         results.append(wijsman_at_point(tseq, tf, x, lambda_max, cfg, mesh))
         tags.append({"direction": tuple(float(c) for c in d)})
     out = _aggregate(results, tags)
@@ -360,7 +355,7 @@ def tilt_gap_invariance(f: FunctionModel, g: FunctionModel, xstar: Sequence[floa
     """Positivity of D(graph g, epi(f - x*)) versus D(graph(g + x*), epi f),
     the second tested at the scaled tolerance tol / (1 + ||x*||)."""
     neg = [-float(c) for c in xstar]
-    lhs = graph_epi_gap(g, tilt_model(f, neg), mesh)
-    rhs = graph_epi_gap(tilt_model(g, xstar), f, mesh)
+    lhs = graph_epi_gap(g, tilt(f, neg), mesh)
+    rhs = graph_epi_gap(tilt(g, xstar), f, mesh)
     xnorm = f.norm(xstar)
     return lhs > cfg.tol, rhs > cfg.tol / (1.0 + xnorm)

@@ -214,20 +214,8 @@ def values_on(f: FunctionModel, mesh: MeshSpec) -> np.ndarray:
     return np.array([float(f(tuple(p))) for p in mesh.nodes()])
 
 
-@dataclass(frozen=True)
-class EpigraphSample:
-    base: FunctionModel
-    value_cap: float
-    mesh: MeshSpec
-    cloud: PointSet
-
-
-def _box_norm_for(mesh: MeshSpec, norm: Norm) -> BoxNorm:
-    return BoxNorm(base=norm, base_dim=mesh.dim)
-
-
 def sample_epigraph(f: FunctionModel, mesh: MeshSpec, cap: float,
-                    alpha_step: float) -> EpigraphSample:
+                    alpha_step: float) -> PointSet:
     """Cloud {(x, a) : x node, a in {f(x), f(x)+step, ...} up to cap}."""
     if not math.isfinite(cap):
         raise ValueError("cap must be finite")
@@ -244,8 +232,7 @@ def sample_epigraph(f: FunctionModel, mesh: MeshSpec, cap: float,
             a += alpha_step
     if not pts:
         raise ValueError("empty epigraph sample: function is +inf above cap on the box")
-    cloud = PointSet.of(pts, norm=_box_norm_for(mesh, f.norm))
-    return EpigraphSample(base=f, value_cap=cap, mesh=mesh, cloud=cloud)
+    return PointSet.of(pts, norm=BoxNorm(base=f.norm, base_dim=mesh.dim))
 
 
 def sample_graph(f: FunctionModel, mesh: MeshSpec, cap: float) -> PointSet:
@@ -256,7 +243,7 @@ def sample_graph(f: FunctionModel, mesh: MeshSpec, cap: float) -> PointSet:
             pts.append(tuple(p) + (float(v),))
     if not pts:
         raise ValueError("empty graph sample")
-    return PointSet.of(pts, norm=_box_norm_for(mesh, f.norm))
+    return PointSet.of(pts, norm=BoxNorm(base=f.norm, base_dim=mesh.dim))
 
 
 def sample_hypograph(f: FunctionModel, mesh: MeshSpec, cap: float, floor: float,
@@ -274,7 +261,7 @@ def sample_hypograph(f: FunctionModel, mesh: MeshSpec, cap: float, floor: float,
             a -= alpha_step
     if not pts:
         raise ValueError("empty hypograph sample")
-    return PointSet.of(pts, norm=_box_norm_for(mesh, f.norm))
+    return PointSet.of(pts, norm=BoxNorm(base=f.norm, base_dim=mesh.dim))
 
 
 def restrict(f: FunctionModel, S: Region) -> FunctionModel:
@@ -424,7 +411,7 @@ def epi_hypo_gap_triple(f: FunctionModel, g: FunctionModel, mesh: MeshSpec,
             best = min(best, float(dist.min()))
         return best, best, best
 
-    epi_f = sample_epigraph(f, mesh, cap, alpha_step).cloud
+    epi_f = sample_epigraph(f, mesh, cap, alpha_step)
     graph_f = sample_graph(f, mesh, cap)
     hypo_g = sample_hypograph(g, mesh, cap, floor, alpha_step)
     graph_g = sample_graph(g, mesh, cap)
@@ -433,7 +420,7 @@ def epi_hypo_gap_triple(f: FunctionModel, g: FunctionModel, mesh: MeshSpec,
             gap_distance(graph_g, epi_f))
 
 
-def tilt_model(f: FunctionModel, xstar: Sequence[float]) -> FunctionModel:
+def tilt(f: FunctionModel, xstar: Sequence[float]) -> FunctionModel:
     """x -> f(x) + <xstar, x>."""
     xs = tuple(float(c) for c in xstar)
     if f.variant is Variant.TABULATED:

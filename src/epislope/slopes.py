@@ -18,9 +18,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF, ExtReal
-from .functions import FunctionModel, MeshSpec, tilt_model, values_on
-from .convergence import (FunctionSequence, _wijsman, snap_half_node,
-                          wijsman_at_point)
+from .functions import FunctionModel, MeshSpec, tilt, values_on
+from .convergence import FunctionSequence, _wijsman, snap_half_node
 from .verdict import (FORMS_AGREE_TOL, SLACK, InvariantError, LimitConfig,
                       Verdict, excess_verdict)
 
@@ -129,6 +128,25 @@ def ekeland_point(f: FunctionModel, x0: Sequence[float], sigma: float,
     return tuple(ball[z])
 
 
+def _ekeland_witness(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
+                     mesh: MeshSpec, cfg: LimitConfig, start: Callable,
+                     limsup_bound: float, where: str) -> StabilityWitness:
+    """The Wijsman verdict of (f_n) -> f at x, with the Ekeland point
+    ``ekeland_point(f_n, *start(n, x_n))`` of each f_n, its value and strong
+    slope taken inside the sweep, so every f_n is generated once.  A failed
+    verdict raises ``ValueError``."""
+    def step(n, fn, x_n):
+        z = ekeland_point(fn, *start(n, x_n), mesh)
+        return z, float(fn(z)), float(strong_slope(fn, z, mesh, cfg).value)
+
+    wij, stepped = _wijsman(seq, f, x, 2 * max(cfg.radius_ladder), cfg, mesh, step)
+    if wij.fails:
+        raise ValueError(f"sequence is not Wijsman convergent to f at {where}")
+    points, vals, slopes = (list(col) for col in zip(*stepped))
+    return StabilityWitness(points=points, values=vals, slopes=slopes,
+                            limsup_bound=limsup_bound, indices=list(cfg.n_schedule))
+
+
 def slope_stability_witness(seq: FunctionSequence, f: FunctionModel,
                             x: Sequence[float], mesh: MeshSpec,
                             cfg: LimitConfig) -> StabilityWitness:
@@ -136,25 +154,16 @@ def slope_stability_witness(seq: FunctionSequence, f: FunctionModel,
     from a recovery sequence, apply the discrete Ekeland principle to f_n
     with slack sigma + 3*eps (eps = 1/n ladder) on a shrinking ball, and
     record values and slopes along the way."""
-    # the recovery picks come from the Wijsman verdict's own sweep
-    wij, picks = _wijsman(seq, f, x, 2 * max(cfg.radius_ladder), cfg, mesh)
-    if wij.fails:
-        raise ValueError("sequence is not Wijsman convergent to f at x")
     sigma = strong_slope(f, x, mesh, cfg).value
     h = min(mesh.h)
-    points, vals, slopes, idx = [], [], [], []
-    for j, n in enumerate(cfg.n_schedule):
+
+    def start(n, x_n):
         eps = 1.0 / n
         lam = max(2 * h, snap_half_node(eps / 2, h))
         mu = max(1.5 * h, ((sigma + 2 * eps) / (sigma + 3 * eps)) * lam)
-        fn = seq.model(n)
-        zbar = ekeland_point(fn, picks[j], sigma + 3 * eps, mu, mesh)
-        points.append(zbar)
-        vals.append(float(fn(zbar)))
-        slopes.append(float(strong_slope(fn, zbar, mesh, cfg).value))
-        idx.append(n)
-    return StabilityWitness(points=points, values=vals, slopes=slopes,
-                            limsup_bound=float(sigma) + cfg.tol, indices=idx)
+        return x_n, sigma + 3 * eps, mu
+
+    return _ekeland_witness(seq, f, x, mesh, cfg, start, float(sigma) + cfg.tol, "x")
 
 
 def stationary_sequence(seq: FunctionSequence, f: FunctionModel, mesh: MeshSpec,
@@ -165,26 +174,16 @@ def stationary_sequence(seq: FunctionSequence, f: FunctionModel, mesh: MeshSpec,
     fvals = values_on(f, mesh)
     if not np.isfinite(fvals).any():
         raise ValueError("inf of f is not finite on the mesh")
-    m = float(fvals.min())
     argmin_node = tuple(mesh.nodes()[int(np.argmin(fvals))])
-    wij = wijsman_at_point(seq, f, argmin_node,
-                           lambda_max=2 * max(cfg.radius_ladder), cfg=cfg, mesh=mesh)
-    if wij.fails:
-        raise ValueError("sequence is not Wijsman convergent to f at the argmin probe")
     h = min(mesh.h)
     box_diam = max(hi - lo for lo, hi in mesh.box)
-    points, vals, slopes, idx = [], [], [], []
-    for n in cfg.n_schedule:
+
+    def start(n, x_n):
         z_n = ekeland_point(f, argmin_node, 1.0 / n, box_diam, mesh)
-        fn = seq.model(n)
-        lam = max(2 * h, snap_half_node(1.0 / (2 * n), h))
-        xbar = ekeland_point(fn, z_n, 4.0 / n, lam, mesh)
-        points.append(xbar)
-        vals.append(float(fn(xbar)))
-        slopes.append(float(strong_slope(fn, xbar, mesh, cfg).value))
-        idx.append(n)
-    return StabilityWitness(points=points, values=vals, slopes=slopes,
-                            limsup_bound=cfg.decision_band, indices=idx)
+        return z_n, 4.0 / n, max(2 * h, snap_half_node(1.0 / (2 * n), h))
+
+    return _ekeland_witness(seq, f, argmin_node, mesh, cfg, start, cfg.decision_band,
+                            "the argmin probe")
 
 
 def frechet_membership(f: FunctionModel, x: Sequence[float],
@@ -196,7 +195,7 @@ def frechet_membership(f: FunctionModel, x: Sequence[float],
     if f(x) == INF:
         raise ValueError("membership undefined outside dom f")
     neg = tuple(-float(c) for c in xstar)
-    shifted = tilt_model(f, neg)
+    shifted = tilt(f, neg)
     est = strong_slope(shifted, x, mesh, cfg)
     s = float(est.value)
 
@@ -277,9 +276,9 @@ def sequence_p2_stability(seqF: FunctionSequence,
     points with 1/n slack, and limsup ||x*_n + y*_n|| is verdicted against
     |grad f|(z)."""
     def sum_model(n):
-        fv = seqF.node_values(n, mesh)
+        fv = values_on(seqF.generator(n), mesh)
         if seqPhi is not None:
-            fv = fv + seqPhi.node_values(n, mesh)
+            fv = fv + values_on(seqPhi.generator(n), mesh)
         return FunctionModel.tabulated(mesh, fv, norm=f.norm, name=f"sum_{n}")
 
     sumseq = FunctionSequence(sum_model, box=mesh.box, norm=f.norm)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Iterable, Optional, Tuple
@@ -140,6 +141,12 @@ def _jsonable(obj):
     return obj
 
 
+def _finite(value, kind=numbers.Real) -> bool:
+    """A finite number of the given kind; a bool is not one here."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+
+
 def _geometric(start: float, count: int) -> Tuple[float, ...]:
     return tuple(start / (2 ** k) for k in range(count))
 
@@ -156,22 +163,32 @@ class LimitConfig:
     decision_band: float = 0.05
 
     def __post_init__(self):
-        if not self.n_schedule or list(self.n_schedule) != sorted(set(self.n_schedule)):
-            raise ValueError("n_schedule must be nonempty and strictly increasing")
+        # scenario files set any field: a wrong type or value is refused by name
+        ns, w = self.n_schedule, self.eventually_window
+        if (not isinstance(ns, (tuple, list)) or not ns
+                or not all(_finite(n, numbers.Integral) and n > 0 for n in ns)
+                or list(ns) != sorted(set(ns))):
+            raise ValueError(f"n_schedule must be nonempty, strictly increasing and "
+                             f"hold positive integers: got {ns!r}")
         for name in ("delta_ladder", "radius_ladder"):
-            ladder = list(getattr(self, name))
-            if not ladder or ladder != sorted(set(ladder), reverse=True) or ladder[-1] <= 0:
-                raise ValueError(f"{name} must be nonempty, strictly decreasing "
-                                 f"and positive: got {ladder}")
+            ladder = getattr(self, name)
+            if (not isinstance(ladder, (tuple, list)) or not ladder
+                    or not all(map(_finite, ladder))
+                    or list(ladder) != sorted(set(ladder), reverse=True) or ladder[-1] <= 0):
+                raise ValueError(f"{name} must be nonempty, finite, strictly decreasing "
+                                 f"and positive: got {ladder!r}")
+        for name in ("tol", "decision_band"):
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite real: got {getattr(self, name)!r}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.tol >= self.decision_band:
             # decide() would leave no Inconclusive band between the two
             raise ValueError(f"tol ({self.tol}) must be below decision_band "
                              f"({self.decision_band})")
-        w = self.window_size
-        if w < 1 or w > len(self.n_schedule):
-            raise ValueError("eventually_window out of range")
+        if not (w is None or _finite(w, numbers.Integral) and 1 <= w <= len(ns)):
+            raise ValueError(f"eventually_window must be None or an integer in "
+                             f"1..{len(ns)}: got {w!r}")
 
     @property
     def window_size(self) -> int:

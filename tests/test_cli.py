@@ -63,6 +63,14 @@ class TestRunScenario:
         err = capsys.readouterr().err
         assert "0.1" in err and "0.05" in err
 
+    def test_config_tol_that_is_not_a_number_exits_one(self, tmp_path, capsys):
+        # it escaped the command's refusal path as a TypeError traceback
+        path = write_scenario(tmp_path, {
+            "name": "text-tol", "operation": "penalty_limit",
+            "instance": "quadratic-at-origin", "config": {"tol": "abc"}})
+        assert main(["run", path]) == 1
+        assert "tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ladder", [[0.1, 0.5], []])
     def test_config_radius_ladder_not_decreasing_exits_one(self, tmp_path, capsys, ladder):
         path = write_scenario(tmp_path, {

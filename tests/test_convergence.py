@@ -515,15 +515,6 @@ class TestSweepWork:
         f, seq, made = self.envelope_sequence(mesh)
         assert wijsman_at_point(seq, f, (0.0,), 0.5, CFG, mesh).holds
         assert made == Counter(CFG.n_schedule)
-        assert seq._models == {}
-
-    def test_cached_models_are_reused(self):
-        mesh = MeshSpec.line(-1.0, 1.0, 0.05)
-        f, seq, made = self.envelope_sequence(mesh)
-        for n in CFG.n_schedule[::2]:
-            seq.model(n)
-        recovery_sequence(seq, f, (0.0,), CFG, mesh)
-        assert made == Counter(CFG.n_schedule)
 
     def test_memory_is_linear_in_the_node_count(self):
         """One Wijsman verdict on a 4001-node line holds a few node arrays at

@@ -78,7 +78,7 @@ class TestEpigraphSampling:
     def test_constant_zero_nine_points(self):
         m = MeshSpec.line(0.0, 1.0, 0.5)
         f = model(lambda x: 0.0, m)
-        cloud = sample_epigraph(f, m, cap=1.0, alpha_step=0.5).cloud
+        cloud = sample_epigraph(f, m, cap=1.0, alpha_step=0.5)
         assert len(cloud) == 9
         expected = {(x, a) for x in (0.0, 0.5, 1.0) for a in (0.0, 0.5, 1.0)}
         assert set(cloud.points) == expected
@@ -86,13 +86,13 @@ class TestEpigraphSampling:
     def test_abs_coarse_cloud(self):
         m = MeshSpec.line(-1.0, 1.0, 1.0)
         f = model(abs, m)
-        cloud = sample_epigraph(f, m, cap=1.0, alpha_step=1.0).cloud
+        cloud = sample_epigraph(f, m, cap=1.0, alpha_step=1.0)
         assert set(cloud.points) == {(-1.0, 1.0), (0.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
 
     def test_indicator_cloud_confined_to_support(self):
         m = line(h=0.25)
         f = model(indicator(lambda x: abs(x) < 1e-9), m)
-        cloud = sample_epigraph(f, m, cap=1.0, alpha_step=0.25).cloud
+        cloud = sample_epigraph(f, m, cap=1.0, alpha_step=0.25)
         assert all(p[0] == 0.0 for p in cloud.points)
 
     def test_all_inf_flagged(self):
@@ -117,7 +117,7 @@ class TestEpigraphSampling:
     def test_epigraph_points_above_graph(self):
         m = line(h=0.2)
         f = model(lambda x: x * x, m)
-        cloud = sample_epigraph(f, m, cap=2.0, alpha_step=0.2).cloud
+        cloud = sample_epigraph(f, m, cap=2.0, alpha_step=0.2)
         for p in cloud.points:
             assert f((p[0],)) <= p[1] + 1e-12 and p[1] <= 2.0 + 1e-12
 
@@ -280,7 +280,7 @@ class TestGapTriple:
         f = model(lambda x: 0.0, mf)
         g = model(lambda x: 0.0, mg)
         graph_g = sample_graph(g, mg, cap=1.0)
-        epi_f = sample_epigraph(f, mf, cap=1.0, alpha_step=0.5).cloud
+        epi_f = sample_epigraph(f, mf, cap=1.0, alpha_step=0.5)
         assert gap_distance(graph_g, epi_f) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_triple_handles_inf_nodes(self):

@@ -1,11 +1,14 @@
 """Strong slopes, discrete Ekeland points, slope-stability witnesses,
-Fréchet-subdifferential membership, and slope-control witnesses."""
+Fréchet-subdifferential membership, and slope-control witnesses; the
+sequence witnesses' work per f_n and their memory."""
 
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -303,6 +306,66 @@ class TestSlopeControl:
         v = sequence_p2_stability(seq, lambda n: quadratic_oracle(), None,
                                   None, f, (0.0,), mesh, CFG)
         assert v.holds
+
+
+def counted_sequence(make, mesh):
+    """A FunctionSequence of make(n) and the Counter of its generations."""
+    made = Counter()
+
+    def generate(n):
+        made[n] += 1
+        return make(n)
+
+    return FunctionSequence(generate, box=mesh.box), made
+
+
+class TestSequenceWitnessWork:
+    """The Ekeland witnesses run inside the Wijsman sweep: each f_n is
+    generated once, and memory does not grow with the n schedule."""
+
+    @pytest.mark.parametrize("witness", [
+        lambda seq, f, mesh: slope_stability_witness(seq, f, (0.0,), mesh, CFG),
+        lambda seq, f, mesh: stationary_sequence(seq, f, mesh, CFG),
+    ], ids=["slope_stability_witness", "stationary_sequence"])
+    def test_witnesses_generate_each_f_n_once(self, witness):
+        mesh = line(h=0.05)
+        f = tabmodel(lambda x: abs(x - 0.3), mesh)
+        seq, made = counted_sequence(lambda n: pasch_hausdorff(f, n, mesh), mesh)
+        witness(seq, f, mesh)
+        assert made == Counter(CFG.n_schedule)
+
+    def test_sequence_p2_stability_generates_each_f_n_once(self):
+        mesh = line(h=0.05)
+        f = tabmodel(lambda x: x * x, mesh)
+        seqF, madeF = counted_sequence(lambda n: f, mesh)
+        zero = tabmodel(lambda x: 0.0, mesh)
+        seqPhi, madePhi = counted_sequence(lambda n: zero, mesh)
+        sequence_p2_stability(seqF, lambda n: quadratic_oracle(), seqPhi,
+                              lambda n: zero_oracle(), f, (0.0,), mesh, CFG)
+        assert madeF == madePhi == Counter(CFG.n_schedule)
+
+    def test_slope_stability_memory_does_not_grow_with_the_schedule(self):
+        """On a 4001-node line, 64 schedule entries peak no higher than 16
+        under ``tracemalloc``: one f_n is held at a time."""
+        mesh = MeshSpec.line(-1.0, 1.0, 5e-4)
+        nodes = mesh.node_count
+        assert nodes == 4001
+        f = tabmodel(lambda x: abs(x - 0.3), mesh)
+        seq = FunctionSequence(lambda n: pasch_hausdorff(f, n, mesh), box=mesh.box)
+        # the first call allocates one-time state that a later call reuses
+        slope_stability_witness(seq, f, (0.0,), mesh, LimitConfig(n_schedule=(1, 2)))
+        peaks = {}
+        for count in (16, 64):
+            cfg = LimitConfig(n_schedule=tuple(range(1, 65, 64 // count)))
+            assert len(cfg.n_schedule) == count
+            tracemalloc.start()
+            try:
+                slope_stability_witness(seq, f, (0.0,), mesh, cfg)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.25 * peaks[16]
+        assert peaks[64] < 16 * nodes * 8
 
 
 def _nested_combos(samples):

@@ -4,6 +4,7 @@ one-sided excess verdict."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from epislope.extreal import INF
@@ -156,3 +157,37 @@ class TestLimitConfigLadders:
     @pytest.mark.parametrize("name", ["delta_ladder", "radius_ladder"])
     def test_strictly_decreasing_positive_ladder_is_accepted(self, name):
         assert getattr(LimitConfig(**{name: (0.5, 0.1)}), name) == (0.5, 0.1)
+
+
+class TestLimitConfigFields:
+    """Every field is checked for type and value, and the error names it."""
+
+    @pytest.mark.parametrize("name", ["tol", "decision_band"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "abc", True])
+    def test_tolerance_that_is_not_a_finite_real_is_refused(self, name, value):
+        # a NaN tol made every comparison False: penalty_limit turned
+        # Inconclusive and the report's JSON held NaN
+        with pytest.raises(ValueError, match=name):
+            LimitConfig(**{name: value})
+
+    @pytest.mark.parametrize("schedule", [(1, 2.5, 4), (1, 2.0, 4), (0, 1), (-1, 1),
+                                          (True, 2), ("a", "b")])
+    def test_n_schedule_of_non_positive_integers_is_refused(self, schedule):
+        # (1, 2.5, 4) ran with n = 2.5 and was reported as [1, 2, 4]
+        with pytest.raises(ValueError, match="n_schedule"):
+            LimitConfig(n_schedule=schedule)
+
+    def test_numpy_integers_are_accepted_in_n_schedule(self):
+        cfg = LimitConfig(n_schedule=tuple(np.arange(1, 5)))
+        assert cfg.schedule_dict()["n_schedule"] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("name", ["delta_ladder", "radius_ladder"])
+    @pytest.mark.parametrize("ladder", [(math.inf, 0.5), (0.5, math.nan), ("b", "a")])
+    def test_ladder_entry_that_is_not_a_finite_real_is_refused(self, name, ladder):
+        with pytest.raises(ValueError, match=name):
+            LimitConfig(**{name: ladder})
+
+    @pytest.mark.parametrize("window", [2.5, "4", True])
+    def test_eventually_window_that_is_not_an_integer_is_refused(self, window):
+        with pytest.raises(ValueError, match="eventually_window"):
+            LimitConfig(eventually_window=window)
