@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +29,7 @@ from .slopes import frechet_membership, slope_stability_witness, strong_slope
 from .sumrules import decoupling_inequality, prop71_bridge, r2_witness
 from .uniforminf import PenaltySpec, nogoodlsc, penalty_limit, robustness
 from .verdict import (InvariantError, LimitConfig, Status, Verdict, _jsonable,
-                      combine, decide, excess_verdict)
+                      combine, decide)
 
 EXIT = {Status.HOLDS: 0, Status.FAILS: 2, Status.INCONCLUSIVE: 3}
 
@@ -60,8 +60,7 @@ class RunReport:
 
 def _build_config(overrides: Dict[str, Any]) -> LimitConfig:
     kwargs = {}
-    allowed = {"n_schedule", "delta_ladder", "radius_ladder",
-               "eventually_window", "tol", "decision_band"}
+    allowed = {f.name for f in fields(LimitConfig)}
     for key, value in overrides.items():
         if key not in allowed:
             raise ValueError(f"unknown config key '{key}'")
@@ -93,10 +92,7 @@ def _penalty_limit(payload, params, cfg) -> Labelled:
 def _robustness(payload, params, cfg) -> Labelled:
     region = _region_from(params, payload)
     report = robustness(payload["model"], region, payload.get("mesh"), cfg)
-    # robust means r_S(f) = inf_S f: the excess is the gap between them
-    verdict = excess_verdict(abs(float(report.gap)), cfg.tol, cfg.decision_band,
-                             {"r_value": report.r_value, "plain_inf": report.plain_inf})
-    return [("robustness", verdict)], {}
+    return [("robustness", report.verdict)], {}
 
 
 def _wijsman_at_point(payload, params, cfg) -> Labelled:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +51,6 @@ class StabilityWitness:
     values: List[float]
     slopes: List[float]
     limsup_bound: float
-    indices: List[int] = field(default_factory=list)
 
     def suffix_max_slope(self, window: int) -> float:
         return max(self.slopes[len(self.slopes) - window:])
@@ -76,7 +75,7 @@ def strong_slope(f: FunctionModel, x: Sequence[float], mesh: MeshSpec,
     num = np.where(np.isfinite(vals), num, -np.inf)  # y outside dom never raises the ratio
     pos = np.maximum(num, 0.0)
     trace = []
-    for r in sorted(cfg.radius_ladder, reverse=True):
+    for r in cfg.radius_ladder:
         mask = (d > SLACK) & (d <= r)
         if not mask.any():
             continue
@@ -144,7 +143,7 @@ def _ekeland_witness(seq: FunctionSequence, f: FunctionModel, x: Sequence[float]
         raise ValueError(f"sequence is not Wijsman convergent to f at {where}")
     points, vals, slopes = (list(col) for col in zip(*stepped))
     return StabilityWitness(points=points, values=vals, slopes=slopes,
-                            limsup_bound=limsup_bound, indices=list(cfg.n_schedule))
+                            limsup_bound=limsup_bound)
 
 
 def slope_stability_witness(seq: FunctionSequence, f: FunctionModel,
@@ -249,7 +248,7 @@ def p2_witness(f: FunctionModel, f_oracle: SubdifferentialOracle,
     d = f.norm.pairwise(np.asarray([z], dtype=float), nodes)[0]
     L = float(phi.lipschitz_hint)
     rows = []
-    for r in sorted(cfg.radius_ladder, reverse=True):
+    for r in cfg.radius_ladder:
         maskx = (d <= r) & np.isfinite(fvals) & (np.abs(fvals - fz) <= (s + L + 1.0) * r + cfg.tol)
         masky = d <= r
         if not maskx.any() or not masky.any():

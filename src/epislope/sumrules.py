@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF, ExtReal
-from .functions import FunctionModel, MeshSpec, Variant, values_on
-from .geometry import MAX, Norm
+from .functions import FunctionModel, MeshSpec, values_on
+from .geometry import MAX, Norm, _row_blocks
 from .convergence import FunctionSequence, wijsman_at_point
 from .slopes import (SubdifferentialOracle, _least_sum_norm,
                      slope_stability_witness, strong_slope)
@@ -103,34 +103,28 @@ def product_mesh(mesh: MeshSpec, k: int) -> MeshSpec:
     return MeshSpec(box=mesh.box * k, h=mesh.h * k)
 
 
-def _component_values(f: FunctionModel, coords: np.ndarray) -> np.ndarray:
-    """f at every row of coords; tabulated models gather by node index."""
-    if f.variant is Variant.TABULATED:
-        idx = f.mesh.locate(coords)
-        off = idx < 0
-        if off.any():
-            raise KeyError(f"off-node query {tuple(coords[off.argmax()])} on a tabulated model")
-        return f.values[idx]
-    return np.array([float(f(tuple(p))) for p in coords])
-
-
 def _product_data(ds: DecoupledSum, mesh: MeshSpec):
-    """(product mesh, F values, d_Delta values)."""
+    """(product mesh, component node indices, F values, d_Delta values).
+
+    Product nodes run in C order over the components' base nodes, so node
+    j is (x_{idx_1[j]}, ..., x_{idx_k[j]}) and every product array is a
+    gather from base-mesh arrays."""
     pm = product_mesh(mesh, ds.k)
-    P = pm.nodes()
-    d = mesh.dim
-    F = np.zeros(len(P))
-    for i, f in enumerate(ds.components):
-        F = F + _component_values(f, P[:, i * d:(i + 1) * d])
-    if d == 1:
-        blocks = P.reshape(len(P), ds.k)
-        dDelta = (blocks.max(axis=1) - blocks.min(axis=1)) / 2.0
+    idx = np.unravel_index(np.arange(pm.node_count), (mesh.node_count,) * ds.k)
+    F = np.zeros(pm.node_count)
+    for f, i in zip(ds.components, idx):
+        F = F + values_on(f, mesh)[i]
+    nodes = mesh.nodes()
+    if mesh.dim == 1:
+        coords = np.stack([nodes[i, 0] for i in idx], axis=1)
+        dDelta = (coords.max(axis=1) - coords.min(axis=1)) / 2.0
     else:
-        geom = DiagonalGeometry(ds.k, d, ds.base_norm)
-        dDelta = np.array([diagonal_distance(
-            [tuple(P[j, i * d:(i + 1) * d]) for i in range(ds.k)], geom, mesh)
-            for j in range(len(P))])
-    return pm, F, dDelta
+        # min over base nodes z of max_i ||x_i - z||, as diagonal_distance
+        dDelta = np.empty(pm.node_count)
+        for rows in _row_blocks(pm.node_count, mesh.node_count):
+            far = np.max([ds.base_norm.pairwise(nodes[i[rows]], nodes) for i in idx], axis=0)
+            dDelta[rows] = far.min(axis=1)
+    return pm, idx, F, dDelta
 
 
 def _summed_values(ds: DecoupledSum, mesh: MeshSpec) -> np.ndarray:
@@ -161,13 +155,11 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
     component, so declared Lipschitz hints widen the Holds/Fails cutoffs
     by that amount.
     """
-    pm, F, dDelta = _product_data(ds, mesh)
+    pm, idx, F, dDelta = _product_data(ds, mesh)
     sum_vals = _summed_values(ds, mesh)
     dist_x = ds.base_norm.pairwise(np.asarray([xbar], dtype=float), mesh.nodes())[0]
-    # product nodes run in C order over the components' base nodes, so the
-    # product distance from (xbar, ..., xbar) is the max of their dist_x
-    parts = np.unravel_index(np.arange(pm.node_count), (mesh.node_count,) * ds.k)
-    ball_dist = np.max([dist_x[i] for i in parts], axis=0)
+    # the product distance from (xbar, ..., xbar) is the max of the components'
+    ball_dist = np.max([dist_x[i] for i in idx], axis=0)
 
     rows = []
     step = max(mesh.h)
@@ -216,9 +208,9 @@ def _penalized_diagonal(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec)
     """(product mesh, the diagonally penalized sequence F + n * d_Delta,
     its limit the diagonal restriction F_Delta, the diagonal point
     (xbar, ..., xbar)), all under the max product norm."""
-    pm, F, dDelta = _product_data(ds, mesh)
     if ds.base_norm.kind is not MAX.kind and mesh.dim != 1:
         raise ValueError("product norm requires base dim 1 or a max base norm")
+    pm, _, F, dDelta = _product_data(ds, mesh)
     Fd = FunctionModel.tabulated(pm, np.where(dDelta == 0.0, F, np.inf),
                                  norm=MAX, name="F_diag")
 

@@ -50,21 +50,29 @@ class PenaltySpec:
 
 @dataclass
 class RobustnessReport:
+    """r_S(f) and inf_S f, their gap, and the verdict on ``|gap|``: the
+    infimum is robust when the verdict Holds."""
+
     r_value: ExtReal
     plain_inf: ExtReal
-    robust: bool
     gap: ExtReal
+    verdict: Verdict
+
+    @property
+    def robust(self) -> bool:
+        return self.verdict.holds
 
 
 def _region_distances(S: Region, mesh: MeshSpec, norm: Norm) -> np.ndarray:
-    """d_S at every mesh node; exact when the region has a closed form,
-    otherwise the distance in ``norm`` to the nodes the region contains."""
+    """d_S in ``norm`` at every mesh node: in closed form for a ball in
+    that norm (on a line every norm is one), exact when the region has
+    another closed form, otherwise the distance to the nodes it contains."""
     nodes = mesh.nodes()
     if isinstance(S, Ball):
-        d = S.norm.pairwise(np.asarray([S.center], dtype=float), nodes)[0]
-        return np.maximum(0.0, d - S.radius)
-    exact = S.distance(tuple(nodes[0]))
-    if exact is not None:
+        if S.norm == norm or mesh.dim == 1:
+            d = S.norm.pairwise(np.asarray([S.center], dtype=float), nodes)[0]
+            return np.maximum(0.0, d - S.radius)
+    elif S.distance(tuple(nodes[0])) is not None:
         return np.array([S.distance(tuple(p)) for p in nodes])
     member = np.array([S.contains(tuple(p)) for p in nodes])
     if not member.any():
@@ -250,7 +258,8 @@ def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
 
 def robustness(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
                cfg: LimitConfig) -> RobustnessReport:
-    """r_S(f) versus inf_S f; the infimum is robust when they agree."""
+    """r_S(f) versus inf_S f; the infimum is robust when they agree within
+    ``cfg.tol``, and the verdict is Inconclusive inside the decision band."""
     if f.variant is Variant.FINITE_EXCEPTION:
         exact = _ValueLayers(f, S)
         r = exact.uniform_infimum(cfg.delta_ladder)
@@ -259,8 +268,9 @@ def robustness(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
         r = uniform_infimum(f, S, mesh, cfg)
         plain = plain_infimum(f, S, mesh)
     gap = margin(r, plain)
-    robust = gap != INF and abs(float(gap)) <= cfg.tol
-    return RobustnessReport(r_value=r, plain_inf=plain, robust=robust, gap=gap)
+    verdict = excess_verdict(abs(float(gap)), cfg.tol, cfg.decision_band,
+                             {"r_value": r, "plain_inf": plain})
+    return RobustnessReport(r_value=r, plain_inf=plain, gap=gap, verdict=verdict)
 
 
 def nogoodlsc(N: int, I: int, delta_min: float) -> FunctionModel:

@@ -1,8 +1,8 @@
 """Mesh-native kernels against brute force at small sizes: the Lipschitz
 envelopes (1-D, separable taxicab, chessboard scans and the blocked
 fallback), row-blocked pairwise minima and their cell budget, arithmetic
-node lookup (scalar and batched), batched component values on product
-meshes, and ball infima."""
+node lookup (scalar and batched), product-mesh values and diagonal
+distances gathered from base-mesh arrays, and ball infima."""
 
 import contextlib
 import math
@@ -16,7 +16,8 @@ from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FunctionModel, INF
                       gap_distance, geometry, inf_over_region, pasch_hausdorff)
 from epislope.functions import _key
 from epislope.geometry import PAIRWISE_CELL_BUDGET
-from epislope.sumrules import _component_values, product_mesh
+from epislope.sumrules import (DecoupledSum, DiagonalGeometry, _product_data,
+                               diagonal_distance, product_mesh)
 from epislope.uniforminf import _region_distances
 
 STEPS = (0.01, 0.05, 0.1, 0.25)
@@ -284,25 +285,28 @@ def test_lookup_rejects_wrong_dimension():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-100, 100), st.sampled_from(STEPS),
-       st.lists(st.integers(2, 5), min_size=1, max_size=2), st.data())
-def test_component_values_match_scalar_loop(lo_cents, step, counts, data):
+       st.lists(st.integers(2, 5), min_size=1, max_size=2), st.sampled_from(NORMS),
+       st.integers(1, 60), st.data())
+def test_product_data_matches_scalar_loop(lo_cents, step, counts, norm, cells, data):
+    """F and d_Delta gathered from base arrays equal DecoupledSum.value and
+    diagonal_distance at every product node row, bit for bit."""
     mesh = grid(lo_cents, step, counts)
     k = data.draw(st.integers(2, 4 // mesh.dim))
-    fv = np.array(data.draw(st.lists(values, min_size=mesh.node_count,
-                                     max_size=mesh.node_count)))
-    f = FunctionModel.tabulated(mesh, fv)
+    ds = DecoupledSum(tuple(
+        FunctionModel.tabulated(mesh, np.array(data.draw(st.lists(
+            values, min_size=mesh.node_count, max_size=mesh.node_count))), norm=norm)
+        for _ in range(k)))
+    with cell_budget(cells):
+        pm, idx, F, dDelta = _product_data(ds, mesh)
     P = product_mesh(mesh, k).nodes()
+    assert pm == product_mesh(mesh, k)
     d = mesh.dim
     for i in range(k):
-        coords = P[:, i * d:(i + 1) * d]
-        loop = np.array([float(f(tuple(p))) for p in coords])
-        assert np.array_equal(_component_values(f, coords), loop)
-    off = P[:, :d].copy()
-    off[data.draw(st.integers(0, len(off) - 1)), 0] += 6e-10
-    with pytest.raises(KeyError):
-        _component_values(f, off)
-    with pytest.raises(KeyError):
-        [f(tuple(p)) for p in off]
+        assert np.array_equal(mesh.nodes()[idx[i]], P[:, i * d:(i + 1) * d])
+    geom = DiagonalGeometry(k, d, norm)
+    rows = [[tuple(p[i * d:(i + 1) * d]) for i in range(k)] for p in P]
+    assert np.array_equal(F, [ds.value(xs) for xs in rows])
+    assert np.array_equal(dDelta, [diagonal_distance(xs, geom, mesh) for xs in rows])
 
 
 # ------------------------------------------------------------ ball infima

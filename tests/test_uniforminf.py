@@ -170,6 +170,15 @@ class TestRobustness:
         assert not rep.robust
         assert rep.gap == Fraction(1, 6)
 
+    def test_gap_inside_the_band_is_inconclusive(self):
+        # r = -0.02 (the node 0.01 lies in every delta-neighbourhood), inf = 0
+        f = tabmodel(lambda x: -0.02 if abs(x - 0.01) < 1e-9 else 0.0, line())
+        rep = robustness(f, Ball((0.0,), 0.0099), line(), CFG)
+        assert rep.gap == pytest.approx(0.02)
+        assert rep.verdict.status is Status.INCONCLUSIVE
+        assert rep.verdict.margin == rep.gap
+        assert not rep.robust
+
 
 class TestSparseCounterexample:
     def test_exact_values_at_marked_points(self):
@@ -268,6 +277,18 @@ def test_predicate_region_distance_uses_the_model_norm():
     origin = Predicate(lambda p: p == (0.0, 0.0))
     # d_S(1, 1) = 1 in the max norm, not sqrt(2)
     assert penalty_value(f, origin, 1.0, PenaltySpec(), mesh) == -1.0
+
+
+def test_ball_region_distance_uses_the_model_norm():
+    mesh = MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.5, 0.5))
+    vals = np.zeros(mesh.node_count)
+    vals[-1] = -1.5  # the node (1, 1)
+    f = FunctionModel.tabulated(mesh, vals, norm=MAX)
+    ball = Ball((0.0, 0.0), 0.0)  # a Euclidean ball
+    origin = Predicate(lambda p: p == (0.0, 0.0))
+    # d_S(1, 1) = 1 in the max norm: -1.5 + 1, not -1.5 + sqrt(2)
+    assert penalty_value(f, ball, 1.0, PenaltySpec(), mesh) == -0.5
+    assert penalty_value(f, origin, 1.0, PenaltySpec(), mesh) == -0.5
 
 
 # ---------------------------------------------------------------- exact path
