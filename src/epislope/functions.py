@@ -378,7 +378,10 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
         nodes = mesh.nodes()
         out = np.empty(len(fv))
         for rows in _row_blocks(len(nodes), len(nodes)):
-            out[rows] = (fv[None, :] + n * f.norm.pairwise(nodes[rows], nodes)).min(axis=1)
+            D = f.norm.pairwise(nodes[rows], nodes)
+            D *= n
+            D += fv  # f(y) + n||y - x||, in place on the distance block
+            out[rows] = D.min(axis=1)
     # every kernel keeps f_n <= f; the ramp form can round below min f
     out = np.maximum(out, low)
     return FunctionModel.tabulated(mesh, out, norm=f.norm, lipschitz_hint=n,
@@ -399,16 +402,18 @@ def epi_hypo_gap_triple(f: FunctionModel, g: FunctionModel, mesh: MeshSpec,
         fv = values_on(f, mesh)
         gv = values_on(g, mesh)
         nodes = mesh.nodes()
-        fx = fv[None, :]
+        f_inf = np.isposinf(fv)
         best = INF
         for rows in _row_blocks(len(nodes), len(nodes)):
             D = f.norm.pairwise(nodes[rows], nodes)  # rows: g-nodes y, cols: f-nodes x
             with np.errstate(invalid="ignore"):
                 # g(y)=+inf: hypo is all of R there, no vertical gap
-                vert = np.maximum(fx - gv[rows, None], 0.0)
-            # f(x)=+inf: no epi/graph point at x
-            dist = np.where(np.isposinf(fx), np.inf, np.maximum(D, vert))
-            best = min(best, float(dist.min()))
+                vert = fv - gv[rows, None]
+                np.maximum(vert, 0.0, out=vert)
+            np.maximum(D, vert, out=D)
+            # f(x)=+inf: no epi/graph point at x (also clears inf - inf NaNs)
+            D[:, f_inf] = np.inf
+            best = min(best, float(D.min()))
         return best, best, best
 
     epi_f = sample_epigraph(f, mesh, cap, alpha_step)

@@ -7,7 +7,9 @@ a genuine minimum over its points, with the empty-set convention
 
 Reductions over all point pairs (gap distances, diameters, brute-force
 envelopes) never build the whole distance matrix: they walk it in row
-blocks of at most ``PAIRWISE_CELL_BUDGET`` cells.
+blocks of at most ``PAIRWISE_CELL_BUDGET`` cells.  A block is built one
+coordinate at a time into a single (n, m) accumulator, so it holds at
+most two (n, m) float64 arrays and never an (n, m, d) difference array.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .extreal import INF, ExtReal
 Point = Tuple[float, ...]
 
 # Most cells (row x column distances) of one pairwise block: 8 MiB of
-# float64 distances, plus the per-axis differences they are built from.
+# float64 distances, plus one scratch array of the same size for the
+# coordinate being folded in.
 PAIRWISE_CELL_BUDGET = 1 << 20
 
 
@@ -40,6 +43,41 @@ class NormKind(enum.Enum):
     EUCLIDEAN = "euclidean"
     MAX = "max"
     TAXICAB = "taxicab"
+
+
+def _pairwise(kind: NormKind, A: np.ndarray, B: np.ndarray, head: int) -> np.ndarray:
+    """Distances between rows of A (n,d) and B (m,d): the ``kind`` norm of
+    the first ``head`` coordinates, max-ed with the max-abs of the rest.
+
+    Built one coordinate at a time, in ascending order, into one (n, m)
+    accumulator: the per-coordinate difference is squared or made absolute
+    in place and folded in by ``+=`` or a running maximum.  The sums run
+    in ascending coordinate order, the order ``sum(axis=2)`` takes over a
+    short trailing axis, so the distances equal the (n, m, d) broadcast
+    formula bit for bit; at most two (n, m) arrays are alive."""
+    euclidean = kind is NormKind.EUCLIDEAN
+    acc = None if head else np.zeros((len(A), len(B)))
+    tmp = None  # one scratch block, reused by every coordinate after the first
+    for k in range(head):
+        c = np.subtract.outer(A[:, k], B[:, k], out=tmp)
+        if euclidean:
+            np.multiply(c, c, out=c)
+        else:
+            np.abs(c, out=c)
+        if acc is None:
+            acc = c
+            continue
+        if kind is NormKind.MAX:
+            np.maximum(acc, c, out=acc)
+        else:
+            acc += c
+        tmp = c
+    if euclidean:
+        np.sqrt(acc, out=acc)
+    for k in range(head, A.shape[1]):
+        tmp = np.subtract.outer(A[:, k], B[:, k], out=tmp)
+        np.maximum(acc, np.abs(tmp, out=tmp), out=acc)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -58,12 +96,7 @@ class Norm:
 
     def pairwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Distance matrix between rows of A (n,d) and B (m,d)."""
-        diff = A[:, None, :] - B[None, :, :]
-        if self.kind is NormKind.EUCLIDEAN:
-            return np.sqrt((diff * diff).sum(axis=2))
-        if self.kind is NormKind.MAX:
-            return np.abs(diff).max(axis=2)
-        return np.abs(diff).sum(axis=2)
+        return _pairwise(self.kind, A, B, A.shape[1])
 
 
 @dataclass(frozen=True)
@@ -83,11 +116,7 @@ class BoxNorm:
         return self([a - b for a, b in zip(p, q)])
 
     def pairwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        d = self.base_dim
-        head = self.base.pairwise(A[:, :d], B[:, :d])
-        tail_diff = np.abs(A[:, None, d:] - B[None, :, d:])
-        tail = tail_diff.max(axis=2) if tail_diff.shape[2] else np.zeros_like(head)
-        return np.maximum(head, tail)
+        return _pairwise(self.base.kind, A, B, self.base_dim)
 
 
 EUCLIDEAN = Norm(NormKind.EUCLIDEAN)

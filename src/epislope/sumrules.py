@@ -122,7 +122,9 @@ def _product_data(ds: DecoupledSum, mesh: MeshSpec):
         # min over base nodes z of max_i ||x_i - z||, as diagonal_distance
         dDelta = np.empty(pm.node_count)
         for rows in _row_blocks(pm.node_count, mesh.node_count):
-            far = np.max([ds.base_norm.pairwise(nodes[i[rows]], nodes) for i in idx], axis=0)
+            far = ds.base_norm.pairwise(nodes[idx[0][rows]], nodes)
+            for i in idx[1:]:  # a running maximum holds two blocks, not a stack of k
+                np.maximum(far, ds.base_norm.pairwise(nodes[i[rows]], nodes), out=far)
             dDelta[rows] = far.min(axis=1)
     return pm, idx, F, dDelta
 

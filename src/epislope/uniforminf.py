@@ -29,7 +29,7 @@ from .extreal import INF, ExtReal
 from .functions import (FunctionModel, MeshSpec, SparsePoint, Variant,
                         inf_over_region, values_on)
 from .geometry import Norm, NormKind, _row_blocks
-from .regions import Ball, Region
+from .regions import Ball, FinitePoints, Region
 from .verdict import (SLACK, InvariantError, LimitConfig, Verdict,
                       excess_verdict, margin)
 
@@ -63,11 +63,27 @@ class RobustnessReport:
         return self.verdict.holds
 
 
+def _nearest(nodes: np.ndarray, targets: np.ndarray, norm: Norm) -> np.ndarray:
+    """Distance in ``norm`` from every node to its nearest target, in row
+    blocks."""
+    out = np.empty(len(nodes))
+    for rows in _row_blocks(len(nodes), len(targets)):
+        out[rows] = norm.pairwise(nodes[rows], targets).min(axis=1)
+    return out
+
+
 def _region_distances(S: Region, mesh: MeshSpec, norm: Norm) -> np.ndarray:
-    """d_S in ``norm`` at every mesh node: in closed form for a ball in
-    that norm (on a line every norm is one), exact when the region has
-    another closed form, otherwise the distance to the nodes it contains."""
+    """d_S in ``norm`` at every mesh node: to its own points for a finite
+    set, in closed form for a ball in that norm (on a line every norm is
+    one), exact when the region has another closed form, otherwise the
+    distance to the nodes it contains."""
     nodes = mesh.nodes()
+    if isinstance(S, FinitePoints):
+        if S.points.dim != mesh.dim:
+            raise ValueError(f"point set dim {S.points.dim} != mesh dim {mesh.dim}")
+        if not S.points.points:
+            return np.full(len(nodes), np.inf)
+        return _nearest(nodes, S.points.array, norm)
     if isinstance(S, Ball):
         if S.norm == norm or mesh.dim == 1:
             d = S.norm.pairwise(np.asarray([S.center], dtype=float), nodes)[0]
@@ -77,11 +93,7 @@ def _region_distances(S: Region, mesh: MeshSpec, norm: Norm) -> np.ndarray:
     member = np.array([S.contains(tuple(p)) for p in nodes])
     if not member.any():
         raise ValueError("region contains no mesh node")
-    inside = nodes[member]
-    out = np.empty(len(nodes))
-    for rows in _row_blocks(len(nodes), len(inside)):
-        out[rows] = norm.pairwise(nodes[rows], inside).min(axis=1)
-    return out
+    return _nearest(nodes, nodes[member], norm)
 
 
 def _dist_sq(pt: SparsePoint, center: Dict[int, int], scale: int) -> Tuple[int, int]:

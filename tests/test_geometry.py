@@ -1,13 +1,14 @@
 """Norms, point-set distances, gap distances, neighborhoods, diameters."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    BoxNorm, EUCLIDEAN, INF, MAX, PointSet, TAXICAB,
+    BoxNorm, EUCLIDEAN, INF, MAX, Norm, NormKind, PointSet, TAXICAB,
     ball_gap, diameter, gap_distance, point_set_distance,
     uniform_neighborhood_contains,
 )
@@ -158,3 +159,55 @@ class TestBallGap:
         sampled = min(point_set_distance(q, S) for q in sample)
         exact = ball_gap(y, r, S)
         assert exact <= sampled + 1e-9
+
+
+def broadcast_pairwise(norm, A, B):
+    """The (n, m, d) difference-array formula that the per-coordinate
+    kernel replaced, kept here as its reference."""
+    if isinstance(norm, BoxNorm):
+        d = norm.base_dim
+        head = broadcast_pairwise(norm.base, A[:, :d], B[:, :d])
+        tail_diff = np.abs(A[:, None, d:] - B[None, :, d:])
+        tail = tail_diff.max(axis=2) if tail_diff.shape[2] else np.zeros_like(head)
+        return np.maximum(head, tail)
+    diff = A[:, None, :] - B[None, :, :]
+    if norm.kind is NormKind.EUCLIDEAN:
+        return np.sqrt((diff * diff).sum(axis=2))
+    if norm.kind is NormKind.MAX:
+        return np.abs(diff).max(axis=2)
+    return np.abs(diff).sum(axis=2)
+
+
+# signed zeros, infinities, and coarse values that tie across points
+kernel_coord = st.one_of(st.sampled_from((0.0, -0.0, math.inf, -math.inf)),
+                         st.floats(-10, 10).map(lambda x: round(x, 1)))
+
+
+class TestPairwiseKernel:
+    @given(st.sampled_from(list(NormKind)), st.integers(1, 4), st.integers(0, 6),
+           st.integers(0, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_the_broadcast_formula(self, kind, d, n, m, data):
+        A = np.array(data.draw(st.lists(st.lists(kernel_coord, min_size=d, max_size=d),
+                                        min_size=n, max_size=n)), dtype=float).reshape(n, d)
+        B = np.array(data.draw(st.lists(st.lists(kernel_coord, min_size=d, max_size=d),
+                                        min_size=m, max_size=m)), dtype=float).reshape(m, d)
+        norms = [Norm(kind)] + [BoxNorm(Norm(kind), b) for b in range(1, d + 1)]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for norm in norms:
+                got, want = norm.pairwise(A, B), broadcast_pairwise(norm, A, B)
+                assert got.shape == want.shape == (n, m)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), norm
+
+    @pytest.mark.parametrize("norm", [BoxNorm(EUCLIDEAN, 2), EUCLIDEAN])
+    def test_block_holds_at_most_two_distance_arrays(self, norm):
+        rng = np.random.default_rng(5)
+        A, B = rng.uniform(-1.0, 1.0, (400, 3)), rng.uniform(-1.0, 1.0, (2600, 3))
+        tracemalloc.start()
+        try:
+            norm.pairwise(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 400 * 2600 * 8

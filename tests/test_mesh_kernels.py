@@ -309,6 +309,19 @@ def test_product_data_matches_scalar_loop(lo_cents, step, counts, norm, cells, d
     assert np.array_equal(dDelta, [diagonal_distance(xs, geom, mesh) for xs in rows])
 
 
+@pytest.mark.parametrize("cells", [1, 7, 100, 1 << 20])
+def test_product_diagonal_distance_is_the_stacked_max(cells):
+    """d_Delta on a 2-D max-norm base, folded into one block by a running
+    maximum, equals the maximum over the stacked component blocks."""
+    mesh = grid(-37, (0.1, 0.25), (7, 5))
+    zero = FunctionModel.tabulated(mesh, np.zeros(mesh.node_count), norm=MAX)
+    with cell_budget(cells):
+        _, idx, _, dDelta = _product_data(DecoupledSum((zero, zero)), mesh)
+    nodes = mesh.nodes()
+    stacked = np.max([MAX.pairwise(nodes[i], nodes) for i in idx], axis=0)
+    assert dDelta.tobytes() == stacked.min(axis=1).tobytes()
+
+
 # ------------------------------------------------------------ ball infima
 
 @settings(max_examples=150, deadline=None)

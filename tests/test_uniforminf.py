@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    Ball, FunctionModel, INF, LimitConfig, MAX, MeshSpec, PenaltySpec, Predicate,
-    Status, WholeSpace, carac_W_bridge, nogoodlsc, penalty_limit, penalty_value,
-    plain_infimum, robustness, uniform_infimum,
+    Ball, FinitePoints, FunctionModel, INF, LimitConfig, MAX, MeshSpec, PenaltySpec,
+    PointSet, Predicate, Status, WholeSpace, carac_W_bridge, nogoodlsc, penalty_limit,
+    penalty_value, plain_infimum, robustness, uniform_infimum,
 )
+from epislope.uniforminf import _region_distances
 
 CFG = LimitConfig()
 # ladder whose smallest rung (1/32) keeps the sparse model's truncation
@@ -289,6 +290,28 @@ def test_ball_region_distance_uses_the_model_norm():
     # d_S(1, 1) = 1 in the max norm: -1.5 + 1, not -1.5 + sqrt(2)
     assert penalty_value(f, ball, 1.0, PenaltySpec(), mesh) == -0.5
     assert penalty_value(f, origin, 1.0, PenaltySpec(), mesh) == -0.5
+
+
+def test_finite_points_region_distance_uses_the_model_norm():
+    mesh = MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.5, 0.5))
+    vals = np.zeros(mesh.node_count)
+    vals[-1] = -1.5  # the node (1, 1)
+    f = FunctionModel.tabulated(mesh, vals, norm=MAX)
+    points = FinitePoints(PointSet.of([(0.0, 0.0)]))  # a Euclidean point set
+    # d_S(1, 1) = 1 in the max norm, as for the Ball and Predicate above
+    assert penalty_value(f, points, 1.0, PenaltySpec(), mesh) == -0.5
+    # the set's own points count, on the mesh or off it
+    off = FinitePoints(PointSet.of([(0.2, 0.3), (0.9, 0.8)]))
+    want = MAX.pairwise(mesh.nodes(), off.points.array).min(axis=1)
+    assert np.array_equal(_region_distances(off, mesh, MAX), want)
+
+
+def test_finite_points_region_edge_cases():
+    mesh = MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.5, 0.5))
+    empty = FinitePoints(PointSet.of([], dim=2))
+    assert np.array_equal(_region_distances(empty, mesh, MAX), np.full(mesh.node_count, INF))
+    with pytest.raises(ValueError, match="dim"):
+        _region_distances(FinitePoints(PointSet.of([(0.0,)])), mesh, MAX)
 
 
 # ---------------------------------------------------------------- exact path
