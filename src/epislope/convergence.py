@@ -30,7 +30,7 @@ from .functions import (FunctionModel, MeshSpec, epi_hypo_gap_triple, restrict,
                         tilt, values_on)
 from .geometry import Norm, EUCLIDEAN, PointSet, point_set_distance
 from .regions import Ball, Region
-from .uniforminf import _region_distances, uniform_infimum
+from .uniforminf import uniform_infimum
 from .verdict import (SLACK, LimitConfig, Status, Verdict, combine, decide,
                       excess_verdict, margin)
 
@@ -308,7 +308,7 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
     ineq = Verdict(decide(-worst, cfg.tol, cfg.decision_band), worst,
                    witness={"rows": rows})
 
-    dS = _region_distances(S, mesh, f.norm)
+    dS = S.distances(mesh.nodes(), f.norm)
     vals = values_on(f, mesh)
 
     def make(n):

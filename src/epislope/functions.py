@@ -24,7 +24,7 @@ import numpy as np
 from .extreal import INF, ExtReal, check
 from .geometry import (BoxNorm, EUCLIDEAN, Norm, NormKind, Point, PointSet,
                        _row_blocks, gap_distance)
-from .regions import Ball, Region
+from .regions import Region
 from .verdict import KEY_DECIMALS, SLACK
 
 Box = Tuple[Tuple[float, float], ...]
@@ -41,8 +41,8 @@ class MeshSpec:
     Node lookup: a point names the node whose coordinates agree with its
     own once both are rounded to 9 decimals on every axis.  The index is
     found arithmetically, ``rint((x - lo) / h)`` per axis, then checked
-    against the box and that 9-decimal snap.  ``locate`` returns -1 for
-    rows that name no node; a tabulated ``FunctionModel`` raises
+    against the box and that 9-decimal snap.  ``node_index`` returns -1
+    for a point that names no node; a tabulated ``FunctionModel`` raises
     ``KeyError`` for such a point.
     """
 
@@ -75,16 +75,11 @@ class MeshSpec:
         return len(self.box)
 
     def axis_nodes(self, i: int) -> np.ndarray:
-        lo, hi = self.box[i]
-        n = self._axis_count(lo, hi, self.h[i])
-        return lo + self.h[i] * np.arange(n)
+        return self.box[i][0] + self.h[i] * np.arange(self._counts[i])
 
     @property
     def node_count(self) -> int:
-        out = 1
-        for i in range(self.dim):
-            out *= self._axis_count(*self.box[i], self.h[i])
-        return out
+        return math.prod(self._counts)
 
     def nodes(self) -> np.ndarray:
         """All nodes as a (count, dim) array, C order over axes."""
@@ -113,23 +108,6 @@ class MeshSpec:
                 return -1
             flat = flat * count + i
         return flat
-
-    def locate(self, points: np.ndarray) -> np.ndarray:
-        """Flat node index of each row of a (m, dim) array; -1 where a row
-        names no node.  The batch form of ``node_index``."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"points must have shape (m, {self.dim})")
-        flat = np.zeros(len(pts), dtype=np.int64)
-        ok = np.ones(len(pts), dtype=bool)
-        for c, (lo, _), step, count in zip(pts.T, self.box, self.h, self._counts):
-            with np.errstate(invalid="ignore"):
-                q = np.rint((c - lo) / step)
-            ok &= (q >= 0) & (q < count)
-            i = np.where(ok, q, 0).astype(np.int64)
-            ok &= np.round(c, KEY_DECIMALS) == np.round(lo + step * i, KEY_DECIMALS)
-            flat = flat * count + i
-        return np.where(ok, flat, -1)
 
 
 class Variant(enum.Enum):
@@ -209,9 +187,8 @@ def tabulate(f: FunctionModel, mesh: MeshSpec) -> FunctionModel:
 
 
 def values_on(f: FunctionModel, mesh: MeshSpec) -> np.ndarray:
-    if f.variant is Variant.TABULATED:
-        return tabulate(f, mesh).values
-    return np.array([float(f(tuple(p))) for p in mesh.nodes()])
+    """f at every mesh node, C order, as tabulated by ``tabulate``."""
+    return tabulate(f, mesh).values
 
 
 def sample_epigraph(f: FunctionModel, mesh: MeshSpec, cap: float,
@@ -272,16 +249,10 @@ def restrict(f: FunctionModel, S: Region) -> FunctionModel:
 
 
 def inf_over_region(f: FunctionModel, S: Region, mesh: MeshSpec) -> ExtReal:
-    """Min of f over mesh nodes inside S; INF when no node qualifies.
-
-    Ball membership is one vectorised distance test; other regions are
-    asked node by node."""
+    """Min of f over the mesh nodes in S (``S.members``); INF when no node
+    qualifies."""
     vals = values_on(f, mesh)
-    nodes = mesh.nodes()
-    if isinstance(S, Ball):
-        inside = S.norm.pairwise(np.asarray([S.center], dtype=float), nodes)[0] <= S.radius
-    else:
-        inside = np.array([S.contains(tuple(p)) for p in nodes], dtype=bool)
+    inside = S.members(mesh.nodes())
     return float(vals[inside].min()) if inside.any() else INF
 
 

@@ -5,9 +5,10 @@ exact code paths).  Sets are finite samples; every infimum over a set is
 a genuine minimum over its points, with the empty-set convention
 ``inf over {} = INF``.
 
-Reductions over all point pairs (gap distances, diameters, brute-force
-envelopes) never build the whole distance matrix: they walk it in row
-blocks of at most ``PAIRWISE_CELL_BUDGET`` cells.  A block is built one
+Reductions over all point pairs (gap distances, diameters, distances to
+the nearest target, brute-force envelopes) never build the whole
+distance matrix: they walk it in row blocks of at most
+``PAIRWISE_CELL_BUDGET`` cells.  A block is built one
 coordinate at a time into a single (n, m) accumulator, so it holds at
 most two (n, m) float64 arrays and never an (n, m, d) difference array.
 """
@@ -192,6 +193,15 @@ def gap_distance(A: PointSet, B: PointSet) -> ExtReal:
         return INF
     return min(float(A.norm.pairwise(A.array[rows], B.array).min())
                for rows in _row_blocks(len(A), len(B)))
+
+
+def _nearest(nodes: np.ndarray, targets: np.ndarray, norm: Norm) -> np.ndarray:
+    """Distance in ``norm`` from every node to its nearest target, in row
+    blocks."""
+    out = np.empty(len(nodes))
+    for rows in _row_blocks(len(nodes), len(targets)):
+        out[rows] = norm.pairwise(nodes[rows], targets).min(axis=1)
+    return out
 
 
 def uniform_neighborhood_contains(S: PointSet, delta: float, x: Sequence[float]) -> bool:

@@ -1,27 +1,39 @@
 """Regions: the sets S that functions are restricted to or penalized by.
 
-A region answers exact membership and, where possible, an exact distance
-function d_S.  Regions without a closed-form distance fall back to the
-distance to the mesh nodes they contain.
+A region answers exact membership of a point (``contains``) and, on an
+(N, dim) array of mesh nodes, membership of every node (``members``) and
+the distance d_S of every node in a given norm (``distances``).  These two
+are the only mesh geometry of regions.  By default d_S is the distance to
+the nodes the region contains; a ball in the measuring norm (or on a line,
+where every norm is one), the whole space and a finite point set measure
+in closed form or to their own points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
-from .extreal import INF
-from .geometry import EUCLIDEAN, Norm, PointSet, point_set_distance
+import numpy as np
+
+from .geometry import EUCLIDEAN, Norm, PointSet, _nearest
 
 
 class Region:
     def contains(self, x: Sequence[float]) -> bool:
         raise NotImplementedError
 
-    def distance(self, x: Sequence[float]) -> Optional[float]:
-        """Exact d_S(x), or None when only mesh-based distance is available."""
-        return None
+    def members(self, nodes: np.ndarray) -> np.ndarray:
+        """Boolean mask of the rows of ``nodes`` that lie in the region."""
+        return np.array([self.contains(tuple(p)) for p in nodes], dtype=bool)
+
+    def distances(self, nodes: np.ndarray, norm: Norm) -> np.ndarray:
+        """d_S in ``norm`` at every row of ``nodes``: here the distance to
+        the nearest member node, in row blocks."""
+        member = self.members(nodes)
+        if not member.any():
+            raise ValueError("region contains no mesh node")
+        return _nearest(nodes, nodes[member], norm)
 
 
 @dataclass(frozen=True)
@@ -29,8 +41,8 @@ class WholeSpace(Region):
     def contains(self, x: Sequence[float]) -> bool:
         return True
 
-    def distance(self, x: Sequence[float]) -> float:
-        return 0.0
+    def distances(self, nodes: np.ndarray, norm: Norm) -> np.ndarray:
+        return np.zeros(len(nodes))
 
 
 @dataclass(frozen=True)
@@ -45,7 +57,21 @@ class Ball(Region):
         return self.norm.dist(x, self.center) <= self.radius
 
     def distance(self, x: Sequence[float]) -> float:
+        """Exact d_S(x) in the ball's own norm."""
         return max(0.0, self.norm.dist(x, self.center) - self.radius)
+
+    def _center_distances(self, nodes: np.ndarray) -> np.ndarray:
+        return self.norm.pairwise(np.asarray([self.center], dtype=float), nodes)[0]
+
+    def members(self, nodes: np.ndarray) -> np.ndarray:
+        return self._center_distances(nodes) <= self.radius
+
+    def distances(self, nodes: np.ndarray, norm: Norm) -> np.ndarray:
+        """Closed form in the ball's own norm, or on a 1-D mesh where every
+        norm is one; otherwise the distance to the member nodes."""
+        if norm == self.norm or nodes.shape[1] == 1:
+            return np.maximum(0.0, self._center_distances(nodes) - self.radius)
+        return super().distances(nodes, norm)
 
 
 @dataclass(frozen=True)
@@ -55,9 +81,14 @@ class FinitePoints(Region):
     def contains(self, x: Sequence[float]) -> bool:
         return tuple(x) in self.points.points
 
-    def distance(self, x: Sequence[float]) -> float:
-        d = point_set_distance(x, self.points)
-        return float(d) if d != INF else math.inf
+    def distances(self, nodes: np.ndarray, norm: Norm) -> np.ndarray:
+        """The distance in ``norm`` to the nearest of the set's own points,
+        on the mesh or off it; +inf everywhere for an empty set."""
+        if self.points.dim != nodes.shape[1]:
+            raise ValueError(f"point set dim {self.points.dim} != mesh dim {nodes.shape[1]}")
+        if not self.points.points:
+            return np.full(len(nodes), np.inf)
+        return _nearest(nodes, self.points.array, norm)
 
 
 @dataclass(frozen=True)

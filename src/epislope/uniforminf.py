@@ -4,7 +4,9 @@ little-l2 counterexample where r and the plain infimum disagree on
 arbitrarily small balls.
 
 Mesh-backed models evaluate r over the delta ladder by brute force on
-nodes.  Finite-exception models evaluate everything in exact rational
+nodes, with d_S measured by the region itself (``Region.distances``) in
+the model's norm; they refuse a missing mesh before any work.
+Finite-exception models evaluate everything in exact rational
 arithmetic: exception points are compared by exact coordinates, never
 snapped to a mesh.  Each public call makes one pass over the exceptions
 into a value-layer index (per distinct value below the default, the least
@@ -28,8 +30,8 @@ import numpy as np
 from .extreal import INF, ExtReal
 from .functions import (FunctionModel, MeshSpec, SparsePoint, Variant,
                         inf_over_region, values_on)
-from .geometry import Norm, NormKind, _row_blocks
-from .regions import Ball, FinitePoints, Region
+from .geometry import NormKind
+from .regions import Ball, Region
 from .verdict import (SLACK, InvariantError, LimitConfig, Verdict,
                       excess_verdict, margin)
 
@@ -61,39 +63,6 @@ class RobustnessReport:
     @property
     def robust(self) -> bool:
         return self.verdict.holds
-
-
-def _nearest(nodes: np.ndarray, targets: np.ndarray, norm: Norm) -> np.ndarray:
-    """Distance in ``norm`` from every node to its nearest target, in row
-    blocks."""
-    out = np.empty(len(nodes))
-    for rows in _row_blocks(len(nodes), len(targets)):
-        out[rows] = norm.pairwise(nodes[rows], targets).min(axis=1)
-    return out
-
-
-def _region_distances(S: Region, mesh: MeshSpec, norm: Norm) -> np.ndarray:
-    """d_S in ``norm`` at every mesh node: to its own points for a finite
-    set, in closed form for a ball in that norm (on a line every norm is
-    one), exact when the region has another closed form, otherwise the
-    distance to the nodes it contains."""
-    nodes = mesh.nodes()
-    if isinstance(S, FinitePoints):
-        if S.points.dim != mesh.dim:
-            raise ValueError(f"point set dim {S.points.dim} != mesh dim {mesh.dim}")
-        if not S.points.points:
-            return np.full(len(nodes), np.inf)
-        return _nearest(nodes, S.points.array, norm)
-    if isinstance(S, Ball):
-        if S.norm == norm or mesh.dim == 1:
-            d = S.norm.pairwise(np.asarray([S.center], dtype=float), nodes)[0]
-            return np.maximum(0.0, d - S.radius)
-    elif S.distance(tuple(nodes[0])) is not None:
-        return np.array([S.distance(tuple(p)) for p in nodes])
-    member = np.array([S.contains(tuple(p)) for p in nodes])
-    if not member.any():
-        raise ValueError("region contains no mesh node")
-    return _nearest(nodes, nodes[member], norm)
 
 
 def _dist_sq(pt: SparsePoint, center: Dict[int, int], scale: int) -> Tuple[int, int]:
@@ -197,7 +166,7 @@ def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
         return _ValueLayers(f, S).uniform_infimum(cfg.delta_ladder)
     if mesh is None:
         raise ValueError("mesh required for non-exact models")
-    dS = _region_distances(S, mesh, f.norm)
+    dS = S.distances(mesh.nodes(), f.norm)
     vals = values_on(f, mesh)
     if not (dS <= max(cfg.delta_ladder)).any():
         raise ValueError("no mesh node within the largest delta of the region")
@@ -227,6 +196,8 @@ def plain_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec]) -> ExtR
     if f.variant is Variant.FINITE_EXCEPTION:
         layers = _ValueLayers(f, S)
         return layers.infimum(layers.radius)
+    if mesh is None:
+        raise ValueError("mesh required for non-exact models")
     return inf_over_region(f, S, mesh)
 
 
@@ -235,7 +206,9 @@ def penalty_value(f: FunctionModel, S: Region, n: float, spec: PenaltySpec,
     """inf over the sample space of f(x) + n * d_S(x)^p."""
     if f.variant is Variant.FINITE_EXCEPTION:
         return _ValueLayers(f, S).penalty(n, spec.p)
-    dS = _region_distances(S, mesh, f.norm)
+    if mesh is None:
+        raise ValueError("mesh required for non-exact models")
+    dS = S.distances(mesh.nodes(), f.norm)
     vals = values_on(f, mesh)
     finite = np.isfinite(vals)
     if not finite.any():

@@ -1,7 +1,7 @@
-"""Structure of the package: every import sits at module level, the
-relative imports between modules form no cycle, so the modules load in one
-order, and outside ``verdict`` no status literal sets a status except at
-the listed sites."""
+"""Structure of the package: every import sits at module level and is
+used by its module, the relative imports between modules form no cycle, so
+the modules load in one order, and outside ``verdict`` no status literal
+sets a status except at the listed sites."""
 
 import ast
 import pathlib
@@ -39,6 +39,34 @@ GRAPH = {name: sorted(set(_relative_targets(tree))) for name, tree in MODULES.it
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_import_inside_a_function(module):
     assert list(_imports_inside_functions(MODULES[module])) == []
+
+
+def _unused_imports(tree):
+    """Names bound by module-level imports that the module never reads;
+    ``from __future__`` imports bind no name."""
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
+def test_every_import_is_used(module):
+    """``__init__`` is exempt: its imports are the public re-exports."""
+    assert _unused_imports(MODULES[module]) == []
+
+
+def test_the_import_check_finds_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .geometry import Norm, _row_blocks\n"
+        "def f(x: Norm):\n"
+        "    return np.abs(x)\n")
+    assert _unused_imports(tree) == ["os", "_row_blocks"]
 
 
 def _cycle(graph):

@@ -1,8 +1,9 @@
 """Mesh-native kernels against brute force at small sizes: the Lipschitz
 envelopes (1-D, separable taxicab, chessboard scans and the blocked
 fallback), row-blocked pairwise minima and their cell budget, arithmetic
-node lookup (scalar and batched), product-mesh values and diagonal
-distances gathered from base-mesh arrays, and ball infima."""
+node lookup, product-mesh values and diagonal distances gathered from
+base-mesh arrays, ball infima, and region membership and distances on
+node arrays."""
 
 import contextlib
 import math
@@ -11,14 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FunctionModel, INF,
-                      MeshSpec, Norm, PointSet, Predicate, epi_hypo_gap_triple,
-                      gap_distance, geometry, inf_over_region, pasch_hausdorff)
+from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FinitePoints,
+                      FunctionModel, INF, MeshSpec, Norm, PointSet, Predicate,
+                      WholeSpace, epi_hypo_gap_triple, gap_distance, geometry,
+                      inf_over_region, pasch_hausdorff)
 from epislope.functions import _key
 from epislope.geometry import PAIRWISE_CELL_BUDGET
 from epislope.sumrules import (DecoupledSum, DiagonalGeometry, _product_data,
                                diagonal_distance, product_mesh)
-from epislope.uniforminf import _region_distances
 
 STEPS = (0.01, 0.05, 0.1, 0.25)
 NORMS = (EUCLIDEAN, MAX, TAXICAB)
@@ -202,7 +203,7 @@ def test_blocked_predicate_distances_are_the_dense_min(mesh, norm, cells, data):
     keys = {tuple(nodes[i]) for i in picked}
     region = Predicate(lambda p: tuple(p) in keys)
     with cell_budget(cells):
-        d = _region_distances(region, mesh, norm)
+        d = region.distances(mesh.nodes(), norm)
     member = np.array([tuple(p) in keys for p in nodes])
     assert np.array_equal(d, norm.pairwise(nodes, nodes[member]).min(axis=1))
 
@@ -264,7 +265,6 @@ def test_lookup_matches_index_map(mesh, data):
         rows.append(tuple(p))
     expected = [_old_lookup(mesh, p) for p in rows]
     assert [mesh.node_index(p) for p in rows] == expected
-    assert mesh.locate(np.array(rows)).tolist() == expected
     f = FunctionModel.tabulated(mesh, np.arange(mesh.node_count, dtype=float))
     for p, i in zip(rows, expected):
         if i < 0:
@@ -277,8 +277,6 @@ def test_lookup_matches_index_map(mesh, data):
 def test_lookup_rejects_wrong_dimension():
     mesh = MeshSpec.line(-1.0, 1.0, 0.5)
     assert mesh.node_index((0.0, 0.0)) == -1
-    with pytest.raises(ValueError):
-        mesh.locate(np.zeros((3, 2)))
 
 
 # ---------------------------------------------------- product-mesh gather
@@ -338,3 +336,66 @@ def test_ball_infimum_matches_contains(mesh, norm, data):
     ball = Ball(center, max(radius, 0.0), norm)
     inside = [v for p, v in zip(nodes, fv) if ball.contains(tuple(p))]
     assert inf_over_region(f, ball, mesh) == min(inside, default=INF)
+
+
+# ------------------------------------------- region members and distances
+
+def brute_distances(S, nodes, norm):
+    """d_S at every node from scalar distances: a ball's closed form in its
+    own norm or on a line, else the least ``norm`` distance to the set's
+    own points (a finite set) or to every node the region contains."""
+    if isinstance(S, Ball) and (S.norm == norm or nodes.shape[1] == 1):
+        return np.array([S.distance(tuple(p)) for p in nodes])
+    targets = (S.points.points if isinstance(S, FinitePoints)
+               else [tuple(q) for q in nodes if S.contains(tuple(q))])
+    return np.array([min((norm.dist(p, q) for q in targets), default=INF) for p in nodes])
+
+
+def draw_region(data, mesh, norm):
+    nodes = mesh.nodes()
+    keys = [tuple(p) for p in nodes]
+    some = st.lists(st.sampled_from(keys), min_size=1, max_size=4)
+    kind = data.draw(st.sampled_from(("ball", "foreign ball", "predicate", "whole",
+                                      "points on", "points off", "no points")))
+    if kind in ("ball", "foreign ball"):
+        own = norm if kind == "ball" else data.draw(
+            st.sampled_from([m for m in NORMS if m != norm]))
+        center, rim = data.draw(some), data.draw(some)
+        # the radius is a node's distance: that node and its mirror images tie
+        return Ball(center[0], own.dist(rim[0], center[0]), own)
+    if kind == "predicate":
+        picked = set(data.draw(st.lists(st.sampled_from(keys), max_size=4)))
+        return Predicate(lambda p: tuple(p) in picked)
+    if kind == "whole":
+        return WholeSpace()
+    if kind == "no points":
+        return FinitePoints(PointSet.of([], dim=mesh.dim))
+    points = data.draw(some)
+    if kind == "points off":
+        points = [tuple(c + 0.3 * h for c, h in zip(p, mesh.h)) for p in points]
+    return FinitePoints(PointSet.of(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-200, 200), st.sampled_from(STEPS),
+       st.integers(1, 3).flatmap(lambda d: st.lists(st.integers(2, 7 - d),
+                                                    min_size=d, max_size=d)),
+       st.sampled_from(NORMS), st.integers(1, 40), st.data())
+def test_region_members_and_distances_match_brute_force(lo_cents, step, counts, norm,
+                                                        cells, data):
+    """Region.members is contains on every node, and Region.distances is a
+    scalar brute force bit for bit, in row blocks of any size, for every
+    region kind on 1-D to 3-D meshes in all three norms."""
+    mesh = grid(lo_cents, step, counts)
+    nodes = mesh.nodes()
+    S = draw_region(data, mesh, norm)
+    assert S.members(nodes).tolist() == [S.contains(tuple(p)) for p in nodes]
+    want = brute_distances(S, nodes, norm)
+    if not isinstance(S, FinitePoints) and np.isinf(want).all():
+        with pytest.raises(ValueError, match="no mesh node"):
+            S.distances(nodes, norm)
+        return
+    with cell_budget(cells):
+        got = S.distances(nodes, norm)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()

@@ -14,7 +14,6 @@ from epislope import (
     PointSet, Predicate, Status, WholeSpace, carac_W_bridge, nogoodlsc, penalty_limit,
     penalty_value, plain_infimum, robustness, uniform_infimum,
 )
-from epislope.uniforminf import _region_distances
 
 CFG = LimitConfig()
 # ladder whose smallest rung (1/32) keeps the sparse model's truncation
@@ -303,15 +302,32 @@ def test_finite_points_region_distance_uses_the_model_norm():
     # the set's own points count, on the mesh or off it
     off = FinitePoints(PointSet.of([(0.2, 0.3), (0.9, 0.8)]))
     want = MAX.pairwise(mesh.nodes(), off.points.array).min(axis=1)
-    assert np.array_equal(_region_distances(off, mesh, MAX), want)
+    assert np.array_equal(off.distances(mesh.nodes(), MAX), want)
 
 
 def test_finite_points_region_edge_cases():
     mesh = MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.5, 0.5))
     empty = FinitePoints(PointSet.of([], dim=2))
-    assert np.array_equal(_region_distances(empty, mesh, MAX), np.full(mesh.node_count, INF))
+    assert np.array_equal(empty.distances(mesh.nodes(), MAX), np.full(mesh.node_count, INF))
     with pytest.raises(ValueError, match="dim"):
-        _region_distances(FinitePoints(PointSet.of([(0.0,)])), mesh, MAX)
+        FinitePoints(PointSet.of([(0.0,)])).distances(mesh.nodes(), MAX)
+
+
+def _untouchable(p):
+    raise AssertionError("the region was asked before the mesh was checked")
+
+
+@pytest.mark.parametrize("operation", [
+    lambda f, S: uniform_infimum(f, S, None, CFG),
+    lambda f, S: plain_infimum(f, S, None),
+    lambda f, S: penalty_value(f, S, 1.0, PenaltySpec(), None),
+    lambda f, S: penalty_limit(f, S, PenaltySpec(), None, CFG),
+    lambda f, S: robustness(f, S, None, CFG),
+], ids=["uniform_infimum", "plain_infimum", "penalty_value", "penalty_limit", "robustness"])
+def test_mesh_models_refuse_a_missing_mesh_first(operation):
+    f = tabmodel(lambda x: x * x, line(h=0.5))
+    with pytest.raises(ValueError, match="mesh required for non-exact models"):
+        operation(f, Predicate(_untouchable))
 
 
 # ---------------------------------------------------------------- exact path
