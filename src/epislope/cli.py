@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,14 +58,16 @@ class RunReport:
         return json.dumps(body, indent=2, sort_keys=False)
 
 
-def _build_config(overrides: Dict[str, Any]) -> LimitConfig:
+def _resolve_config(payload: Dict[str, Any], overrides: Dict[str, Any]) -> LimitConfig:
+    """The instance's own config (else the default one) with the scenario's
+    ``config`` overrides applied on top; lists become tuples."""
     kwargs = {}
     allowed = {f.name for f in fields(LimitConfig)}
     for key, value in overrides.items():
         if key not in allowed:
             raise ValueError(f"unknown config key '{key}'")
         kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return LimitConfig(**kwargs)
+    return replace(payload.get("cfg") or LimitConfig(), **kwargs)
 
 
 def _region_from(params: Dict[str, Any], payload: Dict[str, Any]):
@@ -195,7 +197,7 @@ def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
         if payload.get(key) is None:
             raise ValueError(f"instance '{name}' has no '{key}' payload; "
                              f"{operation} reads {', '.join(op.needs)}")
-    return op.run(payload, params, payload.get("cfg", cfg))
+    return op.run(payload, params, cfg)
 
 
 def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
@@ -204,8 +206,8 @@ def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
         if key not in doc:
             raise ValueError(f"scenario is missing required key '{key}'")
     seed = catalogue.resolve_seed(seed)
-    cfg = _build_config(doc.get("config", {}))
     payload = catalogue.get(doc["instance"], seed=seed)
+    cfg = _resolve_config(payload, doc.get("config", {}))
     params = doc.get("params", {})
 
     start = time.perf_counter()
@@ -216,7 +218,7 @@ def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
     report = RunReport(
         scenario=doc["name"],
         seed=seed,
-        config=(payload.get("cfg") or cfg).schedule_dict(),
+        config=cfg.schedule_dict(),
         verdicts=[{"name": label, **v.to_dict()} for label, v in labelled],
         tables=tables,
         timings={"seconds": elapsed} if timings else None,
@@ -346,7 +348,7 @@ def sweep(instance: str, ps: Sequence[float], csv_path: Optional[str],
     payload = catalogue.get(instance, seed=seed)
     if "model" not in payload or payload.get("region") is None:
         raise ValueError("sweep needs a function instance with a region")
-    cfg = payload.get("cfg") or LimitConfig()
+    cfg = _resolve_config(payload, {})
     rows = []
     for p in ps:
         _, verdict = penalty_limit(payload["model"], payload["region"],

@@ -30,7 +30,7 @@ from .functions import (FunctionModel, MeshSpec, epi_hypo_gap_triple, restrict,
                         tilt, values_on)
 from .geometry import Norm, EUCLIDEAN, PointSet, point_set_distance
 from .regions import Ball, Region
-from .uniforminf import uniform_infimum
+from .uniforminf import _MeshLayers, uniform_infimum
 from .verdict import (SLACK, LimitConfig, Status, Verdict, combine, decide,
                       excess_verdict, margin)
 
@@ -308,11 +308,10 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
     ineq = Verdict(decide(-worst, cfg.tol, cfg.decision_band), worst,
                    witness={"rows": rows})
 
-    dS = S.distances(mesh.nodes(), f.norm)
-    vals = values_on(f, mesh)
+    layers = _MeshLayers(f, S, mesh)
 
     def make(n):
-        return FunctionModel.tabulated(mesh, vals + n * dS ** p, norm=f.norm,
+        return FunctionModel.tabulated(mesh, layers.penalized(n, p), norm=f.norm,
                                        name=f"{f.name}+{n}d^p")
 
     seq = FunctionSequence(make, box=mesh.box, norm=f.norm)

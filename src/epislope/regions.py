@@ -53,6 +53,10 @@ class Ball(Region):
     radius: float
     norm: Norm = EUCLIDEAN
 
+    def __post_init__(self):
+        if not self.radius >= 0:  # also refuses NaN
+            raise ValueError(f"ball radius must be nonnegative, got {self.radius}")
+
     def contains(self, x: Sequence[float]) -> bool:
         return self.norm.dist(x, self.center) <= self.radius
 
@@ -61,6 +65,8 @@ class Ball(Region):
         return max(0.0, self.norm.dist(x, self.center) - self.radius)
 
     def _center_distances(self, nodes: np.ndarray) -> np.ndarray:
+        if len(self.center) != nodes.shape[1]:
+            raise ValueError(f"ball center dim {len(self.center)} != mesh dim {nodes.shape[1]}")
         return self.norm.pairwise(np.asarray([self.center], dtype=float), nodes)[0]
 
     def members(self, nodes: np.ndarray) -> np.ndarray:

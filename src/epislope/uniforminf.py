@@ -3,25 +3,26 @@ penalty-limit characterization, robustness reports, and the exact
 little-l2 counterexample where r and the plain infimum disagree on
 arbitrarily small balls.
 
-Mesh-backed models evaluate r over the delta ladder by brute force on
-nodes, with d_S measured by the region itself (``Region.distances``) in
-the model's norm; they refuse a missing mesh before any work.
-Finite-exception models evaluate everything in exact rational
-arithmetic: exception points are compared by exact coordinates, never
-snapped to a mesh.  Each public call makes one pass over the exceptions
-into a value-layer index (per distinct value below the default, the least
-squared distance to the ball's center, in integer arithmetic); every delta
-rung, the plain infimum and each penalty value is then a walk over those
-few layers.  ``penalty_limit`` and ``robustness`` share one index between
-their parts.  Nothing is cached across calls.
+Each public call builds one evaluator of f and d_S, chosen in
+``_layers``, and shares it between all its parts.  Nothing is cached
+across calls.  On a mesh (``_MeshLayers``, which refuses a missing mesh)
+f is tabulated once and d_S, measured by the region in the model's norm
+(``Region.distances``), at most once.  Finite-exception models
+(``_ValueLayers``) stay in exact rational arithmetic, never snapped to a
+mesh: one pass over the exceptions builds a value-layer index (per
+distinct value below the default, the least squared distance to the
+ball's center, in integer arithmetic), and every delta rung, the plain
+infimum and each penalty value is a walk over those few layers.
 
-The penalty/Wijsman bridge ``carac_W_bridge`` lives in ``convergence``.
+The penalty/Wijsman bridge ``carac_W_bridge`` lives in ``convergence``
+and builds its penalized sequence from ``_MeshLayers.penalized``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .extreal import INF, ExtReal
 from .functions import (FunctionModel, MeshSpec, SparsePoint, Variant,
-                        inf_over_region, values_on)
+                        inf_over_region, tabulate)
 from .geometry import NormKind
 from .regions import Ball, Region
 from .verdict import (SLACK, InvariantError, LimitConfig, Verdict,
@@ -96,6 +97,8 @@ class _ValueLayers:
             raise ValueError("exact evaluation supports ball regions only")
         if S.norm.kind is not NormKind.EUCLIDEAN:
             raise ValueError("exact ball evaluation requires the Euclidean norm")
+        if S.radius == INF:  # Ball refuses negative and NaN radii
+            raise ValueError(f"exact ball evaluation requires a finite radius, got {S.radius}")
         ratios = {i: Fraction(c).as_integer_ratio()
                   for i, c in enumerate(S.center) if c != 0}
         scale = math.lcm(*(b for _, b in ratios.values()))
@@ -130,6 +133,9 @@ class _ValueLayers:
                     return v
         return self.default
 
+    def plain(self) -> ExtReal:
+        return self.infimum(self.radius)
+
     def uniform_infimum(self, ladder: Sequence[float]) -> ExtReal:
         best: Optional[ExtReal] = None
         prev: Optional[ExtReal] = None
@@ -154,6 +160,49 @@ class _ValueLayers:
         return best
 
 
+class _MeshLayers:
+    """f and d_S at the nodes of a mesh, for one public call: f tabulated
+    once, d_S measured at most once, on first use, so the plain infimum
+    never measures it."""
+
+    def __init__(self, f: FunctionModel, S: Region, mesh: Optional[MeshSpec]):
+        if mesh is None:
+            raise ValueError("mesh required for non-exact models")
+        self.f = tabulate(f, mesh)
+        self.values = self.f.values
+        self.S = S
+        self.mesh = mesh
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        return self.S.distances(self.mesh.nodes(), self.f.norm)
+
+    def plain(self) -> ExtReal:
+        return inf_over_region(self.f, self.S, self.mesh)
+
+    def uniform_infimum(self, ladder: Sequence[float]) -> ExtReal:
+        if not (self.dist <= max(ladder)).any():
+            raise ValueError("no mesh node within the largest delta of the region")
+        return _sup_inf(self.values, self.dist, ladder)
+
+    def penalized(self, n: float, p: float) -> np.ndarray:
+        """f + n * d_S^p at every node."""
+        return self.values + n * self.dist ** p
+
+    def penalty(self, n: float, p: float) -> float:
+        """min of f + n * d_S^p over the nodes; INF when no node gives a
+        finite sum."""
+        return float(self.penalized(n, p).min())
+
+
+def _layers(f: FunctionModel, S: Region, mesh: Optional[MeshSpec]):
+    """The evaluator of one public call: exact value layers for a
+    finite-exception model, f and d_S on the mesh otherwise."""
+    if f.variant is Variant.FINITE_EXCEPTION:
+        return _ValueLayers(f, S)
+    return _MeshLayers(f, S, mesh)
+
+
 def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
                     cfg: LimitConfig) -> ExtReal:
     """r_S(f): max over the delta ladder of the infimum of f on B_delta(S).
@@ -162,15 +211,7 @@ def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
     InvariantError); the max over the decreasing ladder therefore equals
     the value at the smallest rung.
     """
-    if f.variant is Variant.FINITE_EXCEPTION:
-        return _ValueLayers(f, S).uniform_infimum(cfg.delta_ladder)
-    if mesh is None:
-        raise ValueError("mesh required for non-exact models")
-    dS = S.distances(mesh.nodes(), f.norm)
-    vals = values_on(f, mesh)
-    if not (dS <= max(cfg.delta_ladder)).any():
-        raise ValueError("no mesh node within the largest delta of the region")
-    return _sup_inf(vals, dS, cfg.delta_ladder)
+    return _layers(f, S, mesh).uniform_infimum(cfg.delta_ladder)
 
 
 def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> float:
@@ -193,27 +234,13 @@ def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> f
 
 def plain_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec]) -> ExtReal:
     """inf_S f, exact on finite-exception models."""
-    if f.variant is Variant.FINITE_EXCEPTION:
-        layers = _ValueLayers(f, S)
-        return layers.infimum(layers.radius)
-    if mesh is None:
-        raise ValueError("mesh required for non-exact models")
-    return inf_over_region(f, S, mesh)
+    return _layers(f, S, mesh).plain()
 
 
 def penalty_value(f: FunctionModel, S: Region, n: float, spec: PenaltySpec,
                   mesh: Optional[MeshSpec]) -> ExtReal:
     """inf over the sample space of f(x) + n * d_S(x)^p."""
-    if f.variant is Variant.FINITE_EXCEPTION:
-        return _ValueLayers(f, S).penalty(n, spec.p)
-    if mesh is None:
-        raise ValueError("mesh required for non-exact models")
-    dS = S.distances(mesh.nodes(), f.norm)
-    vals = values_on(f, mesh)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return INF
-    return float((vals[finite] + n * dS[finite] ** spec.p).min())
+    return _layers(f, S, mesh).penalty(n, spec.p)
 
 
 def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
@@ -224,14 +251,12 @@ def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
     InvariantError); the verdict compares the last value with the uniform
     infimum within cfg.tol.
     """
-    exact = _ValueLayers(f, S) if f.variant is Variant.FINITE_EXCEPTION else None
-    vals = [penalty_value(f, S, n, spec, mesh) if exact is None else exact.penalty(n, spec.p)
-            for n in spec.n_schedule]
+    layers = _layers(f, S, mesh)
+    vals = [layers.penalty(n, spec.p) for n in spec.n_schedule]
     for a, b in zip(vals, vals[1:]):
         if b < a - SLACK:
             raise InvariantError("penalty values must be nondecreasing in n")
-    r = (uniform_infimum(f, S, mesh, cfg) if exact is None
-         else exact.uniform_infimum(cfg.delta_ladder))
+    r = layers.uniform_infimum(cfg.delta_ladder)
     last = vals[-1]
     gap = abs(margin(r, last))
     return last, excess_verdict(
@@ -245,13 +270,9 @@ def robustness(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
                cfg: LimitConfig) -> RobustnessReport:
     """r_S(f) versus inf_S f; the infimum is robust when they agree within
     ``cfg.tol``, and the verdict is Inconclusive inside the decision band."""
-    if f.variant is Variant.FINITE_EXCEPTION:
-        exact = _ValueLayers(f, S)
-        r = exact.uniform_infimum(cfg.delta_ladder)
-        plain = exact.infimum(exact.radius)
-    else:
-        r = uniform_infimum(f, S, mesh, cfg)
-        plain = plain_infimum(f, S, mesh)
+    layers = _layers(f, S, mesh)
+    r = layers.uniform_infimum(cfg.delta_ladder)
+    plain = layers.plain()
     gap = margin(r, plain)
     verdict = excess_verdict(abs(float(gap)), cfg.tol, cfg.decision_band,
                              {"r_value": r, "plain_inf": plain})

@@ -79,6 +79,41 @@ class TestRunScenario:
         assert main(["run", path]) == 1
         assert "radius_ladder" in capsys.readouterr().err
 
+    def test_config_overrides_apply_to_an_instance_with_its_own_config(self, tmp_path,
+                                                                       capsys):
+        # sum-cancel carries a coarse config; the scenario's keys replace its own
+        path = write_scenario(tmp_path, {
+            "name": "own-config", "operation": "decoupling_inequality",
+            "instance": "sum-cancel",
+            "config": {"tol": 0.01, "delta_ladder": [0.5, 0.25]}})
+        main(["run", path, "--no-timings"])
+        config = json.loads(capsys.readouterr().out)["config"]
+        own = catalogue.get("sum-cancel")["cfg"]
+        assert config["tol"] == 0.01 and config["delta_ladder"] == [0.5, 0.25]
+        assert config["radius_ladder"] == list(own.radius_ladder)
+        assert config["n_schedule"] == list(own.n_schedule)
+
+    @pytest.mark.parametrize("instance,region,named", [
+        ("nogood-slice", {"center": [0.0], "radius": -0.5}, "radius must be nonnegative"),
+        ("abs-kink", {"center": [0.0], "radius": -0.5}, "radius must be nonnegative"),
+        ("abs-kink", {"center": [0.0], "radius": float("nan")}, "radius must be nonnegative"),
+        ("nogood-slice", {"center": [0.0], "radius": float("inf")}, "finite radius"),
+        ("abs-kink", {"center": [0.0, 0.0], "radius": 0.5}, "center dim 2 != mesh dim 1"),
+        ("abs-kink", {"center": [], "radius": 0.5}, "center dim 0 != mesh dim 1"),
+    ], ids=["exact-negative", "mesh-negative", "nan", "exact-infinite",
+            "center-too-long", "center-empty"])
+    @pytest.mark.parametrize("operation", ["robustness", "penalty_limit"])
+    def test_malformed_region_is_refused(self, tmp_path, capsys, operation, instance,
+                                         region, named):
+        path = write_scenario(tmp_path, {
+            "name": "bad-region", "operation": operation, "instance": instance,
+            "params": {"region": region}})
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_robustness_with_an_empty_region_fails_with_infinite_margin(self, tmp_path,
                                                                         capsys):
         # B(0.2505, 0.0004) holds no node: inf over it is +inf, while r

@@ -1,7 +1,8 @@
 """Structure of the package: every import sits at module level and is
 used by its module, the relative imports between modules form no cycle, so
-the modules load in one order, and outside ``verdict`` no status literal
-sets a status except at the listed sites."""
+the modules load in one order, outside ``verdict`` no status literal
+sets a status except at the listed sites, and ``uniforminf`` chooses
+between its exact and mesh evaluators at one site."""
 
 import ast
 import pathlib
@@ -152,3 +153,61 @@ def test_the_status_check_finds_a_hand_written_ladder():
         "    if v.status is Status.FAILS:\n"
         "        return Verdict(Status.HOLDS if x else Status.INCONCLUSIVE, 0.0)\n")
     assert sorted(_status_settings(ladder)) == [("f", "HOLDS"), ("f", "INCONCLUSIVE")]
+
+
+
+def _enclosing(tree, match):
+    """Dotted path of the functions and classes around every node for
+    which ``match(node)`` holds, in source order."""
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    sites = []
+    for node in ast.walk(tree):
+        if not match(node):
+            continue
+        path, up = [], node
+        while up in parent:
+            up = parent[up]
+            if isinstance(up, scopes):
+                path.append(up.name)
+        sites.append((node.lineno, ".".join(reversed(path)) or "<module>"))
+    return [name for _, name in sorted(sites)]
+
+
+def _variant_dispatches(tree):
+    return _enclosing(tree, lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == "FINITE_EXCEPTION"
+                      and isinstance(node.value, ast.Name) and node.value.id == "Variant")
+
+
+def _mesh_refusals(tree):
+    return _enclosing(tree, lambda node: isinstance(node, ast.Compare)
+                      and isinstance(node.left, ast.Name) and node.left.id == "mesh"
+                      and isinstance(node.ops[0], ast.Is)
+                      and isinstance(node.comparators[0], ast.Constant)
+                      and node.comparators[0].value is None)
+
+
+def test_uniforminf_chooses_its_evaluator_at_one_site():
+    """The exact/mesh choice is made once, in ``_layers``, and a missing
+    mesh is refused once, by the mesh evaluator."""
+    assert _variant_dispatches(MODULES["uniforminf"]) == ["_layers"]
+    assert _mesh_refusals(MODULES["uniforminf"]) == ["_MeshLayers.__init__"]
+
+
+def test_the_dispatch_check_finds_a_second_branch():
+    tree = ast.parse(
+        "def _layers(f, mesh):\n"
+        "    return A() if f.variant is Variant.FINITE_EXCEPTION else B(mesh)\n"
+        "class B:\n"
+        "    def __init__(self, mesh):\n"
+        "        if mesh is None:\n"
+        "            raise ValueError\n"
+        "def plain(f, S, mesh):\n"
+        "    if f.variant is Variant.FINITE_EXCEPTION:\n"
+        "        return 0\n"
+        "    if mesh is None:\n"
+        "        raise ValueError\n")
+    assert _variant_dispatches(tree) == ["_layers", "plain"]
+    assert _mesh_refusals(tree) == ["B.__init__", "plain"]

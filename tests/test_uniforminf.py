@@ -460,3 +460,42 @@ class TestExactWork:
             calls["n"] = 0
             call()
             assert calls["n"] == count
+
+
+class TestMeshWork:
+    """One evaluation of f per node and at most one d_S per mesh call:
+    a penalty limit and a robustness report share them between their
+    parts, and the plain infimum measures no distance."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counter = {"distances": 0}
+        inner = Ball.distances
+
+        def counted(self, nodes, norm):
+            counter["distances"] += 1
+            return inner(self, nodes, norm)
+
+        monkeypatch.setattr(Ball, "distances", counted)
+        return counter
+
+    @pytest.mark.parametrize("call,distances", [
+        (lambda f, S, mesh: uniform_infimum(f, S, mesh, CFG), 1),
+        (lambda f, S, mesh: plain_infimum(f, S, mesh), 0),
+        (lambda f, S, mesh: penalty_value(f, S, 2.0, PenaltySpec(), mesh), 1),
+        (lambda f, S, mesh: penalty_limit(f, S, PenaltySpec(), mesh, CFG), 1),
+        (lambda f, S, mesh: robustness(f, S, mesh, CFG), 1),
+    ], ids=["uniform_infimum", "plain_infimum", "penalty_value", "penalty_limit",
+            "robustness"])
+    def test_f_and_d_S_are_computed_once_per_call(self, counts, call, distances):
+        mesh = line(h=0.1)
+        evaluated = []
+
+        def square(x):
+            evaluated.append(x)
+            return x[0] * x[0]
+
+        f = FunctionModel.analytic(square, mesh.box)
+        call(f, Ball((0.25,), 0.1), mesh)
+        assert counts["distances"] == distances
+        assert len(evaluated) == mesh.node_count
