@@ -73,6 +73,10 @@ def _resolve_config(payload: Dict[str, Any], overrides: Dict[str, Any]) -> Limit
 def _region_from(params: Dict[str, Any], payload: Dict[str, Any]):
     spec = params.get("region")
     if spec is not None:
+        if not isinstance(spec, dict) or not isinstance(spec.get("center"), list):
+            raise ValueError("params.region needs a list 'center'")
+        if "radius" not in spec:
+            raise ValueError("params.region needs a 'radius'")
         return Ball(tuple(float(c) for c in spec["center"]),
                     float(spec["radius"]))
     if payload.get("region") is None:
@@ -200,6 +204,15 @@ def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
     return op.run(payload, params, cfg)
 
 
+def _mapping(doc: Dict[str, Any], key: str) -> Dict[str, Any]:
+    """The scenario's ``key`` section, {} when absent; a null section or
+    anything but a mapping is refused."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"scenario '{key}' must be a mapping, got {section!r}")
+    return section
+
+
 def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
                     timings: bool = True) -> Tuple[RunReport, int]:
     for key in ("name", "operation", "instance"):
@@ -207,8 +220,8 @@ def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
             raise ValueError(f"scenario is missing required key '{key}'")
     seed = catalogue.resolve_seed(seed)
     payload = catalogue.get(doc["instance"], seed=seed)
-    cfg = _resolve_config(payload, doc.get("config", {}))
-    params = doc.get("params", {})
+    cfg = _resolve_config(payload, _mapping(doc, "config"))
+    params = _mapping(doc, "params")
 
     start = time.perf_counter()
     labelled, tables = execute(doc["operation"], payload, params, cfg)

@@ -149,7 +149,7 @@ class FunctionModel:
         values = np.asarray(values, dtype=float)
         if values.shape != (mesh.node_count,):
             raise ValueError("values must align with mesh nodes")
-        if np.isnan(values).any() or (values == -np.inf).any():
+        if not (values > -np.inf).all():  # one pass: False at NaN and at -inf
             raise ValueError("NaN / -inf are not extended-real values")
         return FunctionModel(Variant.TABULATED, mesh.box, norm, lipschitz_hint,
                              name, mesh=mesh, values=values)
@@ -282,10 +282,21 @@ def _ramp_pass(v: np.ndarray, slope: float) -> np.ndarray:
     """1-D envelope of v along its last axis, min over j of
     v_j + slope*|i - j|, for every line at once: with ramp_i = slope*i it
     is min(ramp + cummin(v - ramp), revcummin(v + ramp) - ramp, v)."""
-    ramp = slope * np.arange(v.shape[-1])
-    fwd = ramp + np.minimum.accumulate(v - ramp, axis=-1)
-    bwd = np.minimum.accumulate((v + ramp)[..., ::-1], axis=-1)[..., ::-1] - ramp
-    return np.minimum(np.minimum(fwd, bwd), v)
+    ramp = np.arange(v.shape[-1], dtype=float)
+    ramp *= slope
+    # fmin, faster here than minimum, differs from it only at NaN, which
+    # tabulated values never hold, and in which of -0.0 and 0.0 it keeps:
+    # v + ramp holds no -0.0, and past index 0 adding the positive ramp back
+    # to cummin(v - ramp) erases the sign.  v itself is never written.
+    fwd = np.subtract(v, ramp)
+    np.fmin.accumulate(fwd, axis=-1, out=fwd)
+    fwd += ramp
+    bwd = np.add(v, ramp)
+    back = bwd[..., ::-1]
+    np.fmin.accumulate(back, axis=-1, out=back)
+    bwd -= ramp
+    np.minimum(fwd, bwd, out=fwd)
+    return np.minimum(fwd, v, out=fwd)
 
 
 def _chessboard_envelope(v: np.ndarray, step: float) -> np.ndarray:
@@ -354,7 +365,7 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
             D += fv  # f(y) + n||y - x||, in place on the distance block
             out[rows] = D.min(axis=1)
     # every kernel keeps f_n <= f; the ramp form can round below min f
-    out = np.maximum(out, low)
+    np.maximum(out, low, out=out)
     return FunctionModel.tabulated(mesh, out, norm=f.norm, lipschitz_hint=n,
                                    name=f"{f.name}▽{n}||.||")
 

@@ -9,10 +9,11 @@ across calls.  On a mesh (``_MeshLayers``, which refuses a missing mesh)
 f is tabulated once and d_S, measured by the region in the model's norm
 (``Region.distances``), at most once.  Finite-exception models
 (``_ValueLayers``) stay in exact rational arithmetic, never snapped to a
-mesh: one pass over the exceptions builds a value-layer index (per
-distinct value below the default, the least squared distance to the
-ball's center, in integer arithmetic), and every delta rung, the plain
-infimum and each penalty value is a walk over those few layers.
+mesh: one pass over the exceptions, a single inlined integer loop with
+no function call per point, builds a value-layer index (per distinct
+value below the default, the least squared distance to the ball's
+center), and every delta rung, the plain infimum and each penalty value
+is a walk over those few layers.
 
 The penalty/Wijsman bridge ``carac_W_bridge`` lives in ``convergence``
 and builds its penalized sequence from ``_MeshLayers.penalized``.
@@ -66,18 +67,7 @@ class RobustnessReport:
         return self.verdict.holds
 
 
-def _dist_sq(pt: SparsePoint, center: Dict[int, int], scale: int) -> Tuple[int, int]:
-    """scale * (||pt - c||^2 - ||c||^2) as (numerator, positive denominator),
-    where c is ``center`` (integer numerators by coordinate) over the
-    common denominator ``scale``.  The sum of p_i (p_i - 2 c_i) runs over
-    pt's own coordinates only, so no other coordinate of c is visited."""
-    num, den = 0, 1
-    for i, x in pt:
-        a, b = x.as_integer_ratio()
-        bb = b * b
-        num = num * bb + a * (a * scale - 2 * center.get(i, 0) * b) * den
-        den *= bb
-    return num, den
+_UNSET = object()  # no exception seen yet
 
 
 class _ValueLayers:
@@ -90,6 +80,18 @@ class _ValueLayers:
     past it: the model's exceptions may change between calls, and a cache
     held by a long-lived model grows with every region it has seen.
     Every exact answer is a walk over the few layers.
+
+    The pass is one inlined integer loop.  With c the center's integer
+    numerators over their common denominator ``scale``, a point p's
+    squared distance is ||c||^2 / scale^2 plus the sum over p's own
+    coordinates of p_i (p_i - 2 c_i / scale), accumulated as an integer
+    numerator over a product of squared denominators, so no other
+    coordinate of c is visited.  At a center with no nonzero coordinate,
+    such as the paper's B_{1/n}(0), a second copy of the loop drops the c
+    term; any other center, such as a ``params.region`` on ``nogood-slice``,
+    takes the general loop.  Consecutive exceptions holding the same value
+    object share one layer lookup, and a layer's least distance stays in
+    locals until the value changes.
     """
 
     def __init__(self, f: FunctionModel, S: Region):
@@ -103,18 +105,40 @@ class _ValueLayers:
                   for i, c in enumerate(S.center) if c != 0}
         scale = math.lcm(*(b for _, b in ratios.values()))
         center = {i: a * (scale // b) for i, (a, b) in ratios.items()}
-        # [num, den, first value] by exact ratio: hashing a Fraction costs a
-        # modular inverse, hashing its integer pair does not
-        least: Dict[object, list] = {}
+        get = center.get
+        # (num, den, first value) by exact ratio: hashing a Fraction costs a
+        # modular inverse, hashing its integer pair does not.  The running
+        # layer starts at den 0, above every distance: num * 0 < 1 * den.
+        least: Dict[object, Tuple[int, int, ExtReal]] = {}
+        prev = key = first = _UNSET
+        best_num, best_den = 1, 0
         for pt, v in f.exceptions.items():
-            num, den = _dist_sq(pt, center, scale)
-            try:
-                key = v.as_integer_ratio()
-            except OverflowError:  # an infinite value
-                key = v
-            cur = least.setdefault(key, [num, den, v])
-            if num * cur[1] < cur[0] * den:
-                cur[:2] = num, den
+            if v is not prev:
+                if prev is not _UNSET:
+                    least[key] = best_num, best_den, first
+                prev = v
+                try:
+                    key = v.as_integer_ratio()
+                except OverflowError:  # an infinite value
+                    key = v
+                best_num, best_den, first = least.get(key, (1, 0, v))
+            num, den = 0, 1
+            if center:
+                for i, x in pt:
+                    a, b = x.as_integer_ratio()
+                    bb = b * b
+                    num = num * bb + a * (a * scale - 2 * get(i, 0) * b) * den
+                    den *= bb
+            else:  # the general loop at scale 1 and c = 0, without the c term
+                for i, x in pt:
+                    a, b = x.as_integer_ratio()
+                    bb = b * b
+                    num = num * bb + a * a * den
+                    den *= bb
+            if num * best_den < best_num * den:
+                best_num, best_den = num, den
+        if prev is not _UNSET:
+            least[key] = best_num, best_den, first
         offset = Fraction(sum(c * c for c in center.values()), scale * scale)
         self.default = f.default
         self.radius = Fraction(S.radius)

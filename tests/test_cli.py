@@ -114,6 +114,26 @@ class TestRunScenario:
         assert captured.err.startswith("error: ") and named in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("extra,named", [
+        ({"config": None}, "'config' must be a mapping"),
+        ({"config": [0.1]}, "'config' must be a mapping"),
+        ({"params": [{"region": {"center": [0.0], "radius": 0.5}}]},
+         "'params' must be a mapping"),
+        ({"params": {"region": {"center": 0.5, "radius": 0.5}}}, "list 'center'"),
+        ({"params": {"region": [0.0, 0.5]}}, "list 'center'"),
+        ({"params": {"region": {"center": [0.5]}}}, "'radius'"),
+    ], ids=["null-config", "config-list", "params-list", "scalar-center",
+            "region-list", "no-radius"])
+    def test_malformed_scenario_shape_is_refused(self, tmp_path, capsys, extra, named):
+        # each escaped the refusal path as an AttributeError or TypeError traceback
+        path = write_scenario(tmp_path, {
+            "name": "bad-shape", "operation": "robustness", "instance": "abs-kink", **extra})
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_robustness_with_an_empty_region_fails_with_infinite_margin(self, tmp_path,
                                                                         capsys):
         # B(0.2505, 0.0004) holds no node: inf over it is +inf, while r

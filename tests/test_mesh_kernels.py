@@ -16,7 +16,7 @@ from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FinitePoints,
                       FunctionModel, INF, MeshSpec, Norm, PointSet, Predicate,
                       WholeSpace, epi_hypo_gap_triple, gap_distance, geometry,
                       inf_over_region, pasch_hausdorff)
-from epislope.functions import _key
+from epislope.functions import _key, _ramp_pass
 from epislope.geometry import PAIRWISE_CELL_BUDGET
 from epislope.sumrules import (DecoupledSum, DiagonalGeometry, _product_data,
                                diagonal_distance, product_mesh)
@@ -58,6 +58,47 @@ def test_envelope_matches_brute_force(vals, step, n):
     finite = np.isfinite(brute)
     assert np.abs(env[finite] - brute[finite]).max(initial=0.0) <= 1e-12 * scale
     assert (env <= fv).all()
+
+
+def _temporary_ramp_pass(v, slope):
+    """The 1-D ramp pass written as a chain of temporaries, the reference
+    for the in-place ``_ramp_pass``."""
+    ramp = slope * np.arange(v.shape[-1])
+    fwd = ramp + np.minimum.accumulate(v - ramp, axis=-1)
+    bwd = np.minimum.accumulate((v + ramp)[..., ::-1], axis=-1)[..., ::-1] - ramp
+    return np.minimum(np.minimum(fwd, bwd), v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=2), st.booleans(),
+       st.sampled_from(STEPS), st.floats(0.5, 64.0), st.data())
+def test_ramp_pass_is_the_temporary_formula_bit_for_bit(shape, transpose, step, n, data):
+    """Signed zeros, +inf and multiples of the slope (exact zero minima)
+    give the same bytes as the reference, on contiguous rows and on a
+    strided view, and the input is left as it was."""
+    slope = n * step
+    entry = st.one_of(st.sampled_from([0.0, -0.0, math.inf]),
+                      st.integers(-3, 3).map(lambda k: k * slope), st.floats(-4.0, 4.0))
+    count = int(np.prod(shape))
+    v = np.array(data.draw(st.lists(entry, min_size=count, max_size=count))).reshape(shape)
+    if transpose:
+        v = v.T
+    before = v.tobytes()
+    got = _ramp_pass(v, slope)
+    assert got.tobytes() == _temporary_ramp_pass(v, slope).tobytes()
+    assert v.tobytes() == before
+
+
+@pytest.mark.parametrize("norm,counts", [(EUCLIDEAN, (9,)), (TAXICAB, (5, 7)),
+                                         (MAX, (6, 6)), (EUCLIDEAN, (4, 5))],
+                         ids=["line", "taxicab", "chessboard", "blocked"])
+def test_envelope_leaves_the_model_values_untouched(norm, counts):
+    mesh = grid(-50, 0.25, counts)
+    fv = np.resize([0.0, -0.0, math.inf, 1.5, -2.0, 0.25, 3.0], mesh.node_count)
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    before = f.values.tobytes()
+    pasch_hausdorff(f, 3.0, mesh)
+    assert f.values.tobytes() == before
 
 
 def seeded_values(data, count):

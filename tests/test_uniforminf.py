@@ -427,28 +427,27 @@ def test_exact_path_matches_a_per_exception_scan(instance):
     assert _same(rep.r_value, r) and _same(rep.plain_inf, plain)
 
 
+class _CountedExceptions(dict):
+    """A model's exceptions whose ``items()`` counts the entries it yields."""
+
+    visits = 0
+
+    def items(self):
+        for item in super().items():
+            self.visits += 1
+            yield item
+
+
 class TestExactWork:
     """One squared distance per exception per exact call, and one per
     exception in all for a penalty limit or a robustness report."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        from epislope import uniforminf
-        counter = {"n": 0}
-        inner = uniforminf._dist_sq
-
-        def counted(*args):
-            counter["n"] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(uniforminf, "_dist_sq", counted)
-        return counter
-
-    def test_each_call_visits_each_exception_once(self, calls):
+    def test_each_call_visits_each_exception_once(self):
         f = nogoodlsc(N=3, I=96, delta_min=1.0 / 32.0)
         # one exception at the default and one above it still cost a visit
         f.exceptions[((0, Fraction(7)),)] = Fraction(0)
         f.exceptions[((1, Fraction(7)),)] = Fraction(1)
+        f.exceptions = calls = _CountedExceptions(f.exceptions)
         count = len(f.exceptions)
         S = Ball(center=(0.0,) * 96, radius=Fraction(1, 2))
         spec = PenaltySpec()
@@ -457,9 +456,87 @@ class TestExactWork:
                      lambda: penalty_value(f, S, 2.0, spec, None),
                      lambda: penalty_limit(f, S, spec, None, EXACT_CFG),
                      lambda: robustness(f, S, None, EXACT_CFG)):
-            calls["n"] = 0
+            calls.visits = 0
             call()
-            assert calls["n"] == count
+            assert calls.visits == count
+
+
+def _reference_layers(f, S):
+    """The value layers as a pass with one squared-distance call and one
+    candidate list per exception builds them: per exact value ratio, the
+    first value object seen and the least scale * (||p - c||^2 - ||c||^2),
+    with c's integer numerators over their common denominator scale."""
+    def dist_sq(pt, center, scale):
+        num, den = 0, 1
+        for i, x in pt:
+            a, b = x.as_integer_ratio()
+            bb = b * b
+            num = num * bb + a * (a * scale - 2 * center.get(i, 0) * b) * den
+            den *= bb
+        return num, den
+
+    ratios = {i: Fraction(c).as_integer_ratio() for i, c in enumerate(S.center) if c != 0}
+    scale = math.lcm(*(b for _, b in ratios.values()))
+    center = {i: a * (scale // b) for i, (a, b) in ratios.items()}
+    least = {}
+    for pt, v in f.exceptions.items():
+        num, den = dist_sq(pt, center, scale)
+        try:
+            key = v.as_integer_ratio()
+        except OverflowError:
+            key = v
+        cur = least.setdefault(key, [num, den, v])
+        if num * cur[1] < cur[0] * den:
+            cur[:2] = num, den
+    offset = Fraction(sum(c * c for c in center.values()), scale * scale)
+    return sorted((v, offset + Fraction(num, den * scale))
+                  for num, den, v in least.values() if v < f.default)
+
+
+_NONZERO = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def layer_instances(draw):
+    """A model whose exceptions draw their values from a pool in which equal
+    values are held by distinct objects (two Fractions, an int, a float),
+    next to +-inf; runs of one shared object are interleaved with others.
+    The center is the origin or a point with mixed denominators."""
+    dim = draw(st.integers(1, 5))
+    pool = [INF, -INF]
+    for k in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True)):
+        pool += [Fraction(k, 2), Fraction(2 * k, 4), k / 2]
+        if k % 2 == 0:
+            pool.append(k // 2)
+    exceptions = {}
+    for _ in range(draw(st.integers(0, 25))):
+        pt = draw(st.dictionaries(st.integers(0, dim - 1), _NONZERO, min_size=1,
+                                  max_size=dim))
+        exceptions[tuple(sorted(pt.items()))] = pool[draw(st.integers(0, len(pool) - 1))]
+    default = draw(st.sampled_from([Fraction(0), 1, -1.5, INF]))
+    f = FunctionModel.finite_exception(default=default, exceptions=exceptions,
+                                       ambient_dim=dim)
+    if draw(st.booleans()):
+        center = draw(st.sampled_from([(0.0,) * dim, (0,) * dim, (Fraction(0),) * dim]))
+    else:
+        center = tuple(draw(st.lists(
+            st.one_of(_NONZERO, st.sampled_from([0.0, 0.5, -0.75, 3.0])),
+            min_size=dim, max_size=dim)))
+    radius = draw(st.sampled_from([0, Fraction(1, 3), 0.5, 2.0]))
+    return f, Ball(center, radius)
+
+
+@given(layer_instances())
+@settings(max_examples=200, deadline=None)
+def test_value_layers_match_the_per_point_reference(instance):
+    from epislope.uniforminf import _ValueLayers
+    f, S = instance
+    got = _ValueLayers(f, S).layers
+    want = _reference_layers(f, S)
+    assert got == want
+    # the same first-seen value object and exact distance type per layer
+    assert all(v is w and type(d) is type(e) is Fraction
+               for (v, d), (w, e) in zip(got, want))
 
 
 class TestMeshWork:
