@@ -9,9 +9,14 @@ D(B_r(y), A) = (d(y, A) - r)^+ rather than sampling the ball.
 
 Recovery sequences and Wijsman verdicts at a point x share one sweep
 (``_sweep``): the node distances to x are sorted once, so the nested
-balls B_r(x) are prefixes of one order, and each f_n of the n schedule is
+balls B_r(x) are prefixes of one order, and each f_n the sweep visits is
 generated once, reduced to its recovery pick, ball infima and the
-caller's per-n step (the Ekeland witnesses of ``slopes``), and dropped.  Memory is O(N) in the node count, not O(N) per f_n.
+caller's per-n step (the Ekeland witnesses of ``slopes``), and dropped.
+Memory is O(N) in the node count, not O(N) per f_n.  Wijsman convergence
+is a tail statement, so a Wijsman verdict without a per-n step sweeps the
+eventual window of the schedule only: each f_n of the window is generated
+once, and no f_n before it is generated at all.  Recovery sequences and
+the Ekeland witnesses list every n, so they sweep the whole schedule.
 
 The penalty/Wijsman bridge ``carac_W_bridge`` lives here, above
 ``uniforminf`` in the import order.
@@ -26,8 +31,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF
-from .functions import (FunctionModel, MeshSpec, epi_hypo_gap_triple, restrict,
-                        tilt, values_on)
+from .functions import (FunctionModel, MeshSpec, Variant, epi_hypo_gap_triple,
+                        restrict, tabulate, tilt, values_on)
 from .geometry import Norm, EUCLIDEAN, PointSet, point_set_distance
 from .regions import Ball, Region
 from .uniforminf import _MeshLayers, uniform_infimum
@@ -164,10 +169,12 @@ def snap_half_node(lam: float, h: float) -> float:
 
 def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
            cfg: LimitConfig, mesh: MeshSpec, reaches: Sequence[float] = (),
-           step: Optional[Callable] = None):
-    """One pass over the n schedule for the recovery picks at x, the
-    infima of every f_n over the balls B_reach(x), and ``step(n, f_n,
-    x_n)`` on each f_n and its recovery pick x_n.
+           step: Optional[Callable] = None, start: int = 0):
+    """One pass over the n schedule from its position ``start`` on, for
+    the recovery picks at x, the infima of every f_n over the balls
+    B_reach(x), and ``step(n, f_n, x_n)`` on each f_n and its recovery
+    pick x_n.  No n before ``start`` is generated; every n keeps the
+    radius r_n of its position in the whole schedule.
 
     The distances from x to the nodes are sorted once (stable, so ties
     keep node order); every ball is then a prefix of that order.  Each
@@ -180,7 +187,8 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
 
     Returns f(x), the picks (n, x_n, f_n(x_n), ||x_n - x||, r_n), the
     infima as one list per reach, INF for an empty ball, and the step's
-    results in schedule order (empty without a step).
+    results in schedule order (empty without a step), each for the
+    swept positions only.
     """
     fx = f(x)
     if fx == INF:
@@ -204,8 +212,9 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     slots = np.searchsorted(cuts, reach_ends[filled])
     top = int(cuts[-1]) if cuts.size else 0
     picks, stepped = [], []
-    infs = np.full((len(reaches), count), INF)
-    for j, n in enumerate(cfg.n_schedule):
+    infs = np.full((len(reaches), count - start), INF)
+    for j in range(start, count):
+        n = cfg.n_schedule[j]
         fn = seq.generator(n)
         vals = values_on(fn, mesh)[order[:max(ends[j], top)]]
         # values are extended reals (never NaN or -inf): +inf has error +inf
@@ -213,7 +222,7 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
         picks.append((n, tuple(nodes[order[k]]), float(vals[k]), float(dist[k]), radii[j]))
         if top:
             segments = np.minimum.reduceat(vals[:top], starts)
-            infs[filled, j] = np.minimum.accumulate(segments)[slots]
+            infs[filled, j - start] = np.minimum.accumulate(segments)[slots]
         if step is not None:
             stepped.append(step(n, fn, picks[-1][1]))
     return fx, picks, infs.tolist(), stepped
@@ -245,21 +254,28 @@ def _wijsman(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
              lambda_max: float, cfg: LimitConfig, mesh: MeshSpec,
              step: Optional[Callable] = None):
     """``wijsman_at_point`` and the results of ``step(n, f_n, x_n)`` in
-    its sweep (see ``_sweep``), in schedule order."""
+    its sweep (see ``_sweep``), in schedule order.
+
+    The verdict reads the suffix window of the schedule only, so without
+    a step the sweep starts at the window; a step sees every n."""
     h = min(mesh.h)
     lambdas = [0.0] + [snap_half_node(lam, h) for lam in cfg.radius_ladder
                        if lam < lambda_max]
     lambdas = sorted(set(lambdas), reverse=True)
+    start = 0 if step is not None else len(cfg.n_schedule) - cfg.window_size
     # the lambda = 0 row takes the nodes within h/4 of x
     fx, picks, infs, stepped = _sweep(seq, f, x, cfg, mesh,
                                       [lam if lam > 0 else h / 4 for lam in lambdas],
-                                      step)
+                                      step, start)
     rec = _recovery_verdict(fx, picks, cfg)
+    # f is tabulated once for all rows; f(x) above stays analytic, so an
+    # off-lattice probe works
+    f_mesh = tabulate(f, mesh) if f.variant is Variant.ANALYTIC else f
     rows = []
     worst = math.inf
     for lam, row in zip(lambdas, infs):
         ball = Ball(center=tuple(float(c) for c in x), radius=lam, norm=f.norm)
-        r_val = uniform_infimum(f, ball, mesh, cfg)
+        r_val = uniform_infimum(f_mesh, ball, mesh, cfg)
         liminf = min(cfg.window(row))
         m = margin(r_val, liminf)
         rows.append({"lambda": lam, "r_value": r_val, "liminf_inf": liminf,
@@ -280,8 +296,11 @@ def wijsman_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float]
 
     a recovery sequence exists at x, and for each radius lam below
     lambda_max the uniform infimum of f on B_lam(x) is dominated by the
-    window liminf of inf over B_lam(x) of f_n.  One sweep over the n
-    schedule gives both (``_sweep``).
+    window liminf of inf over B_lam(x) of f_n.  One sweep over the
+    eventual window of the n schedule gives both (``_sweep``): each f_n of
+    the window is generated once, and no n before the window is
+    generated, so a generator that raises there does not make the verdict
+    raise.
     """
     return _wijsman(seq, f, x, lambda_max, cfg, mesh)[0]
 

@@ -17,8 +17,8 @@ from epislope import (
     LimitConfig, MeshSpec, PointSet, SetSequence, Status, Verdict,
     graph_epi_gap, hit_and_miss, in_lower_limit, in_upper_limit,
     kuratowski_sets, pasch_hausdorff, recovery_sequence, slice_at_point,
-    tilt, tilt_gap_invariance, uniform_infimum, wijsman_at_point,
-    wijsman_sets,
+    slope_stability_witness, tilt, tilt_gap_invariance, uniform_infimum,
+    wijsman_at_point, wijsman_sets,
 )
 from epislope.convergence import snap_half_node
 from epislope.verdict import SLACK, combine, decide, margin
@@ -447,7 +447,6 @@ def hexed(obj):
 
 # few distinct values, so that errors |f_n - f(x)| tie; +inf included
 TIED = st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, math.inf))
-SWEEP_CFG = LimitConfig(n_schedule=tuple(range(1, 9)))
 
 
 @settings(max_examples=250, deadline=None)
@@ -456,13 +455,15 @@ SWEEP_CFG = LimitConfig(n_schedule=tuple(range(1, 9)))
                  st.lists(st.integers(2, 5), min_size=2, max_size=2)),
        st.sampled_from((EUCLIDEAN, MAX, TAXICAB)),
        st.sampled_from(("node", "midpoint", "offset")),
-       st.sampled_from((0.1, 0.3, 0.5, 1.0)), st.data())
+       st.sampled_from((0.1, 0.3, 0.5, 1.0)), st.integers(1, 8), st.data())
 def test_sweep_matches_masked_brute_force(step, lo_steps, counts, norm, probe_kind,
-                                          lambda_max, data):
+                                          lambda_max, window, data):
     """Recovery picks, Wijsman rows and witness equal the masked brute force
     bit for bit: 1-D and 2-D meshes, all three norms, probes on a node, at
     a midpoint (ties in distance) and off the mesh lattice, +inf values and
-    ties in error."""
+    ties in error, and every window of the 8-entry schedule, from one
+    entry to the whole schedule (a Wijsman sweep from its first n)."""
+    cfg = LimitConfig(n_schedule=tuple(range(1, 9)), eventually_window=window)
     lo = lo_steps * step
     mesh = MeshSpec(box=tuple((lo, lo + step * (c - 1)) for c in counts),
                     h=(step,) * len(counts))
@@ -490,12 +491,12 @@ def test_sweep_matches_masked_brute_force(step, lo_steps, counts, norm, probe_ki
         return FunctionSequence(lambda n: FunctionModel.tabulated(mesh, vals_at(n), norm=norm),
                                 box=mesh.box, norm=norm)
 
-    picks, rec = recovery_sequence(make_seq(), f, x, SWEEP_CFG, mesh)
-    want_picks, want_rec = masked_recovery(vals_at, f, x, SWEEP_CFG, mesh)
+    picks, rec = recovery_sequence(make_seq(), f, x, cfg, mesh)
+    want_picks, want_rec = masked_recovery(vals_at, f, x, cfg, mesh)
     assert hexed(picks) == hexed(want_picks)
     assert hexed(rec.to_dict()) == hexed(want_rec.to_dict())
-    got = wijsman_at_point(make_seq(), f, x, lambda_max, SWEEP_CFG, mesh)
-    want = masked_wijsman(vals_at, f, x, lambda_max, SWEEP_CFG, mesh)
+    got = wijsman_at_point(make_seq(), f, x, lambda_max, cfg, mesh)
+    want = masked_wijsman(vals_at, f, x, lambda_max, cfg, mesh)
     assert hexed(got.to_dict()) == hexed(want.to_dict())
 
 
@@ -511,10 +512,52 @@ class TestSweepWork:
         return f, FunctionSequence(make, box=mesh.box), made
 
     def test_each_f_n_is_generated_once_and_not_cached(self):
+        """A Wijsman verdict generates each f_n of the eventual window once
+        and no n before it; recovery picks and Ekeland witnesses list every
+        n, so they generate each f_n of the schedule once."""
         mesh = MeshSpec.line(-1.0, 1.0, 0.05)
         f, seq, made = self.envelope_sequence(mesh)
         assert wijsman_at_point(seq, f, (0.0,), 0.5, CFG, mesh).holds
+        assert made == Counter(CFG.window(CFG.n_schedule))
+        made.clear()
+        recovery_sequence(seq, f, (0.0,), CFG, mesh)
         assert made == Counter(CFG.n_schedule)
+        made.clear()
+        slope_stability_witness(seq, f, (0.0,), mesh, CFG)
+        assert made == Counter(CFG.n_schedule)
+
+    def test_an_n_before_the_window_is_never_generated(self):
+        mesh = MeshSpec.line(-1.0, 1.0, 0.05)
+        f, seq, _ = self.envelope_sequence(mesh)
+        first = CFG.window(CFG.n_schedule)[0]
+
+        def make(n):
+            if n < first:
+                raise RuntimeError(f"f_{n} generated")
+            return seq.generator(n)
+
+        late = FunctionSequence(make, box=mesh.box)
+        assert (wijsman_at_point(late, f, (0.0,), 0.5, CFG, mesh).to_dict()
+                == wijsman_at_point(seq, f, (0.0,), 0.5, CFG, mesh).to_dict())
+        with pytest.raises(RuntimeError, match="f_1 generated"):
+            recovery_sequence(late, f, (0.0,), CFG, mesh)
+
+    def test_an_analytic_limit_is_tabulated_once_per_verdict(self):
+        """The lambda rows share one tabulation of an analytic f: N node
+        values and f(x), not one tabulation per row."""
+        mesh = MeshSpec.line(-1.0, 1.0, 0.05)
+        g, seq, _ = self.envelope_sequence(mesh)
+        calls = Counter()
+
+        def fn(p):
+            calls["f"] += 1
+            return abs(p[0] - 0.3)
+
+        f = FunctionModel.analytic(fn, mesh.box)
+        verdict = wijsman_at_point(seq, f, (0.0,), 0.5, CFG, mesh)
+        assert verdict.to_dict() == wijsman_at_point(seq, g, (0.0,), 0.5, CFG, mesh).to_dict()
+        assert len(verdict.witness["rows"]) > 1
+        assert calls["f"] <= mesh.node_count + 1
 
     def test_memory_is_linear_in_the_node_count(self):
         """One Wijsman verdict on a 4001-node line holds a few node arrays at
