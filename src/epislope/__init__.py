@@ -15,13 +15,12 @@ __version__ = "0.1.0"
 from .extreal import INF, ExtReal
 from .verdict import InvariantError, LimitConfig, Status, Verdict
 from .geometry import (BoxNorm, EUCLIDEAN, MAX, Norm, NormKind, PointSet,
-                       TAXICAB, ball_gap, diameter, gap_distance,
-                       point_set_distance, uniform_neighborhood_contains)
+                       TAXICAB, gap_distance, point_set_distance)
 from .regions import Ball, FinitePoints, Predicate, Region, WholeSpace
 from .functions import (FunctionModel, MeshSpec, Variant, epi_hypo_gap_triple,
-                        inf_convolution, inf_over_region, pasch_hausdorff,
-                        restrict, sample_epigraph, sample_graph,
-                        sample_hypograph, tabulate, tilt, values_on)
+                        inf_over_region, pasch_hausdorff, restrict,
+                        sample_epigraph, sample_graph, sample_hypograph,
+                        tabulate, tilt, values_on)
 from .uniforminf import (PenaltySpec, RobustnessReport, nogoodlsc,
                          penalty_limit, penalty_value, plain_infimum,
                          robustness, uniform_infimum)

@@ -1,6 +1,6 @@
 """Extended-real function models and the constructions applied to them:
-epigraph/graph/hypograph sampling, restriction, infima over regions,
-inf-convolution and the Lipschitz (Pasch-Hausdorff) envelope f ▽ n||.||.
+epigraph/graph/hypograph sampling, restriction, infima over regions and
+the Lipschitz (Pasch-Hausdorff) envelope f ▽ n||.||.
 
 Two evaluation regimes coexist.  Analytic models are closures sampled on
 demand; tabulated models carry exact values at mesh nodes and refuse
@@ -81,13 +81,19 @@ class MeshSpec:
     def node_count(self) -> int:
         return math.prod(self._counts)
 
+    @cached_property
+    def _node_array(self) -> np.ndarray:
+        grids = np.meshgrid(*(self.axis_nodes(i) for i in range(self.dim)), indexing="ij")
+        out = np.stack([g.ravel() for g in grids], axis=1)
+        out.flags.writeable = False
+        return out
+
     def nodes(self) -> np.ndarray:
-        """All nodes as a (count, dim) array, C order over axes."""
-        axes = [self.axis_nodes(i) for i in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        """All nodes as a (count, dim) array, C order over axes.
+
+        The array is built on the first call and shared by every later
+        one; it is read-only, so a caller that needs to write copies it."""
+        return self._node_array
 
     def index_map(self) -> Dict[Tuple[float, ...], int]:
         """Snapped node coordinates -> flat index, as a dict."""
@@ -226,6 +232,8 @@ def sample_graph(f: FunctionModel, mesh: MeshSpec, cap: float) -> PointSet:
 def sample_hypograph(f: FunctionModel, mesh: MeshSpec, cap: float, floor: float,
                      alpha_step: float) -> PointSet:
     """Cloud between floor and min(f(x), cap); f(x)=+inf caps at `cap`."""
+    if not (math.isfinite(cap) and math.isfinite(floor)):
+        raise ValueError("cap and floor must be finite")
     if alpha_step <= 0:
         raise ValueError("alpha_step must be positive")
     pts = []
@@ -254,28 +262,6 @@ def inf_over_region(f: FunctionModel, S: Region, mesh: MeshSpec) -> ExtReal:
     vals = values_on(f, mesh)
     inside = S.members(mesh.nodes())
     return float(vals[inside].min()) if inside.any() else INF
-
-
-def inf_convolution(f: FunctionModel, g: FunctionModel, mesh: MeshSpec) -> FunctionModel:
-    """(f ▽ g)(x) = min over mesh nodes z of f(z) + g(x - z), tabulated.
-
-    g must be evaluable at node differences, so it is analytic (or defined
-    on a mesh covering the difference set).
-    """
-    nodes = mesh.nodes()
-    fv = values_on(f, mesh)
-    out = np.empty(len(nodes))
-    for i, x in enumerate(nodes):
-        best = INF
-        for z, vz in zip(nodes, fv):
-            if not np.isfinite(vz):
-                continue
-            gv = g(tuple(np.asarray(x) - np.asarray(z)))
-            total = vz + float(gv) if gv != INF else INF
-            if total < best:
-                best = total
-        out[i] = best
-    return FunctionModel.tabulated(mesh, out, norm=f.norm, name=f"{f.name}▽{g.name}")
 
 
 def _ramp_pass(v: np.ndarray, slope: float) -> np.ndarray:

@@ -5,8 +5,8 @@ exact code paths).  Sets are finite samples; every infimum over a set is
 a genuine minimum over its points, with the empty-set convention
 ``inf over {} = INF``.
 
-Reductions over all point pairs (gap distances, diameters, distances to
-the nearest target, brute-force envelopes) never build the whole
+Reductions over all point pairs (gap distances, distances to the nearest
+target, brute-force envelopes) never build the whole
 distance matrix: they walk it in row blocks of at most
 ``PAIRWISE_CELL_BUDGET`` cells.  A block is built one
 coordinate at a time into a single (n, m) accumulator, so it holds at
@@ -202,30 +202,3 @@ def _nearest(nodes: np.ndarray, targets: np.ndarray, norm: Norm) -> np.ndarray:
     for rows in _row_blocks(len(nodes), len(targets)):
         out[rows] = norm.pairwise(nodes[rows], targets).min(axis=1)
     return out
-
-
-def uniform_neighborhood_contains(S: PointSet, delta: float, x: Sequence[float]) -> bool:
-    """Membership in the closed neighborhood B_delta(S) = {x : d_S(x) <= delta}."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    return point_set_distance(x, S) <= delta
-
-
-def diameter(S: PointSet) -> ExtReal:
-    """Max pairwise distance; 0 for empty or singleton sets."""
-    if len(S) <= 1:
-        return 0.0
-    return max(float(S.norm.pairwise(S.array[rows], S.array).max())
-               for rows in _row_blocks(len(S), len(S)))
-
-
-def ball_gap(y: Sequence[float], radius: float, S: PointSet) -> ExtReal:
-    """D(B_radius(y), S) for the full closed ball around y.
-
-    In a normed space this equals (d(y, S) - radius)^+, which is exact and
-    avoids sampling the ball.
-    """
-    d = point_set_distance(y, S)
-    if d == INF:
-        return INF
-    return max(0.0, d - radius)

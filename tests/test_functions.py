@@ -1,17 +1,19 @@
 """Function models, epigraph/graph/hypograph sampling, restriction,
-region infima, inf-convolution, Lipschitz envelopes, gap triples."""
+region infima, Lipschitz envelopes, gap triples."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    Ball, EUCLIDEAN, FunctionModel, INF, MeshSpec, Predicate, PointSet,
-    WholeSpace, epi_hypo_gap_triple, gap_distance, inf_convolution,
+    Ball, EUCLIDEAN, FunctionModel, INF, LimitConfig, MeshSpec, Predicate,
+    PointSet, WholeSpace, catalogue, epi_hypo_gap_triple, gap_distance,
     inf_over_region, pasch_hausdorff, point_set_distance, restrict,
-    sample_epigraph, sample_graph, sample_hypograph, tabulate, values_on,
+    sample_epigraph, sample_graph, sample_hypograph, slope_stability_witness,
+    tabulate, values_on,
 )
 
 
@@ -44,6 +46,31 @@ class TestMeshSpec:
         m = MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.5, 0.5))
         assert m.node_count == 9
         assert m.nodes().shape == (9, 2)
+
+    def test_nodes_are_one_shared_read_only_array(self):
+        m = MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.5, 0.5))
+        assert m.nodes() is m.nodes()
+        with pytest.raises(ValueError):
+            m.nodes()[0, 0] = 7.0
+        line_nodes = line().nodes()
+        with pytest.raises(ValueError):
+            line_nodes[:, 0] += 1.0
+
+    def test_slope_witness_builds_each_node_array_once(self, monkeypatch):
+        seen = []  # held, so no mesh id is reused while counting
+        built = Counter()
+        real = MeshSpec.axis_nodes
+
+        def counting(mesh, i):
+            seen.append(mesh)
+            built[id(mesh), i] += 1
+            return real(mesh, i)
+
+        monkeypatch.setattr(MeshSpec, "axis_nodes", counting)
+        p = catalogue.get("envelope-of-kink", seed=catalogue.DEFAULT_SEED)
+        slope_stability_witness(p["seq_factory"](), p["limit"], p["probe"],
+                                p["mesh"], LimitConfig())
+        assert built and set(built.values()) == {1}
 
 
 class TestModels:
@@ -114,6 +141,18 @@ class TestEpigraphSampling:
         expected = {(x, a) for x in (0.0, 0.5, 1.0) for a in (-1.0, 0.0)}
         assert set(hy.points) == expected
 
+    def test_hypograph_refuses_infinite_floor(self):
+        m = line(h=0.5)
+        f = model(lambda x: 0.0, m)
+        with pytest.raises(ValueError):
+            sample_hypograph(f, m, cap=1.0, floor=-math.inf, alpha_step=0.5)
+
+    def test_hypograph_refuses_infinite_cap(self):
+        m = line(h=0.5)
+        f = model(indicator(lambda x: abs(x) < 1e-9), m)
+        with pytest.raises(ValueError):
+            sample_hypograph(f, m, cap=math.inf, floor=-1.0, alpha_step=0.5)
+
     def test_epigraph_points_above_graph(self):
         m = line(h=0.2)
         f = model(lambda x: x * x, m)
@@ -163,44 +202,6 @@ class TestRestrictAndInf:
         m = line(h=0.1)
         f = model(lambda x: x, m)
         assert inf_over_region(f, Predicate(lambda p: False), m) == INF
-
-
-class TestInfConvolution:
-    def test_indicator_origin_is_identity_element(self):
-        m = line(h=0.25)
-        f = model(lambda x: x * x, m)
-        delta0 = FunctionModel.analytic(
-            lambda x: 0.0 if abs(x[0]) < 1e-9 else math.inf, m.box)
-        conv = inf_convolution(f, delta0, m)
-        np.testing.assert_allclose(conv.values, f.values)
-
-    def test_indicator_points_add(self):
-        m = line(h=0.25)
-        a, b = 0.25, -0.5
-        fa = model(indicator(lambda x: abs(x - a) < 1e-9), m)
-        gb = FunctionModel.analytic(
-            lambda x: 0.0 if abs(x[0] - b) < 1e-9 else math.inf, m.box)
-        conv = inf_convolution(fa, gb, m)
-        for p, v in zip(m.nodes(), conv.values):
-            expected = 0.0 if abs(p[0] - (a + b)) < 1e-9 else math.inf
-            assert v == expected
-
-    def test_abs_with_abs_is_abs(self):
-        m = line(h=0.25)
-        f = model(abs, m)
-        g = FunctionModel.analytic(lambda x: abs(x[0]), m.box)
-        conv = inf_convolution(f, g, m)
-        np.testing.assert_allclose(conv.values, np.abs(m.nodes()[:, 0]), atol=1e-12)
-
-    def test_commutative_on_symmetric_mesh(self):
-        m = line(h=0.25)
-        f = model(abs, m)
-        fa = FunctionModel.analytic(lambda x: abs(x[0]), m.box)
-        g = model(lambda x: x * x, m)
-        ga = FunctionModel.analytic(lambda x: x[0] ** 2, m.box)
-        left = inf_convolution(f, ga, m)
-        right = inf_convolution(g, fa, m)
-        np.testing.assert_allclose(left.values, right.values, atol=1e-12)
 
 
 class TestLipschitzEnvelope:

@@ -1,4 +1,4 @@
-"""Norms, point-set distances, gap distances, neighborhoods, diameters."""
+"""Norms, point-set distances, gap distances."""
 
 import math
 import tracemalloc
@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from epislope import (
     BoxNorm, EUCLIDEAN, INF, MAX, Norm, NormKind, PointSet, TAXICAB,
-    ball_gap, diameter, gap_distance, point_set_distance,
-    uniform_neighborhood_contains,
+    gap_distance, point_set_distance,
 )
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -72,42 +71,6 @@ class TestGapDistance:
             assert g <= point_set_distance(a, B) + 1e-12
 
 
-class TestUniformNeighborhood:
-    def test_closed_boundary(self):
-        S = pset([(0.0,)])
-        assert uniform_neighborhood_contains(S, 1.0, (1.0,))
-        assert not uniform_neighborhood_contains(S, 1.0, (1.0001,))
-
-    def test_two_point_set(self):
-        S = pset([(0.0,), (2.0,)])
-        assert not uniform_neighborhood_contains(S, 0.5, (1.4,))
-
-    def test_negative_delta(self):
-        with pytest.raises(ValueError):
-            uniform_neighborhood_contains(pset([(0.0,)]), -0.1, (0.0,))
-
-
-class TestDiameter:
-    def test_singleton(self):
-        assert diameter(pset([(1.0, 2.0)])) == 0.0
-
-    def test_empty_convention(self):
-        assert diameter(pset([], dim=2)) == 0.0
-
-    def test_pair(self):
-        assert diameter(pset([(0.0, 0.0), (3.0, 4.0)])) == 5.0
-
-    def test_triple(self):
-        assert diameter(pset([(0.0,), (1.0,), (5.0,)])) == 5.0
-
-    @given(st.lists(point2, min_size=1, max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_under_inclusion(self, pts):
-        whole = pset(pts)
-        part = pset(pts[: max(1, len(pts) // 2)])
-        assert diameter(part) <= diameter(whole) + 1e-12
-
-
 class TestNorms:
     @given(point2, point2, point2)
     @settings(max_examples=100, deadline=None)
@@ -136,29 +99,6 @@ class TestNorms:
         dx = point_set_distance(x, S)
         dy = point_set_distance(y, S)
         assert abs(dx - dy) <= EUCLIDEAN.dist(x, y) + 1e-9
-
-
-class TestBallGap:
-    def test_matches_positive_part_identity(self):
-        S = pset([(3.0,), (5.0,)])
-        assert ball_gap((0.0,), 1.0, S) == 2.0
-        assert ball_gap((0.0,), 3.0, S) == 0.0
-        assert ball_gap((0.0,), 10.0, S) == 0.0
-
-    def test_empty_target(self):
-        assert ball_gap((0.0,), 1.0, pset([], dim=1)) == INF
-
-    @given(st.lists(point2, min_size=1, max_size=6), point2,
-           st.floats(min_value=0, max_value=5, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
-    def test_agrees_with_sampled_ball(self, pts, y, r):
-        S = pset(pts)
-        # dense angular sample of the ball boundary and center
-        sample = [y] + [(y[0] + r * math.cos(t), y[1] + r * math.sin(t))
-                        for t in np.linspace(0, 2 * math.pi, 64)]
-        sampled = min(point_set_distance(q, S) for q in sample)
-        exact = ball_gap(y, r, S)
-        assert exact <= sampled + 1e-9
 
 
 def broadcast_pairwise(norm, A, B):
