@@ -33,5 +33,5 @@ from .slopes import (SlopeEstimate, StabilityWitness, SubdifferentialOracle,
                      ekeland_point, frechet_membership, p2_witness,
                      sequence_p2_stability, slope_stability_witness,
                      stationary_sequence, strong_slope)
-from .sumrules import (DecoupledSum, DiagonalGeometry, decoupling_inequality,
+from .sumrules import (DecoupledSum, decoupling_inequality,
                        diagonal_distance, prop71_bridge, r2_witness)

@@ -70,6 +70,26 @@ def _resolve_config(payload: Dict[str, Any], overrides: Dict[str, Any]) -> Limit
     return replace(payload.get("cfg") or LimitConfig(), **kwargs)
 
 
+def _number(value: Any, key: str) -> float:
+    """A scenario number as a float; anything else is refused, naming
+    params.<key>."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"params.{key} must be a number, got {value!r}") from None
+
+
+def _vector(value: Any, key: str) -> Tuple[float, ...]:
+    """A scenario list of numbers as a tuple of floats, else refused."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"params.{key} must be a list of numbers, got {value!r}")
+    return tuple(_number(c, key) for c in value)
+
+
+def _probe(params: Dict[str, Any], default: Sequence[float]) -> Tuple[float, ...]:
+    return _vector(params["probe"], "probe") if "probe" in params else tuple(default)
+
+
 def _region_from(params: Dict[str, Any], payload: Dict[str, Any]):
     spec = params.get("region")
     if spec is not None:
@@ -77,8 +97,8 @@ def _region_from(params: Dict[str, Any], payload: Dict[str, Any]):
             raise ValueError("params.region needs a list 'center'")
         if "radius" not in spec:
             raise ValueError("params.region needs a 'radius'")
-        return Ball(tuple(float(c) for c in spec["center"]),
-                    float(spec["radius"]))
+        return Ball(_vector(spec["center"], "region.center"),
+                    _number(spec["radius"], "region.radius"))
     if payload.get("region") is None:
         raise ValueError("instance has no 'region' payload; give params.region")
     return payload["region"]
@@ -88,7 +108,7 @@ Labelled = Tuple[List[Tuple[str, Verdict]], Dict[str, Any]]
 
 
 def _penalty_limit(payload, params, cfg) -> Labelled:
-    spec = PenaltySpec(p=float(params.get("p", 1.0)))
+    spec = PenaltySpec(p=_number(params.get("p", 1.0), "p"))
     region = _region_from(params, payload)
     value, verdict = penalty_limit(payload["model"], region, spec,
                                    payload.get("mesh"), cfg)
@@ -103,16 +123,16 @@ def _robustness(payload, params, cfg) -> Labelled:
 
 def _wijsman_at_point(payload, params, cfg) -> Labelled:
     seq = payload["seq_factory"]()
-    probe = tuple(params.get("probe", payload["probe"]))
+    probe = _probe(params, payload["probe"])
     verdict = wijsman_at_point(seq, payload["limit"], probe,
-                               lambda_max=float(params.get("lambda_max", 0.5)),
+                               lambda_max=_number(params.get("lambda_max", 0.5), "lambda_max"),
                                cfg=cfg, mesh=payload["mesh"])
     return [("wijsman_at_point", verdict)], {}
 
 
 def _slope_stability(payload, params, cfg) -> Labelled:
     seq = payload["seq_factory"]()
-    probe = tuple(params.get("probe", payload["probe"]))
+    probe = _probe(params, payload["probe"])
     wit = slope_stability_witness(seq, payload["limit"], probe,
                                   payload["mesh"], cfg)
     worst = wit.suffix_max_slope(cfg.window_size)
@@ -128,15 +148,15 @@ def _slope_stability(payload, params, cfg) -> Labelled:
 def _frechet_membership(payload, params, cfg) -> Labelled:
     if "xstar" not in params:
         raise ValueError("frechet_membership needs params.xstar, the dual vector")
-    xstar = tuple(float(c) for c in params["xstar"])
-    probe = tuple(params.get("probe", payload["probes"][0]))
+    xstar = _vector(params["xstar"], "xstar")
+    probe = _probe(params, payload["probes"][0])
     verdict = frechet_membership(payload["model"], probe, xstar,
                                  payload["mesh"], cfg)
     return [("frechet_membership", verdict)], {}
 
 
 def _strong_slope(payload, params, cfg) -> Labelled:
-    probe = tuple(params.get("probe", payload["probes"][0]))
+    probe = _probe(params, payload["probes"][0])
     est = strong_slope(payload["model"], probe, payload["mesh"], cfg)
     slope = {"value": est.value, "radius": est.radius_used, "trace": est.ratio_trace}
     return [("strong_slope", Verdict(Status.HOLDS, 0.0, witness=slope))], {"slope": slope}

@@ -125,8 +125,8 @@ def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
     has a positive gap to S: sup over delta of liminf (d(y, S_n) - lam -
     delta)^+ > 0, a positivity test with that sup as margin.  A probe that
     triggers neither part is vacuously Holds."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not lam >= 0:  # also refuses NaN
+        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
     dyS = point_set_distance(y, S)
     win, _ = _set_distances(y, seq, cfg)
     if dyS <= cfg.tol:
@@ -234,9 +234,9 @@ def _recovery_verdict(fx: float, picks, cfg: LimitConfig) -> Verdict:
     dist_err = max(p[3] for p in win)
     witness = {"picks": [{"n": p[0], "x_n": p[1], "f_n": p[2], "dist": p[3]} for p in picks],
                "window_value_err": value_err, "window_dist": dist_err}
-    if dist_err > min(cfg.radius_ladder) + cfg.tol:
-        return Verdict(Status.FAILS, value_err, witness)
-    return excess_verdict(value_err, cfg.tol, cfg.decision_band, witness)
+    # picks farther from x than the least radius count as excess too
+    excess = max(value_err, dist_err - min(cfg.radius_ladder))
+    return excess_verdict(excess, cfg.tol, cfg.decision_band, witness)
 
 
 def recovery_sequence(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],

@@ -197,15 +197,24 @@ def values_on(f: FunctionModel, mesh: MeshSpec) -> np.ndarray:
     return tabulate(f, mesh).values
 
 
+def _check_rung_step(alpha_step: float, *ends: float) -> None:
+    """Refuse a ladder step that cannot move a rung between ``ends``: at or
+    below the float spacing there, ``a += alpha_step`` leaves ``a`` as it is."""
+    spacing = math.ulp(max(abs(e) for e in ends))
+    if not alpha_step > spacing:  # also refuses NaN
+        raise ValueError(f"alpha_step must exceed {spacing!r}, the float spacing "
+                         f"of the ladder, got {alpha_step!r}")
+
+
 def sample_epigraph(f: FunctionModel, mesh: MeshSpec, cap: float,
                     alpha_step: float) -> PointSet:
     """Cloud {(x, a) : x node, a in {f(x), f(x)+step, ...} up to cap}."""
     if not math.isfinite(cap):
         raise ValueError("cap must be finite")
-    if alpha_step <= 0:
-        raise ValueError("alpha_step must be positive")
-    pts = []
     vals = values_on(f, mesh)
+    # the rungs run from the least value up to cap + SLACK
+    _check_rung_step(alpha_step, min(float(vals.min()), cap), cap + SLACK)
+    pts = []
     for p, v in zip(mesh.nodes(), vals):
         if not np.isfinite(v) or v > cap:
             continue
@@ -234,8 +243,7 @@ def sample_hypograph(f: FunctionModel, mesh: MeshSpec, cap: float, floor: float,
     """Cloud between floor and min(f(x), cap); f(x)=+inf caps at `cap`."""
     if not (math.isfinite(cap) and math.isfinite(floor)):
         raise ValueError("cap and floor must be finite")
-    if alpha_step <= 0:
-        raise ValueError("alpha_step must be positive")
+    _check_rung_step(alpha_step, cap, floor - SLACK)  # the rungs' two ends
     pts = []
     vals = values_on(f, mesh)
     for p, v in zip(mesh.nodes(), vals):

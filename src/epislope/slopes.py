@@ -95,8 +95,8 @@ def ekeland_point(f: FunctionModel, x0: Sequence[float], sigma: float,
     every ball node y, found by iterating z <- argmin f(.) + sigma*||.-z||
     to a fixpoint; f(z) strictly decreases per move, so this terminates.
     """
-    if sigma <= 0 or radius <= 0:
-        raise ValueError("sigma and radius must be positive")
+    if not (sigma > 0 and radius > 0):  # also refuses NaN
+        raise ValueError(f"sigma and radius must be positive, got {sigma!r} and {radius!r}")
     nodes = mesh.nodes()
     vals = values_on(f, mesh)
     d0 = f.norm.pairwise(np.asarray([x0], dtype=float), nodes)[0]

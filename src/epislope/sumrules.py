@@ -4,15 +4,20 @@ infimum form, the bridge from decoupling to Wijsman convergence of the
 diagonally penalized sequence, and sum-rule witnesses built from
 injected subdifferential oracles.
 
-Product meshes are brute-force objects and are capped at 4 effective
-dimensions; larger requests are refused rather than silently degraded.
+X^k carries the max product norm.  Product meshes are brute-force objects
+capped at PRODUCT_DIM_CAP = 4 effective dimensions, so a 2-D base pairs
+only k = 2 components; larger requests are refused rather than silently
+degraded.  The penalized sequence takes the max norm of all product
+coordinates, the max product norm only on a line or a max-norm base, so
+``prop71_bridge`` and ``r2_witness`` refuse any other base first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -62,37 +67,33 @@ class DecoupledSum:
         return total
 
 
-@dataclass(frozen=True)
-class DiagonalGeometry:
-    k: int
-    base_dim: int
-    base_norm: Norm
+def _diagonal_distances(parts: Sequence[np.ndarray], norm: Norm) -> np.ndarray:
+    """d_Delta = min over z of max_i ||x_i - z|| for every tuple (x_1, ..., x_k),
+    x_i a row of the (m_i, dim) array parts[i], as an (m_1, ..., m_k) array.
 
-    def __post_init__(self):
-        if self.k < 2 or self.base_dim < 1:
-            raise ValueError("need k >= 2 and base_dim >= 1")
+    On a line it is half the range, any k.  For k = 2 it is ||x_1 - x_2|| / 2
+    in every norm, attained at the midpoint (the triangle inequality bounds
+    it below); no product under PRODUCT_DIM_CAP has k >= 3 on a 2-D base."""
+    if parts[0].shape[1] == 1:
+        coords = [x[:, 0] for x in parts]
+        out = functools.reduce(np.maximum.outer, coords)
+        out -= functools.reduce(np.minimum.outer, coords)
+    elif len(parts) == 2:
+        out = norm.pairwise(parts[0], parts[1])
+    else:
+        raise ValueError(f"diagonal distance of {len(parts)} points on a base of "
+                         f"dimension {parts[0].shape[1]}: only k = 2 has a closed form")
+    out /= 2.0
+    return out
 
 
-def diagonal_distance(p: Sequence[Sequence[float]], geom: DiagonalGeometry,
-                      mesh: Optional[MeshSpec] = None) -> ExtReal:
-    """Distance from (x_1, ..., x_k) to the diagonal under the max product
-    norm: min over z of max_i ||x_i - z||.
-
-    Exact for base dimension 1 ((max - min) / 2, any norm on the line);
-    for higher base dimension the min runs over mesh nodes and the result
-    carries an approximation error of at most max(mesh.h)."""
-    pts = [tuple(float(c) for c in x) for x in p]
-    if len(pts) != geom.k or any(len(x) != geom.base_dim for x in pts):
-        raise ValueError("point does not match the diagonal geometry")
-    if geom.base_dim == 1:
-        coords = [x[0] for x in pts]
-        return (max(coords) - min(coords)) / 2.0
-    if mesh is None:
-        raise ValueError("mesh required for base dimension >= 2")
-    arr = np.asarray(pts, dtype=float)
-    nodes = mesh.nodes()
-    D = geom.base_norm.pairwise(arr, nodes)  # (k, num nodes)
-    return float(D.max(axis=0).min())
+def diagonal_distance(p: Sequence[Sequence[float]], norm: Norm) -> float:
+    """Distance from (x_1, ..., x_k) to the diagonal of X^k under the max
+    product norm, in the closed form of ``_diagonal_distances``."""
+    pts = np.asarray(p, dtype=float)  # ragged points raise ValueError here
+    if pts.ndim != 2 or len(pts) < 2 or pts.shape[1] < 1:
+        raise ValueError("need k >= 2 points of one dimension >= 1")
+    return _diagonal_distances(pts[:, None, :], norm).item()
 
 
 def product_mesh(mesh: MeshSpec, k: int) -> MeshSpec:
@@ -108,33 +109,26 @@ def _product_data(ds: DecoupledSum, mesh: MeshSpec):
 
     Product nodes run in C order over the components' base nodes, so node
     j is (x_{idx_1[j]}, ..., x_{idx_k[j]}) and every product array is a
-    gather from base-mesh arrays."""
+    gather from base-mesh arrays.  d_Delta is written in row blocks of the
+    first component under the pairwise cell budget."""
     pm = product_mesh(mesh, ds.k)
-    idx = np.unravel_index(np.arange(pm.node_count), (mesh.node_count,) * ds.k)
+    N = mesh.node_count
+    idx = np.unravel_index(np.arange(pm.node_count), (N,) * ds.k)
     F = np.zeros(pm.node_count)
     for f, i in zip(ds.components, idx):
         F = F + values_on(f, mesh)[i]
     nodes = mesh.nodes()
-    if mesh.dim == 1:
-        coords = np.stack([nodes[i, 0] for i in idx], axis=1)
-        dDelta = (coords.max(axis=1) - coords.min(axis=1)) / 2.0
-    else:
-        # min over base nodes z of max_i ||x_i - z||, as diagonal_distance
-        dDelta = np.empty(pm.node_count)
-        for rows in _row_blocks(pm.node_count, mesh.node_count):
-            far = ds.base_norm.pairwise(nodes[idx[0][rows]], nodes)
-            for i in idx[1:]:  # a running maximum holds two blocks, not a stack of k
-                np.maximum(far, ds.base_norm.pairwise(nodes[i[rows]], nodes), out=far)
-            dDelta[rows] = far.min(axis=1)
-    return pm, idx, F, dDelta
+    dDelta = np.empty((N,) * ds.k)
+    for rows in _row_blocks(N, N ** (ds.k - 1)):
+        dDelta[rows] = _diagonal_distances([nodes[rows]] + [nodes] * (ds.k - 1),
+                                           ds.base_norm)
+    return pm, idx, F, dDelta.ravel()
 
 
-def _summed_values(ds: DecoupledSum, mesh: MeshSpec) -> np.ndarray:
-    """sum_i f_i at every base mesh node."""
-    total = np.zeros(mesh.node_count)
-    for f in ds.components:
-        total = total + values_on(f, mesh)
-    return total
+def _diagonal_nodes(mesh: MeshSpec, k: int) -> np.ndarray:
+    """Product node indices of (x, ..., x), x running over the base nodes."""
+    N = mesh.node_count
+    return np.ravel_multi_index((np.arange(N),) * k, (N,) * k)
 
 
 def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
@@ -158,7 +152,7 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
     by that amount.
     """
     pm, idx, F, dDelta = _product_data(ds, mesh)
-    sum_vals = _summed_values(ds, mesh)
+    sum_vals = F[_diagonal_nodes(mesh, ds.k)]
     dist_x = ds.base_norm.pairwise(np.asarray([xbar], dtype=float), mesh.nodes())[0]
     # the product distance from (xbar, ..., xbar) is the max of the components'
     ball_dist = np.max([dist_x[i] for i in idx], axis=0)
@@ -230,8 +224,8 @@ def prop71_bridge(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec,
     diagonally penalized sequence F + n * d_Delta converging to the
     diagonal restriction F_Delta at (xbar, ..., xbar)).  The two statuses
     agree whenever both are decisive."""
-    dec = decoupling_inequality(ds, xbar, mesh, cfg)
     pm, seq, Fd, z = _penalized_diagonal(ds, xbar, mesh)
+    dec = decoupling_inequality(ds, xbar, mesh, cfg)
     wij = wijsman_at_point(seq, Fd, z, lambda_max=2 * max(cfg.radius_ladder),
                            cfg=cfg, mesh=pm)
     return dec, wij
@@ -254,13 +248,13 @@ def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
     """
     if len(oracles) != ds.k:
         raise ValueError("one oracle per component is required")
-    dec = decoupling_inequality(ds, xbar, mesh, cfg)
-    if not dec.holds:
-        raise ValueError("decoupling inequality does not hold at xbar")
     pm, seq, Fd, z = _penalized_diagonal(ds, xbar, mesh)
+    if not decoupling_inequality(ds, xbar, mesh, cfg).holds:
+        raise ValueError("decoupling inequality does not hold at xbar")
     wit = slope_stability_witness(seq, Fd, z, pm, cfg)
 
-    sum_model = FunctionModel.tabulated(mesh, _summed_values(ds, mesh),
+    # F_Delta at (x, ..., x) is sum_i f_i(x)
+    sum_model = FunctionModel.tabulated(mesh, Fd.values[_diagonal_nodes(mesh, ds.k)],
                                         norm=ds.base_norm, name="sum f_i")
     s = float(strong_slope(sum_model, xbar, mesh, cfg).value)
 

@@ -134,6 +134,29 @@ class TestRunScenario:
         assert captured.err.startswith("error: ") and named in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("operation,instance,params,named", [
+        ("penalty_limit", "abs-kink", {"p": None}, "params.p must be a number"),
+        ("robustness", "abs-kink", {"region": {"center": [None], "radius": 0.5}},
+         "params.region.center must be a number"),
+        ("robustness", "abs-kink", {"region": {"center": [0.0], "radius": None}},
+         "params.region.radius must be a number"),
+        ("strong_slope", "abs-kink", {"probe": 5}, "params.probe must be a list"),
+        ("frechet_membership", "abs-kink", {"xstar": [None]}, "params.xstar must be a number"),
+        ("wijsman_at_point", "envelope-of-kink", {"lambda_max": None},
+         "params.lambda_max must be a number"),
+    ], ids=["p", "region-center", "region-radius", "probe", "xstar", "lambda-max"])
+    def test_wrongly_typed_param_is_refused(self, tmp_path, capsys, operation, instance,
+                                            params, named):
+        # each escaped the refusal path as a TypeError traceback
+        path = write_scenario(tmp_path, {
+            "name": "bad-param", "operation": operation, "instance": instance,
+            "params": params})
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_robustness_with_an_empty_region_fails_with_infinite_margin(self, tmp_path,
                                                                         capsys):
         # B(0.2505, 0.0004) holds no node: inf over it is +inf, while r

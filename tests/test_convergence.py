@@ -172,6 +172,15 @@ class TestHitAndMiss:
             hit_and_miss(setseq(lambda n: [(0.0,)]), PointSet.of([(0.0,)]),
                          (0.0,), -1.0, CFG)
 
+    def test_nan_lambda_rejected(self):
+        # lam = 0.5 Fails (S_n = {0.2} comes within 0.5 of y = 0); a NaN
+        # radius made the miss test false and the probe vacuously Holds
+        seq = setseq(lambda n: [(0.2,)])
+        S = PointSet.of([(1.0,)])
+        assert hit_and_miss(seq, S, (0.0,), 0.5, CFG).fails
+        with pytest.raises(ValueError, match="nonnegative"):
+            hit_and_miss(seq, S, (0.0,), math.nan, CFG)
+
 
 class TestKuratowski:
     def test_constant_sequence(self):
@@ -235,6 +244,21 @@ class TestRecovery:
         seq = FunctionSequence(lambda n: f, box=mesh.box)
         with pytest.raises(ValueError):
             recovery_sequence(seq, f, (0.5,), CFG, mesh)
+
+    @pytest.mark.parametrize("step,x,status", [(0.05, 0.01, Status.INCONCLUSIVE),
+                                               (0.25, 0.1, Status.FAILS)])
+    def test_distance_beyond_the_least_radius_is_an_excess(self, step, x, status):
+        """No node lies within the least radius 0.5/2^7 of x: the nearest
+        one, 0.01 (0.1) away, exceeds it by about 0.006, inside the band
+        (0.096, above it), while the value error is 0."""
+        mesh = MeshSpec.line(-1.0, 1.0, step)
+        zero = tabmodel(lambda t: 0.0, mesh)
+        f = FunctionModel.analytic(lambda p: 0.0, mesh.box)
+        seq = FunctionSequence(lambda n: zero, box=mesh.box)
+        _, v = recovery_sequence(seq, f, (x,), CFG, mesh)
+        assert v.witness["window_value_err"] == 0.0
+        assert v.status is status
+        assert v.margin == v.witness["window_dist"] - min(CFG.radius_ladder)
 
 
 class TestWijsmanAtPoint:
@@ -403,9 +427,9 @@ def masked_recovery(vals_at, f, x, cfg, mesh):
     dist_err = max(p[3] for p in win)
     witness = {"picks": [{"n": p[0], "x_n": p[1], "f_n": p[2], "dist": p[3]} for p in picks],
                "window_value_err": value_err, "window_dist": dist_err}
-    ok_dist = dist_err <= min(ladder) + cfg.tol
-    status = decide(value_err, cfg.tol, cfg.decision_band) if ok_dist else Status.FAILS
-    margin_ = cfg.tol - value_err if status is Status.HOLDS else value_err
+    excess = max(value_err, dist_err - min(ladder))
+    status = decide(excess, cfg.tol, cfg.decision_band)
+    margin_ = cfg.tol - excess if status is Status.HOLDS else excess
     return [p[1] for p in picks], Verdict(status, margin_, witness)
 
 

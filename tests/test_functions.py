@@ -153,6 +153,19 @@ class TestEpigraphSampling:
         with pytest.raises(ValueError):
             sample_hypograph(f, m, cap=math.inf, floor=-1.0, alpha_step=0.5)
 
+    def test_epigraph_refuses_a_step_below_the_float_spacing(self):
+        # 1.0 + 1e-17 == 1.0: the ladder would never reach the cap
+        m = MeshSpec.line(0.0, 1.0, 1.0)
+        f = model(lambda x: 1.0, m)
+        with pytest.raises(ValueError, match="alpha_step"):
+            sample_epigraph(f, m, cap=2.0, alpha_step=1e-17)
+
+    def test_hypograph_refuses_a_step_below_the_float_spacing(self):
+        m = MeshSpec.line(0.0, 1.0, 1.0)
+        f = model(lambda x: 1.0, m)
+        with pytest.raises(ValueError, match="alpha_step"):
+            sample_hypograph(f, m, cap=2.0, floor=0.0, alpha_step=1e-17)
+
     def test_epigraph_points_above_graph(self):
         m = line(h=0.2)
         f = model(lambda x: x * x, m)

@@ -118,7 +118,6 @@ STATUS_ALLOWLIST = {
     ("cli", "_strong_slope"): "reports an estimate; it states nothing to decide",
     ("cli", "reproduce_example_4_2"): "an exact rational equality check, not a tolerance",
     ("convergence", "hit_and_miss"): "vacuous branch: the probe triggers neither part",
-    ("convergence", "_recovery_verdict"): "picks outside the smallest ball fail outright",
 }
 
 

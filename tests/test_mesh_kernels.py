@@ -18,8 +18,8 @@ from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FinitePoints,
                       inf_over_region, pasch_hausdorff)
 from epislope.functions import _key, _ramp_pass
 from epislope.geometry import PAIRWISE_CELL_BUDGET
-from epislope.sumrules import (DecoupledSum, DiagonalGeometry, _product_data,
-                               diagonal_distance, product_mesh)
+from epislope.sumrules import (DecoupledSum, _product_data, diagonal_distance,
+                               product_mesh)
 
 STEPS = (0.01, 0.05, 0.1, 0.25)
 NORMS = (EUCLIDEAN, MAX, TAXICAB)
@@ -342,23 +342,46 @@ def test_product_data_matches_scalar_loop(lo_cents, step, counts, norm, cells, d
     d = mesh.dim
     for i in range(k):
         assert np.array_equal(mesh.nodes()[idx[i]], P[:, i * d:(i + 1) * d])
-    geom = DiagonalGeometry(k, d, norm)
     rows = [[tuple(p[i * d:(i + 1) * d]) for i in range(k)] for p in P]
     assert np.array_equal(F, [ds.value(xs) for xs in rows])
-    assert np.array_equal(dDelta, [diagonal_distance(xs, geom, mesh) for xs in rows])
+    assert np.array_equal(dDelta, [diagonal_distance(xs, norm) for xs in rows])
 
 
 @pytest.mark.parametrize("cells", [1, 7, 100, 1 << 20])
-def test_product_diagonal_distance_is_the_stacked_max(cells):
-    """d_Delta on a 2-D max-norm base, folded into one block by a running
-    maximum, equals the maximum over the stacked component blocks."""
+def test_product_diagonal_distance_is_half_the_base_distance(cells):
+    """On a 2-D base, in row blocks of any size and in all three norms,
+    d_Delta at every product node (x_1, x_2) is ||x_1 - x_2|| / 2 bit for
+    bit; the midpoint attains it and no sampled z is nearer both points."""
     mesh = grid(-37, (0.1, 0.25), (7, 5))
-    zero = FunctionModel.tabulated(mesh, np.zeros(mesh.node_count), norm=MAX)
-    with cell_budget(cells):
-        _, idx, _, dDelta = _product_data(DecoupledSum((zero, zero)), mesh)
     nodes = mesh.nodes()
-    stacked = np.max([MAX.pairwise(nodes[i], nodes) for i in idx], axis=0)
-    assert dDelta.tobytes() == stacked.min(axis=1).tobytes()
+    rng = np.random.default_rng(5)
+    for norm in NORMS:
+        zero = FunctionModel.tabulated(mesh, np.zeros(mesh.node_count), norm=norm)
+        with cell_budget(cells):
+            _, idx, _, dDelta = _product_data(DecoupledSum((zero, zero)), mesh)
+        pairs = [(tuple(nodes[i]), tuple(nodes[j])) for i, j in zip(*idx)]
+        assert dDelta.tolist() == [norm.dist(a, b) / 2 for a, b in pairs]
+        for (a, b), d in zip(pairs, dDelta):
+            mid = tuple((p + q) / 2 for p, q in zip(a, b))
+            assert max(norm.dist(a, mid), norm.dist(b, mid)) == pytest.approx(d, rel=1e-12)
+            # z around the midpoint, within d of it, and every base node
+            zs = np.vstack([np.add(mid, rng.uniform(-1.0, 1.0, (16, 2)) * d), nodes])
+            far = np.maximum(norm.pairwise(np.array([a]), zs),
+                             norm.pairwise(np.array([b]), zs))
+            assert far.min() >= d * (1 - 1e-12)
+
+
+def test_product_diagonal_distance_takes_each_pair_once():
+    """d_Delta on a 2-D base is N^2 pairwise cells, each block within the
+    cell budget; the search over base nodes z took N^3."""
+    mesh = grid(0, 0.1, (6, 5))
+    zero = FunctionModel.tabulated(mesh, np.zeros(mesh.node_count), norm=MAX)
+    N = mesh.node_count
+    with cell_budget(100), recorded_pairwise() as calls:
+        _product_data(DecoupledSum((zero, zero)), mesh)
+        assert max(cells for _, cells in calls) <= geometry.PAIRWISE_CELL_BUDGET
+    assert sum(cells for _, cells in calls) == N * N
+    assert len(calls) > 1
 
 
 # ------------------------------------------------------------ ball infima

@@ -161,6 +161,14 @@ class TestEkelandPoint:
         with pytest.raises(ValueError):
             ekeland_point(tabmodel(abs, mesh), (0.0,), -1.0, 0.5, mesh)
 
+    def test_nan_sigma_and_radius_rejected(self):
+        # a NaN sigma ran the descent and broke the postcondition
+        # (InvariantError, a defect signal) instead of refusing the input
+        mesh = line(h=0.1)
+        for sigma, radius in ((math.nan, 0.5), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="must be positive"):
+                ekeland_point(tabmodel(abs, mesh), (0.0,), sigma, radius, mesh)
+
 
 class TestSlopeStability:
     def test_constant_sequence_reproduces_the_slope(self):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    DecoupledSum, DiagonalGeometry, EUCLIDEAN, FunctionModel, MAX, MeshSpec,
-    Status, SubdifferentialOracle, decoupling_inequality, diagonal_distance,
+    DecoupledSum, EUCLIDEAN, FunctionModel, MAX, MeshSpec, Status,
+    SubdifferentialOracle, TAXICAB, decoupling_inequality, diagonal_distance,
     prop71_bridge, r2_witness,
 )
 from epislope.sumrules import PRODUCT_DIM_CAP, product_mesh
@@ -24,38 +24,34 @@ def get(name):
 
 class TestDiagonalDistance:
     def test_diagonal_points_are_at_zero(self):
-        geom = DiagonalGeometry(k=3, base_dim=1, base_norm=EUCLIDEAN)
-        assert diagonal_distance([(0.4,), (0.4,), (0.4,)], geom) == 0.0
+        assert diagonal_distance([(0.4,), (0.4,), (0.4,)], EUCLIDEAN) == 0.0
 
     def test_pair_half_spread(self):
-        geom = DiagonalGeometry(k=2, base_dim=1, base_norm=EUCLIDEAN)
-        assert diagonal_distance([(0.0,), (1.0,)], geom) == 0.5
+        assert diagonal_distance([(0.0,), (1.0,)], EUCLIDEAN) == 0.5
 
     def test_triple_half_range(self):
-        geom = DiagonalGeometry(k=3, base_dim=1, base_norm=EUCLIDEAN)
-        assert diagonal_distance([(0.0,), (1.0,), (4.0,)], geom) == 2.0
+        assert diagonal_distance([(0.0,), (1.0,), (4.0,)], EUCLIDEAN) == 2.0
 
     def test_shape_mismatch_rejected(self):
-        geom = DiagonalGeometry(k=2, base_dim=1, base_norm=EUCLIDEAN)
         with pytest.raises(ValueError):
-            diagonal_distance([(0.0,)], geom)
+            diagonal_distance([(0.0,)], EUCLIDEAN)
         with pytest.raises(ValueError):
-            diagonal_distance([(0.0, 1.0), (0.0, 1.0)], geom)
+            diagonal_distance([(0.0,), (0.0, 1.0)], EUCLIDEAN)
 
-    def test_higher_dimension_needs_a_mesh(self):
-        geom = DiagonalGeometry(k=2, base_dim=2, base_norm=MAX)
-        with pytest.raises(ValueError):
-            diagonal_distance([(0.0, 0.0), (1.0, 1.0)], geom)
-        mesh = MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.25, 0.25))
-        d = diagonal_distance([(0.0, 0.0), (1.0, 1.0)], geom, mesh)
-        assert d == pytest.approx(0.5, abs=0.25)
+    def test_higher_dimension_pair_is_half_the_base_distance(self):
+        assert diagonal_distance([(0.0, 0.0), (1.0, 1.0)], MAX) == 0.5
+        assert diagonal_distance([(0.0, 0.0), (3.0, 4.0)], EUCLIDEAN) == 2.5
+        assert diagonal_distance([(0.0, 0.0), (1.0, 1.0)], TAXICAB) == 1.0
+
+    def test_three_points_on_a_plane_are_refused(self):
+        with pytest.raises(ValueError, match="only k = 2"):
+            diagonal_distance([(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)], MAX)
 
     @given(st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False),
                     min_size=2, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_exact_half_range_formula_on_the_line(self, coords):
-        geom = DiagonalGeometry(k=len(coords), base_dim=1, base_norm=EUCLIDEAN)
-        d = diagonal_distance([(c,) for c in coords], geom)
+        d = diagonal_distance([(c,) for c in coords], EUCLIDEAN)
         assert d == (max(coords) - min(coords)) / 2.0
 
 
@@ -145,6 +141,29 @@ class TestBridge:
         p = get("decouple-interleaved-fail")
         dec, wij = prop71_bridge(p["sum"], p["xbar"], p["mesh"], p["cfg"])
         assert dec.fails and wij.fails
+
+
+@pytest.mark.parametrize("operation", ["prop71_bridge", "r2_witness"])
+def test_euclidean_plane_base_is_refused_before_any_product(monkeypatch, operation):
+    """The penalized sequence needs the max product norm, which a 2-D
+    Euclidean base does not give: the refusal comes before the decoupling
+    verdict and before any product mesh is assembled."""
+    mesh = MeshSpec(box=((-0.5, 0.5), (-0.5, 0.5)), h=(0.25, 0.25))
+    zero = FunctionModel.tabulated(mesh, np.zeros(mesh.node_count), norm=EUCLIDEAN)
+    ds = DecoupledSum((zero, zero))
+    built = []
+    real = sumrules._product_data
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sumrules, "_product_data", counted)
+    oracles = [SubdifferentialOracle(lambda x: [(0.0, 0.0)])] * 2
+    args = (ds, oracles) if operation == "r2_witness" else (ds,)
+    with pytest.raises(ValueError, match="max base norm"):
+        getattr(sumrules, operation)(*args, (0.0, 0.0), mesh, COARSE)
+    assert built == []
 
 
 class TestSumRuleWitness:
