@@ -22,8 +22,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF, ExtReal, check
-from .geometry import (BoxNorm, EUCLIDEAN, Norm, NormKind, Point, PointSet,
-                       _row_blocks, gap_distance)
+from .geometry import (PAIRWISE_CELL_BUDGET, BoxNorm, EUCLIDEAN, Norm, NormKind,
+                       Point, PointSet, _row_blocks, gap_distance)
 from .regions import Region
 from .verdict import KEY_DECIMALS, SLACK
 
@@ -206,6 +206,17 @@ def _check_rung_step(alpha_step: float, *ends: float) -> None:
                          f"of the ladder, got {alpha_step!r}")
 
 
+def _check_cloud_size(spans: np.ndarray, alpha_step: float) -> None:
+    """Refuse, before any point is made, a cloud whose ladders (one per
+    node, one rung per ``alpha_step`` over each nonnegative span) would
+    hold more than ``geometry.PAIRWISE_CELL_BUDGET`` points."""
+    spans = spans[spans >= 0]
+    count = float(np.floor(spans / alpha_step).sum()) + spans.size
+    if count > PAIRWISE_CELL_BUDGET:
+        raise ValueError(f"the sample would hold about {count:.0f} points, above the "
+                         f"budget of {PAIRWISE_CELL_BUDGET}; raise alpha_step")
+
+
 def sample_epigraph(f: FunctionModel, mesh: MeshSpec, cap: float,
                     alpha_step: float) -> PointSet:
     """Cloud {(x, a) : x node, a in {f(x), f(x)+step, ...} up to cap}."""
@@ -214,6 +225,7 @@ def sample_epigraph(f: FunctionModel, mesh: MeshSpec, cap: float,
     vals = values_on(f, mesh)
     # the rungs run from the least value up to cap + SLACK
     _check_rung_step(alpha_step, min(float(vals.min()), cap), cap + SLACK)
+    _check_cloud_size(cap + SLACK - vals[vals <= cap], alpha_step)
     pts = []
     for p, v in zip(mesh.nodes(), vals):
         if not np.isfinite(v) or v > cap:
@@ -244,8 +256,9 @@ def sample_hypograph(f: FunctionModel, mesh: MeshSpec, cap: float, floor: float,
     if not (math.isfinite(cap) and math.isfinite(floor)):
         raise ValueError("cap and floor must be finite")
     _check_rung_step(alpha_step, cap, floor - SLACK)  # the rungs' two ends
-    pts = []
     vals = values_on(f, mesh)
+    _check_cloud_size(np.minimum(vals, cap) - (floor - SLACK), alpha_step)
+    pts = []
     for p, v in zip(mesh.nodes(), vals):
         top = cap if not np.isfinite(v) else min(float(v), cap)
         a = top
@@ -272,22 +285,39 @@ def inf_over_region(f: FunctionModel, S: Region, mesh: MeshSpec) -> ExtReal:
     return float(vals[inside].min()) if inside.any() else INF
 
 
+def _scan_min(a: np.ndarray) -> None:
+    """Running minimum of every line of ``a`` along its last axis, in place.
+    A line is nonincreasing up to its first rise a[..., j+1] > a[..., j], so
+    it is its own running minimum there: the scan starts at the least first
+    rise over all lines, and lines that never rise cost no scan.  Only the
+    sign of a zero can differ from a full scan, at an equal -0.0, 0.0 pair,
+    and ``_ramp_pass`` erases it."""
+    rises = a[..., 1:] > a[..., :-1]
+    if rises.ndim > 1:
+        rises = rises.any(axis=tuple(range(rises.ndim - 1)))
+    if rises.any():
+        tail = a[..., int(rises.argmax()):]
+        np.fmin.accumulate(tail, axis=-1, out=tail)
+
+
 def _ramp_pass(v: np.ndarray, slope: float) -> np.ndarray:
     """1-D envelope of v along its last axis, min over j of
     v_j + slope*|i - j|, for every line at once: with ramp_i = slope*i it
-    is min(ramp + cummin(v - ramp), revcummin(v + ramp) - ramp, v)."""
+    is min(ramp + cummin(v - ramp), revcummin(v + ramp) - ramp, v).  Each
+    running minimum starts at the first rise (``_scan_min``), so a slope
+    above the Lipschitz constant of every line costs no scan at all."""
     ramp = np.arange(v.shape[-1], dtype=float)
     ramp *= slope
-    # fmin, faster here than minimum, differs from it only at NaN, which
-    # tabulated values never hold, and in which of -0.0 and 0.0 it keeps:
+    # the running minima (fmin, faster here than minimum, and trimmed) differ
+    # from minimum.accumulate only at NaN, which tabulated values never hold,
+    # and in which of -0.0 and 0.0 they keep:
     # v + ramp holds no -0.0, and past index 0 adding the positive ramp back
     # to cummin(v - ramp) erases the sign.  v itself is never written.
     fwd = np.subtract(v, ramp)
-    np.fmin.accumulate(fwd, axis=-1, out=fwd)
+    _scan_min(fwd)
     fwd += ramp
     bwd = np.add(v, ramp)
-    back = bwd[..., ::-1]
-    np.fmin.accumulate(back, axis=-1, out=back)
+    _scan_min(bwd[..., ::-1])
     bwd -= ramp
     np.minimum(fwd, bwd, out=fwd)
     return np.minimum(fwd, v, out=fwd)
@@ -323,7 +353,9 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     - 1-D meshes (every norm) and the taxicab norm in any dimension: one
       1-D distance-transform pass per axis, min(ramp + cummin(f - ramp),
       revcummin(f + ramp) - ramp, f) with ramp_i = n*h*i.  Exact, since
-      the l1 cone is separable; linear in the node count.
+      the l1 cone is separable; linear in the node count.  Each running
+      minimum starts at the first rise over the lines of the pass, so an
+      n above the Lipschitz constant of the data costs no scan.
     - The max norm on a 2-D mesh with equal steps: two raster scans over
       the 8 neighbours (``_chessboard_envelope``), linear in the count.
     - Every other case (Euclidean in 2-D and up, unequal steps, the max

@@ -151,7 +151,14 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
     component, so declared Lipschitz hints widen the Holds/Fails cutoffs
     by that amount.
     """
-    pm, idx, F, dDelta = _product_data(ds, mesh)
+    return _decoupling(ds, xbar, mesh, cfg, _product_data(ds, mesh))
+
+
+def _decoupling(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec,
+                cfg: LimitConfig, data) -> Verdict:
+    """``decoupling_inequality`` on the product data ``(pm, idx, F, dDelta)``
+    of ``_product_data(ds, mesh)``, assembled by the caller."""
+    pm, idx, F, dDelta = data
     sum_vals = F[_diagonal_nodes(mesh, ds.k)]
     dist_x = ds.base_norm.pairwise(np.asarray([xbar], dtype=float), mesh.nodes())[0]
     # the product distance from (xbar, ..., xbar) is the max of the components'
@@ -201,12 +208,14 @@ def decoupling_inequality(ds: DecoupledSum, xbar: Sequence[float],
 
 
 def _penalized_diagonal(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec):
-    """(product mesh, the diagonally penalized sequence F + n * d_Delta,
-    its limit the diagonal restriction F_Delta, the diagonal point
-    (xbar, ..., xbar)), all under the max product norm."""
+    """(product data ``(pm, idx, F, dDelta)`` of ``_product_data``, the
+    diagonally penalized sequence F + n * d_Delta, its limit the diagonal
+    restriction F_Delta, the diagonal point (xbar, ..., xbar)), all under
+    the max product norm."""
     if ds.base_norm.kind is not MAX.kind and mesh.dim != 1:
         raise ValueError("product norm requires base dim 1 or a max base norm")
-    pm, _, F, dDelta = _product_data(ds, mesh)
+    data = _product_data(ds, mesh)
+    pm, _, F, dDelta = data
     Fd = FunctionModel.tabulated(pm, np.where(dDelta == 0.0, F, np.inf),
                                  norm=MAX, name="F_diag")
 
@@ -215,7 +224,7 @@ def _penalized_diagonal(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec)
 
     seq = FunctionSequence(make, box=pm.box, norm=MAX)
     z = tuple(float(c) for c in xbar) * ds.k
-    return pm, seq, Fd, z
+    return data, seq, Fd, z
 
 
 def prop71_bridge(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec,
@@ -224,10 +233,10 @@ def prop71_bridge(ds: DecoupledSum, xbar: Sequence[float], mesh: MeshSpec,
     diagonally penalized sequence F + n * d_Delta converging to the
     diagonal restriction F_Delta at (xbar, ..., xbar)).  The two statuses
     agree whenever both are decisive."""
-    pm, seq, Fd, z = _penalized_diagonal(ds, xbar, mesh)
-    dec = decoupling_inequality(ds, xbar, mesh, cfg)
+    data, seq, Fd, z = _penalized_diagonal(ds, xbar, mesh)
+    dec = _decoupling(ds, xbar, mesh, cfg, data)
     wij = wijsman_at_point(seq, Fd, z, lambda_max=2 * max(cfg.radius_ladder),
-                           cfg=cfg, mesh=pm)
+                           cfg=cfg, mesh=data[0])
     return dec, wij
 
 
@@ -248,10 +257,10 @@ def r2_witness(ds: DecoupledSum, oracles: Sequence[SubdifferentialOracle],
     """
     if len(oracles) != ds.k:
         raise ValueError("one oracle per component is required")
-    pm, seq, Fd, z = _penalized_diagonal(ds, xbar, mesh)
-    if not decoupling_inequality(ds, xbar, mesh, cfg).holds:
+    data, seq, Fd, z = _penalized_diagonal(ds, xbar, mesh)
+    if not _decoupling(ds, xbar, mesh, cfg, data).holds:
         raise ValueError("decoupling inequality does not hold at xbar")
-    wit = slope_stability_witness(seq, Fd, z, pm, cfg)
+    wit = slope_stability_witness(seq, Fd, z, data[0], cfg)
 
     # F_Delta at (x, ..., x) is sum_i f_i(x)
     sum_model = FunctionModel.tabulated(mesh, Fd.values[_diagonal_nodes(mesh, ds.k)],

@@ -166,6 +166,19 @@ class TestEpigraphSampling:
         with pytest.raises(ValueError, match="alpha_step"):
             sample_hypograph(f, m, cap=2.0, floor=0.0, alpha_step=1e-17)
 
+    def test_epigraph_refuses_a_ladder_over_the_point_budget(self):
+        # (2 - 1) / 1e-9 rungs on each of 2 nodes: refused before any point
+        m = MeshSpec.line(0.0, 1.0, 1.0)
+        f = model(lambda x: 1.0, m)
+        with pytest.raises(ValueError, match="2000000002 points"):
+            sample_epigraph(f, m, cap=2.0, alpha_step=1e-9)
+
+    def test_hypograph_refuses_a_ladder_over_the_point_budget(self):
+        m = MeshSpec.line(0.0, 1.0, 1.0)
+        f = model(lambda x: 1.0, m)
+        with pytest.raises(ValueError, match="2000000002 points"):
+            sample_hypograph(f, m, cap=2.0, floor=0.0, alpha_step=1e-9)
+
     def test_epigraph_points_above_graph(self):
         m = line(h=0.2)
         f = model(lambda x: x * x, m)

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FinitePoints,
-                      FunctionModel, INF, MeshSpec, Norm, PointSet, Predicate,
-                      WholeSpace, epi_hypo_gap_triple, gap_distance, geometry,
-                      inf_over_region, pasch_hausdorff)
+                      FunctionModel, INF, LimitConfig, MeshSpec, Norm, PointSet,
+                      Predicate, WholeSpace, epi_hypo_gap_triple, functions,
+                      gap_distance, geometry, inf_over_region, pasch_hausdorff,
+                      robustness)
 from epislope.functions import _key, _ramp_pass
 from epislope.geometry import PAIRWISE_CELL_BUDGET
 from epislope.sumrules import (DecoupledSum, _product_data, diagonal_distance,
@@ -87,6 +88,85 @@ def test_ramp_pass_is_the_temporary_formula_bit_for_bit(shape, transpose, step, 
     got = _ramp_pass(v, slope)
     assert got.tobytes() == _temporary_ramp_pass(v, slope).tobytes()
     assert v.tobytes() == before
+
+
+@st.composite
+def rising_line(draw, slope, length):
+    """A line that is nonincreasing up to a drawn first-rise column (0, the
+    last one, or none), steps up there by k*slope (k an integer 1-3, exact
+    multiples, or any float in [0, 4]) and is free after it; mirrored or
+    not, so that either running minimum of ``_ramp_pass`` starts mid-line."""
+    entry = st.one_of(st.sampled_from([0.0, -0.0, math.inf]),
+                      st.integers(-3, 3).map(lambda k: k * slope), st.floats(-4.0, 4.0))
+    rise = None if length < 2 else draw(st.one_of(st.sampled_from([0, length - 2, None]),
+                                                  st.integers(0, length - 2)))
+    head = length if rise is None else rise + 1
+    line = sorted(draw(st.lists(entry, min_size=head, max_size=head)), reverse=True)
+    if rise is not None:
+        line.append(line[-1] + slope * draw(st.one_of(st.integers(1, 3), st.floats(0.0, 4.0))))
+        line += draw(st.lists(entry, min_size=length - len(line), max_size=length - len(line)))
+    return line[::-1] if draw(st.booleans()) else line
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 4), st.booleans(), st.sampled_from(STEPS),
+       st.floats(0.5, 64.0), st.data())
+def test_ramp_pass_from_the_first_rise_is_the_temporary_formula(length, rows, transpose,
+                                                                 step, n, data):
+    """Lines rising at drawn columns, one line (rows = 0) or rows of lines
+    rising at different columns, contiguous or as a transposed view: the
+    running minima started at the least first rise give the reference's
+    bytes, signed zeros and +inf included."""
+    slope = n * step
+    lines = [data.draw(rising_line(slope, length)) for _ in range(max(rows, 1))]
+    v = np.array(lines[0] if rows == 0 else lines)
+    if transpose and rows:
+        v = np.ascontiguousarray(v.T).T
+    before = v.tobytes()
+    got = _ramp_pass(v, slope)
+    assert got.tobytes() == _temporary_ramp_pass(v, slope).tobytes()
+    assert v.tobytes() == before
+
+
+@contextlib.contextmanager
+def counted_scans():
+    """Record the length of every running minimum the envelopes take."""
+    scans = []
+
+    class Counted:
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
+        def __call__(self, *args, **kwargs):
+            return self.ufunc(*args, **kwargs)
+
+        def accumulate(self, a, *args, **kwargs):
+            scans.append(a.shape[-1])
+            return self.ufunc.accumulate(a, *args, **kwargs)
+
+    class CountedNumpy:
+        fmin, minimum = Counted(np.fmin), Counted(np.minimum)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions, "np", CountedNumpy())
+        yield scans
+
+
+def test_envelope_above_the_lipschitz_constant_runs_no_scan():
+    """|x| on a line has steps h, all below n*h for n = 2: both ramp lines
+    fall everywhere and no running minimum runs.  At n = 0.5 each scan
+    starts at the kink, half way along the line."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.01)
+    f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()[:, 0]))
+    with counted_scans() as scans:
+        pasch_hausdorff(f, 2.0, mesh)
+    assert scans == []
+    with counted_scans() as scans:
+        pasch_hausdorff(f, 0.5, mesh)
+    assert scans == [101, 101]
 
 
 @pytest.mark.parametrize("norm,counts", [(EUCLIDEAN, (9,)), (TAXICAB, (5, 7)),
@@ -400,6 +480,34 @@ def test_ball_infimum_matches_contains(mesh, norm, data):
     ball = Ball(center, max(radius, 0.0), norm)
     inside = [v for p, v in zip(nodes, fv) if ball.contains(tuple(p))]
     assert inf_over_region(f, ball, mesh) == min(inside, default=INF)
+
+
+@settings(max_examples=150, deadline=None)
+@given(meshes, st.sampled_from(NORMS), st.sampled_from(NORMS), st.data())
+def test_robustness_plain_infimum_is_inf_over_region(mesh, norm, ball_norm, data):
+    """robustness reads the ball's members off its measured d_S where d_S
+    is the closed form, and asks the ball otherwise: its plain infimum is
+    inf_over_region's with radius 0, nodes exactly on the shell and an
+    infinite radius."""
+    fv = np.array(data.draw(st.lists(values, min_size=mesh.node_count,
+                                     max_size=mesh.node_count)))
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    keys = [tuple(p) for p in mesh.nodes()]
+    center, rim = data.draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2))
+    radius = data.draw(st.sampled_from((0.0, ball_norm.dist(rim, center), math.inf)))
+    ball = Ball(center, radius, ball_norm)
+    assert robustness(f, ball, mesh, LimitConfig()).plain_inf == inf_over_region(f, ball, mesh)
+
+
+def test_robustness_on_a_ball_measures_center_distances_once():
+    """The closed-form d_S of a ball gives the robustness report its
+    members too: one pairwise call on a 2001-node line."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.001)
+    f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()[:, 0]))
+    with recorded_pairwise() as calls:
+        report = robustness(f, Ball((0.25,), 0.1), mesh, LimitConfig())
+    assert len(calls) == 1
+    assert report.plain_inf == inf_over_region(f, Ball((0.25,), 0.1), mesh)
 
 
 # ------------------------------------------- region members and distances

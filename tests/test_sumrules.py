@@ -166,6 +166,25 @@ def test_euclidean_plane_base_is_refused_before_any_product(monkeypatch, operati
     assert built == []
 
 
+@pytest.mark.parametrize("operation,name", [("prop71_bridge", "decouple-lipschitz-lsc"),
+                                            ("r2_witness", "sum-smooth-kink")])
+def test_bridge_and_witness_assemble_the_product_once(monkeypatch, operation, name):
+    """The decoupling verdict and the penalized sequence share one
+    product assembly."""
+    p = get(name)
+    built = []
+    real = sumrules._product_data
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sumrules, "_product_data", counted)
+    args = (p["sum"], p["oracles"]) if operation == "r2_witness" else (p["sum"],)
+    getattr(sumrules, operation)(*args, p["xbar"], p["mesh"], p["cfg"])
+    assert len(built) == 1
+
+
 class TestSumRuleWitness:
     def test_smooth_plus_kink(self):
         p = get("sum-smooth-kink")
