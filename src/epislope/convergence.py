@@ -9,9 +9,11 @@ D(B_r(y), A) = (d(y, A) - r)^+ rather than sampling the ball.
 
 Recovery sequences and Wijsman verdicts at a point x share one sweep
 (``_sweep``): the node distances to x are sorted once, so the nested
-balls B_r(x) are prefixes of one order, and each f_n the sweep visits is
-generated once, reduced to its recovery pick, ball infima and the
-caller's per-n step (the Ekeland witnesses of ``slopes``), and dropped.
+balls B_r(x), and the delta rungs of each ball whose uniform infimum of
+f a Wijsman row compares, are prefixes of one order.  f is gathered in
+that order once; each f_n the sweep visits is generated once, reduced to
+its recovery pick, ball infima and the caller's per-n step (the Ekeland
+witnesses of ``slopes``), and dropped.
 Memory is O(N) in the node count, not O(N) per f_n.  Wijsman convergence
 is a tail statement, so a Wijsman verdict without a per-n step sweeps the
 eventual window of the schedule only: each f_n of the window is generated
@@ -31,11 +33,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF
-from .functions import (FunctionModel, MeshSpec, Variant, epi_hypo_gap_triple,
-                        restrict, tabulate, tilt, values_on)
+from .functions import (FunctionModel, MeshSpec, epi_hypo_gap_triple, restrict,
+                        tilt, values_on)
 from .geometry import Norm, EUCLIDEAN, PointSet, point_set_distance
 from .regions import Ball, Region
-from .uniforminf import _MeshLayers, uniform_infimum
+from .uniforminf import _MeshLayers, _sorted_sup_inf, uniform_infimum
 from .verdict import (SLACK, LimitConfig, Status, Verdict, combine, decide,
                       excess_verdict, margin)
 
@@ -168,27 +170,33 @@ def snap_half_node(lam: float, h: float) -> float:
 
 
 def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
-           cfg: LimitConfig, mesh: MeshSpec, reaches: Sequence[float] = (),
+           cfg: LimitConfig, mesh: MeshSpec, lambdas: Sequence[float] = (),
            step: Optional[Callable] = None, start: int = 0):
     """One pass over the n schedule from its position ``start`` on, for
-    the recovery picks at x, the infima of every f_n over the balls
-    B_reach(x), and ``step(n, f_n, x_n)`` on each f_n and its recovery
-    pick x_n.  No n before ``start`` is generated; every n keeps the
-    radius r_n of its position in the whole schedule.
+    the recovery picks at x, the uniform infima r(f) and the infima of
+    every f_n over the balls B_lam(x) of ``lambdas`` (the f_n infima of a
+    lam = 0 ball take the nodes within h/4 of x), and ``step(n, f_n, x_n)``
+    on each f_n and its recovery pick x_n.  No n before ``start`` is
+    generated; every n keeps the radius r_n of its position in the whole
+    schedule.
 
     The distances from x to the nodes are sorted once (stable, so ties
-    keep node order); every ball is then a prefix of that order.  Each
-    f_n is fetched once and gathered in distance order up to the largest
-    prefix needed.  The ball infima are its prefix minima at the balls'
-    ends: one minimum per segment between consecutive ends, then a
-    running minimum over the segments.  The recovery pick in the
-    radius-r_n prefix is the first position of least error |f_n - f(x)|:
-    least error, then least distance, then least node index.
+    keep node order); every ball is then a prefix of that order.  f is
+    gathered in that order once, before any f_n; each delta rung of
+    B_lam(x), {max(0, d - lam) <= delta} in the ball's closed form, is a
+    prefix too, since max(0, d - lam) is nondecreasing in the sorted d, so
+    r(f) reads the running minimum of f at the rungs' ends.  Each f_n is
+    fetched once and gathered in distance order up to the largest prefix
+    needed.  The ball infima are its prefix minima at the balls' ends: one
+    minimum per segment between consecutive ends, then a running minimum
+    over the segments.  The recovery pick in the radius-r_n prefix is the
+    first position of least error |f_n - f(x)|: least error, then least
+    distance, then least node index.
 
-    Returns f(x), the picks (n, x_n, f_n(x_n), ||x_n - x||, r_n), the
-    infima as one list per reach, INF for an empty ball, and the step's
-    results in schedule order (empty without a step), each for the
-    swept positions only.
+    Returns f(x), the picks (n, x_n, f_n(x_n), ||x_n - x||, r_n), r(f) per
+    ball, the f_n infima as one list per ball, INF for an empty ball, and
+    the step's results in schedule order (empty without a step), each for
+    the swept positions only.
     """
     fx = f(x)
     if fx == INF:
@@ -198,6 +206,11 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     dist = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
     order = np.argsort(dist, kind="stable")
     dist = dist[order]
+    # f is tabulated once, for the balls' r(f) only; f(x) above stays
+    # analytic, so an off-lattice probe works
+    low = np.minimum.accumulate(values_on(f, mesh)[order]) if lambdas else None
+    r_values = [_sorted_sup_inf(low, np.maximum(0.0, dist - lam), cfg.delta_ladder)
+                for lam in lambdas]
     ladder = cfg.radius_ladder
     count = len(cfg.n_schedule)
     radii = [ladder[min(j * len(ladder) // count, len(ladder) - 1)] for j in range(count)]
@@ -205,14 +218,16 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     nearest = int(np.searchsorted(dist, dist[0] + SLACK, "right"))
     ends = np.searchsorted(dist, radii, "right")
     ends[ends == 0] = nearest
-    reach_ends = np.searchsorted(dist, np.asarray(reaches, dtype=float), "right")
+    h = min(mesh.h)
+    reaches = np.asarray([lam if lam > 0 else h / 4 for lam in lambdas], dtype=float)
+    reach_ends = np.searchsorted(dist, reaches, "right")
     filled = reach_ends > 0
     cuts = np.unique(reach_ends[filled])
     starts = np.concatenate(([0], cuts[:-1]))
     slots = np.searchsorted(cuts, reach_ends[filled])
     top = int(cuts[-1]) if cuts.size else 0
     picks, stepped = [], []
-    infs = np.full((len(reaches), count - start), INF)
+    infs = np.full((len(lambdas), count - start), INF)
     for j in range(start, count):
         n = cfg.n_schedule[j]
         fn = seq.generator(n)
@@ -225,7 +240,7 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
             infs[filled, j - start] = np.minimum.accumulate(segments)[slots]
         if step is not None:
             stepped.append(step(n, fn, picks[-1][1]))
-    return fx, picks, infs.tolist(), stepped
+    return fx, picks, r_values, infs.tolist(), stepped
 
 
 def _recovery_verdict(fx: float, picks, cfg: LimitConfig) -> Verdict:
@@ -246,7 +261,7 @@ def recovery_sequence(seq: FunctionSequence, f: FunctionModel, x: Sequence[float
     x_n is the node in the shrinking ball B_{r_n}(x) whose value is
     closest to f(x), ties broken towards x.
     """
-    fx, picks, _, _ = _sweep(seq, f, x, cfg, mesh)
+    fx, picks, _, _, _ = _sweep(seq, f, x, cfg, mesh)
     return [p[1] for p in picks], _recovery_verdict(fx, picks, cfg)
 
 
@@ -258,24 +273,18 @@ def _wijsman(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
 
     The verdict reads the suffix window of the schedule only, so without
     a step the sweep starts at the window; a step sees every n."""
+    if not lambda_max >= 0:  # also refuses NaN
+        raise ValueError(f"lambda_max must be nonnegative, got {lambda_max!r}")
     h = min(mesh.h)
     lambdas = [0.0] + [snap_half_node(lam, h) for lam in cfg.radius_ladder
                        if lam < lambda_max]
     lambdas = sorted(set(lambdas), reverse=True)
     start = 0 if step is not None else len(cfg.n_schedule) - cfg.window_size
-    # the lambda = 0 row takes the nodes within h/4 of x
-    fx, picks, infs, stepped = _sweep(seq, f, x, cfg, mesh,
-                                      [lam if lam > 0 else h / 4 for lam in lambdas],
-                                      step, start)
+    fx, picks, r_values, infs, stepped = _sweep(seq, f, x, cfg, mesh, lambdas, step, start)
     rec = _recovery_verdict(fx, picks, cfg)
-    # f is tabulated once for all rows; f(x) above stays analytic, so an
-    # off-lattice probe works
-    f_mesh = tabulate(f, mesh) if f.variant is Variant.ANALYTIC else f
     rows = []
     worst = math.inf
-    for lam, row in zip(lambdas, infs):
-        ball = Ball(center=tuple(float(c) for c in x), radius=lam, norm=f.norm)
-        r_val = uniform_infimum(f_mesh, ball, mesh, cfg)
+    for lam, r_val, row in zip(lambdas, r_values, infs):
         liminf = min(cfg.window(row))
         m = margin(r_val, liminf)
         rows.append({"lambda": lam, "r_value": r_val, "liminf_inf": liminf,

@@ -7,7 +7,8 @@ Each public call builds one evaluator of f and d_S, chosen in
 ``_layers``, and shares it between all its parts.  Nothing is cached
 across calls.  On a mesh (``_MeshLayers``, which refuses a missing mesh)
 f is tabulated once and d_S, measured by the region in the model's norm
-(``Region.distances``), at most once.  Finite-exception models
+(``Region.distances``), at most once; a penalty call raises d_S to p once
+for all its multipliers.  Finite-exception models
 (``_ValueLayers``) stay in exact rational arithmetic, never snapped to a
 mesh: one pass over the exceptions, a single inlined integer loop with
 no function call per point, builds a value-layer index (per distinct
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,17 +172,22 @@ class _ValueLayers:
             best = inf_d if best is None else max(best, inf_d)
         return best
 
-    def penalty(self, n: float, p: float) -> float:
-        """min of f + n * d_S^p in floats.  Within a layer the term grows
-        with the squared distance, so the layer's least one gives its
-        minimum; a value at or above the default never undercuts the
-        default at the center."""
-        best = float(self.default)  # the ball's center: d_S = 0, default value
+    def penalties(self, ns: Sequence[float], p: float) -> List[float]:
+        """min of f + n * d_S^p in floats, for each n of ``ns``.  Within a
+        layer the term grows with the squared distance, so the layer's
+        least one gives its minimum; a value at or above the default never
+        undercuts the default at the center.  Each layer's d_S^p is taken
+        once for all n."""
         radius = float(self.radius)
-        for v, d_sq in self.layers:
-            d = max(0.0, math.sqrt(float(d_sq)) - radius)
-            best = min(best, float(v) + n * d ** p)
-        return best
+        terms = [(float(v), max(0.0, math.sqrt(float(d_sq)) - radius) ** p)
+                 for v, d_sq in self.layers]
+        out = []
+        for n in ns:
+            best = float(self.default)  # the ball's center: d_S = 0, default value
+            for v, dp in terms:
+                best = min(best, v + n * dp)
+            out.append(best)
+        return out
 
 
 class _MeshLayers:
@@ -211,17 +217,26 @@ class _MeshLayers:
 
     def uniform_infimum(self, ladder: Sequence[float]) -> ExtReal:
         if not (self.dist <= max(ladder)).any():
-            raise ValueError("no mesh node within the largest delta of the region")
+            raise ValueError(_NO_NODE)
         return _sup_inf(self.values, self.dist, ladder)
 
     def penalized(self, n: float, p: float) -> np.ndarray:
-        """f + n * d_S^p at every node."""
+        """f + n * d_S^p at every node, a fresh array."""
         return self.values + n * self.dist ** p
 
-    def penalty(self, n: float, p: float) -> float:
-        """min of f + n * d_S^p over the nodes; INF when no node gives a
-        finite sum."""
-        return float(self.penalized(n, p).min())
+    def penalties(self, ns: Sequence[float], p: float) -> List[float]:
+        """min of f + n * d_S^p over the nodes for each n of ``ns``; INF
+        when no node gives a finite sum.  d_S^p is taken once, and each
+        n * d_S^p + f is formed in one scratch array of this call: IEEE *
+        and + commute, so every sum is ``penalized``'s bit for bit."""
+        dp = self.dist ** p
+        scratch = np.empty_like(dp)
+        out = []
+        for n in ns:
+            np.multiply(dp, n, out=scratch)
+            scratch += self.values
+            out.append(float(scratch.min()))
+        return out
 
 
 def _layers(f: FunctionModel, S: Region, mesh: Optional[MeshSpec]):
@@ -243,15 +258,37 @@ def uniform_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec],
     return _layers(f, S, mesh).uniform_infimum(cfg.delta_ladder)
 
 
+_NO_NODE = "no mesh node within the largest delta of the region"
+
+
 def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> float:
     """sup over the delta ladder of inf{values : dist <= delta} (INF for an
-    empty rung); monotone nondecreasing as delta shrinks (checked, else
+    empty rung), one mask per rung; see ``_sup_of_rungs``."""
+    return _sup_of_rungs(float(values[mask].min()) if mask.any() else INF
+                         for mask in (dist <= delta for delta in ladder))
+
+
+def _sorted_sup_inf(running_min: np.ndarray, dist: np.ndarray,
+                    ladder: Sequence[float]) -> float:
+    """``_sup_inf`` for values ordered so that ``dist`` is nondecreasing,
+    given as their running minimum: each rung {dist <= delta} is then a
+    prefix, and its infimum the running minimum at the prefix's end.  The
+    same refusal as ``_MeshLayers.uniform_infimum`` when no node is within
+    the largest delta.  Only the sign of a zero minimum can differ from
+    ``_sup_inf``, whose minima run in node order."""
+    ends = np.searchsorted(dist, ladder, "right")
+    if not ends.any():
+        raise ValueError(_NO_NODE)
+    return _sup_of_rungs(float(running_min[k - 1]) if k else INF for k in ends)
+
+
+def _sup_of_rungs(rung_infs: Iterable[float]) -> float:
+    """The sup of a delta ladder's rung infima, given in ladder order;
+    monotone nondecreasing as delta shrinks (checked, else
     InvariantError), so it equals the smallest-rung value."""
     best = -math.inf
     prev = None
-    for delta in ladder:
-        mask = dist <= delta
-        inf_d = float(values[mask].min()) if mask.any() else INF
+    for inf_d in rung_infs:
         if inf_d == -math.inf:
             raise InvariantError("-inf is not an extended-real value")
         if prev is not None and inf_d < prev - SLACK:
@@ -269,7 +306,7 @@ def plain_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec]) -> ExtR
 def penalty_value(f: FunctionModel, S: Region, n: float, spec: PenaltySpec,
                   mesh: Optional[MeshSpec]) -> ExtReal:
     """inf over the sample space of f(x) + n * d_S(x)^p."""
-    return _layers(f, S, mesh).penalty(n, spec.p)
+    return _layers(f, S, mesh).penalties((n,), spec.p)[0]
 
 
 def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
@@ -281,7 +318,7 @@ def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
     infimum within cfg.tol.
     """
     layers = _layers(f, S, mesh)
-    vals = [layers.penalty(n, spec.p) for n in spec.n_schedule]
+    vals = layers.penalties(spec.n_schedule, spec.p)
     for a, b in zip(vals, vals[1:]):
         if b < a - SLACK:
             raise InvariantError("penalty values must be nondecreasing in n")

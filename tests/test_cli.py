@@ -157,6 +157,19 @@ class TestRunScenario:
         assert captured.err.startswith("error: ") and named in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("lambda_max", [-3.0, float("nan")], ids=["negative", "nan"])
+    def test_negative_or_nan_lambda_max_is_refused(self, tmp_path, capsys, lambda_max):
+        # both exited 0 on the lambda = 0 row alone, and NaN was written
+        # as "lambda_max": NaN, which is not JSON
+        path = write_scenario(tmp_path, {
+            "name": "bad-lambda", "operation": "wijsman_at_point",
+            "instance": "envelope-of-kink", "params": {"lambda_max": lambda_max}})
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "lambda_max" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_robustness_with_an_empty_region_fails_with_infinite_margin(self, tmp_path,
                                                                         capsys):
         # B(0.2505, 0.0004) holds no node: inf over it is +inf, while r

@@ -286,6 +286,43 @@ class TestWijsmanAtPoint:
         v = wijsman_at_point(seq, f, (0.0,), lambda_max=0.5, cfg=CFG, mesh=mesh)
         assert v.fails
 
+    def test_a_node_exactly_on_a_rung_counts_in_its_row(self):
+        """A node where max(0, d - lam) equals the least delta lies in that
+        rung: each row's r(f) is the masked uniform infimum on B_lam(x)."""
+        mesh = MeshSpec.line(-1.0, 1.0, 0.25)
+        cfg = LimitConfig(delta_ladder=(0.5, 0.25, 0.125))
+        f = tabmodel(lambda x: abs(abs(x) - 0.5), mesh)
+        seq = FunctionSequence(lambda n: f, box=mesh.box)
+        rows = wijsman_at_point(seq, f, (0.0,), 1.0, cfg, mesh).witness["rows"]
+        # d - lam = 0.125 at d = 0.5 for lam = 0.375, and at d = 0.25 for 0.125
+        assert [(r["lambda"], r["r_value"]) for r in rows] == [(0.375, 0.0), (0.125, 0.25),
+                                                               (0.0, 0.5)]
+        for row in rows:
+            assert row["r_value"] == uniform_infimum(f, Ball((0.0,), row["lambda"]), mesh, cfg)
+
+    @pytest.mark.parametrize("lambda_max", [-3.0, -math.inf, math.nan])
+    def test_negative_or_nan_lambda_max_refused_before_any_f_n(self, lambda_max):
+        # both were decided on the lambda = 0 row alone and reported Holds
+        mesh = MeshSpec.line(-1.0, 1.0, 0.05)
+        f = tabmodel(abs, mesh)
+
+        def make(n):
+            raise AssertionError(f"f_{n} generated")
+
+        seq = FunctionSequence(make, box=mesh.box)
+        with pytest.raises(ValueError, match="lambda_max must be nonnegative"):
+            wijsman_at_point(seq, f, (0.0,), lambda_max, CFG, mesh)
+        with pytest.raises(ValueError, match="lambda_max must be nonnegative"):
+            slice_at_point(seq, f, (0.0,), lambda_max, [(0.0,)], CFG, mesh)
+
+    def test_zero_lambda_max_keeps_the_zero_row(self):
+        mesh = MeshSpec.line(-1.0, 1.0, 0.05)
+        f = tabmodel(abs, mesh)
+        seq = FunctionSequence(lambda n: f, box=mesh.box)
+        v = wijsman_at_point(seq, f, (0.0,), 0.0, CFG, mesh)
+        assert v.holds
+        assert [row["lambda"] for row in v.witness["rows"]] == [0.0]
+
 
 class TestTilt:
     def test_zero_tilt_is_identity(self):

@@ -1,7 +1,7 @@
 """Mesh-native kernels against brute force at small sizes: the Lipschitz
 envelopes (1-D, separable taxicab, chessboard scans and the blocked
-fallback), row-blocked pairwise minima and their cell budget, arithmetic
-node lookup, product-mesh values and diagonal distances gathered from
+fallback), row-blocked pairwise minima and their cell budget (and one
+pairwise call per Wijsman verdict), arithmetic node lookup, product-mesh values and diagonal distances gathered from
 base-mesh arrays, ball infima, and region membership and distances on
 node arrays."""
 
@@ -13,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FinitePoints,
-                      FunctionModel, INF, LimitConfig, MeshSpec, Norm, PointSet,
-                      Predicate, WholeSpace, epi_hypo_gap_triple, functions,
-                      gap_distance, geometry, inf_over_region, pasch_hausdorff,
-                      robustness)
+                      FunctionModel, FunctionSequence, INF, LimitConfig, MeshSpec,
+                      Norm, PointSet, Predicate, WholeSpace, epi_hypo_gap_triple,
+                      functions, gap_distance, geometry, inf_over_region,
+                      pasch_hausdorff, robustness, wijsman_at_point)
 from epislope.functions import _key, _ramp_pass
 from epislope.geometry import PAIRWISE_CELL_BUDGET
 from epislope.sumrules import (DecoupledSum, _product_data, diagonal_distance,
@@ -508,6 +508,19 @@ def test_robustness_on_a_ball_measures_center_distances_once():
         report = robustness(f, Ball((0.25,), 0.1), mesh, LimitConfig())
     assert len(calls) == 1
     assert report.plain_inf == inf_over_region(f, Ball((0.25,), 0.1), mesh)
+
+
+def test_wijsman_verdict_measures_center_distances_once():
+    """The lambda rows' uniform infima of f read the sweep's one sorted
+    distance order, as the f_n ball infima do: one pairwise call per
+    verdict on a 2001-node line (one more per row before)."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.001)
+    f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()[:, 0]))
+    seq = FunctionSequence(lambda n: f, box=mesh.box)
+    with recorded_pairwise() as calls:
+        verdict = wijsman_at_point(seq, f, (0.25,), 0.5, LimitConfig(), mesh)
+    assert len(calls) == 1
+    assert verdict.holds and len(verdict.witness["rows"]) == 8
 
 
 # ------------------------------------------- region members and distances

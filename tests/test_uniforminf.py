@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    Ball, FinitePoints, FunctionModel, INF, LimitConfig, MAX, MeshSpec, PenaltySpec,
-    PointSet, Predicate, Status, WholeSpace, carac_W_bridge, nogoodlsc, penalty_limit,
-    penalty_value, plain_infimum, robustness, uniform_infimum,
+    Ball, EUCLIDEAN, FinitePoints, FunctionModel, INF, LimitConfig, MAX, MeshSpec, PenaltySpec,
+    PointSet, Predicate, Status, TAXICAB, WholeSpace, carac_W_bridge, nogoodlsc,
+    penalty_limit, penalty_value, plain_infimum, robustness, uniform_infimum,
 )
 
 CFG = LimitConfig()
@@ -311,6 +311,38 @@ def test_finite_points_region_edge_cases():
     assert np.array_equal(empty.distances(mesh.nodes(), MAX), np.full(mesh.node_count, INF))
     with pytest.raises(ValueError, match="dim"):
         FinitePoints(PointSet.of([(0.0,)])).distances(mesh.nodes(), MAX)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=2), st.sampled_from((0.5, 1.0, 2.0, 3.0)),
+       st.sampled_from((EUCLIDEAN, MAX, TAXICAB)),
+       st.sampled_from(("ball", "points", "empty")), st.data())
+def test_penalty_values_are_minima_of_the_node_sums(counts, p, norm, kind, data):
+    """penalty_value and every value penalty_limit reports are float.hex-equal
+    to min over the nodes of f + n * d_S^p formed in one expression: p off
+    and on the integers, +inf node values, a ball, a point set and an
+    empty point set (d_S = +inf at every node)."""
+    mesh = MeshSpec(box=tuple((0.0, 0.25 * (c - 1)) for c in counts), h=(0.25,) * len(counts))
+    size = mesh.node_count
+    fv = np.array(data.draw(st.lists(st.one_of(st.floats(-10.0, 10.0), st.just(math.inf)),
+                                     min_size=size, max_size=size)))
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    keys = [tuple(q) for q in mesh.nodes()]
+    if kind == "ball":
+        S = Ball(data.draw(st.sampled_from(keys)), data.draw(st.sampled_from((0.0, 0.3))), norm)
+    else:
+        picked = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3))
+        S = FinitePoints(PointSet.of(picked if kind == "points" else [], dim=len(counts)))
+    d = S.distances(mesh.nodes(), norm)
+    spec = PenaltySpec(p=p)
+    want = [float((fv + n * d ** p).min()).hex() for n in spec.n_schedule]
+    assert [float(penalty_value(f, S, n, spec, mesh)).hex() for n in spec.n_schedule] == want
+    if kind == "empty":
+        with pytest.raises(ValueError, match="no mesh node within"):
+            penalty_limit(f, S, spec, mesh, CFG)
+        return
+    _, verdict = penalty_limit(f, S, spec, mesh, CFG)
+    assert [float(v).hex() for _, v in verdict.witness["penalty_values"]] == want
 
 
 def _untouchable(p):
