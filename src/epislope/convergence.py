@@ -21,7 +21,8 @@ once, and no f_n before it is generated at all.  Recovery sequences and
 the Ekeland witnesses list every n, so they sweep the whole schedule.
 
 The penalty/Wijsman bridge ``carac_W_bridge`` lives here, above
-``uniforminf`` in the import order.
+``uniforminf`` in the import order; it reads f, d_S and both sides of
+every lambda row off one mesh evaluator.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .extreal import INF
 from .functions import (FunctionModel, MeshSpec, epi_hypo_gap_triple, restrict,
                         tilt, values_on)
 from .geometry import Norm, EUCLIDEAN, PointSet, point_set_distance
-from .regions import Ball, Region
-from .uniforminf import _MeshLayers, _sorted_sup_inf, uniform_infimum
+from .regions import Region
+from .uniforminf import _MeshLayers, _sorted_sup_inf, _sup_inf
 from .verdict import (SLACK, LimitConfig, Status, Verdict, combine, decide,
                       excess_verdict, margin)
 
@@ -149,6 +150,8 @@ def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
 def kuratowski_sets(seq: SetSequence, S: PointSet, probes: Sequence[Sequence[float]],
                     cfg: LimitConfig) -> Verdict:
     """Hit-and-miss at lambda = 0 across all probes."""
+    if not probes:
+        raise ValueError("probes must be nonempty")
     results = [hit_and_miss(seq, S, y, 0.0, cfg) for y in probes]
     return _aggregate(results, [{"probe": tuple(y)} for y in probes])
 
@@ -322,28 +325,36 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
     the small-lambda ladder, verdict of Wijsman convergence of the
     penalized sequence to f_S at x).  The two statuses agree whenever both
     are decisive.
+
+    One evaluator (``_MeshLayers``) gives f, d_S and every row: f_S is f
+    where S holds and +inf elsewhere, the left side is r of f_S over
+    max(0, d_x - lam), and the right side r_S of f where d_x <= lam, d_x
+    being the node distances to x.  These are the arrays and masks of two
+    evaluators per lambda, so each row is theirs bit for bit.
     """
-    f_S = restrict(f, S)
+    layers = _MeshLayers(f, S, mesh)
+    nodes = mesh.nodes()
+    d_x = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
+    # a region's members are its contains on every node, bit for bit
+    f_S_values = np.where(S.members_given(nodes, f.norm, layers.dist), layers.values, INF)
     rows = []
     worst = math.inf
     for lam in cfg.radius_ladder:
-        ball = Ball(center=tuple(float(c) for c in x), radius=lam, norm=f.norm)
-        lhs = uniform_infimum(f_S, ball, mesh, cfg)
-        rhs = uniform_infimum(restrict(f, ball), S, mesh, cfg)
+        lhs = _sup_inf(f_S_values, np.maximum(0.0, d_x - lam), cfg.delta_ladder)
+        rhs = _sup_inf(np.where(d_x <= lam, layers.values, INF), layers.dist,
+                       cfg.delta_ladder)
         m = margin(lhs, rhs)
         rows.append({"lambda": lam, "lhs": lhs, "rhs": rhs, "margin": m})
         worst = min(worst, m)
     ineq = Verdict(decide(-worst, cfg.tol, cfg.decision_band), worst,
                    witness={"rows": rows})
 
-    layers = _MeshLayers(f, S, mesh)
-
     def make(n):
         return FunctionModel.tabulated(mesh, layers.penalized(n, p), norm=f.norm,
                                        name=f"{f.name}+{n}d^p")
 
     seq = FunctionSequence(make, box=mesh.box, norm=f.norm)
-    wij = wijsman_at_point(seq, f_S, x, lambda_max=max(cfg.radius_ladder) * 2,
+    wij = wijsman_at_point(seq, restrict(f, S), x, lambda_max=max(cfg.radius_ladder) * 2,
                            cfg=cfg, mesh=mesh)
     return ineq, wij
 
@@ -359,13 +370,11 @@ def slice_at_point(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
         raise ValueError("directions must be nonempty")
     if not any(all(c == 0 for c in d) for d in directions):
         raise ValueError("direction set must include the zero functional")
-    results = []
-    tags = []
-    for d in directions:
-        tseq = seq.tilted(d)
-        tf = tilt(f, d)
-        results.append(wijsman_at_point(tseq, tf, x, lambda_max, cfg, mesh))
-        tags.append({"direction": tuple(float(c) for c in d)})
+    # tilting f checks every direction's dimension before any f_n
+    tilted = [tilt(f, d) for d in directions]
+    results = [wijsman_at_point(seq.tilted(d), tf, x, lambda_max, cfg, mesh)
+               for d, tf in zip(directions, tilted)]
+    tags = [{"direction": tuple(float(c) for c in d)} for d in directions]
     out = _aggregate(results, tags)
     out.witness["surrogate_note"] = "finite direction sample; not all of X*"
     return out

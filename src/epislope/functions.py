@@ -434,8 +434,11 @@ def epi_hypo_gap_triple(f: FunctionModel, g: FunctionModel, mesh: MeshSpec,
 
 
 def tilt(f: FunctionModel, xstar: Sequence[float]) -> FunctionModel:
-    """x -> f(x) + <xstar, x>."""
+    """x -> f(x) + <xstar, x>; an x* of another dimension than the
+    model's box is refused."""
     xs = tuple(float(c) for c in xstar)
+    if f.box and len(xs) != len(f.box):
+        raise ValueError(f"x* has dimension {len(xs)}, the model's box {len(f.box)}")
     if f.variant is Variant.TABULATED:
         shift = f.mesh.nodes() @ np.asarray(xs)
         return FunctionModel.tabulated(f.mesh, f.values + shift, norm=f.norm,

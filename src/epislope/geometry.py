@@ -55,7 +55,11 @@ def _pairwise(kind: NormKind, A: np.ndarray, B: np.ndarray, head: int) -> np.nda
     in place and folded in by ``+=`` or a running maximum.  The sums run
     in ascending coordinate order, the order ``sum(axis=2)`` takes over a
     short trailing axis, so the distances equal the (n, m, d) broadcast
-    formula bit for bit; at most two (n, m) arrays are alive."""
+    formula bit for bit; at most two (n, m) arrays are alive.  Rows of
+    different widths are refused."""
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"points of dimension {A.shape[1]} measured against "
+                         f"points of dimension {B.shape[1]}")
     euclidean = kind is NormKind.EUCLIDEAN
     acc = None if head else np.zeros((len(A), len(B)))
     tmp = None  # one scratch block, reused by every coordinate after the first

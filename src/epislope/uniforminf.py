@@ -16,8 +16,10 @@ value below the default, the least squared distance to the ball's
 center), and every delta rung, the plain infimum and each penalty value
 is a walk over those few layers.
 
-The penalty/Wijsman bridge ``carac_W_bridge`` lives in ``convergence``
-and builds its penalized sequence from ``_MeshLayers.penalized``.
+The masked rung kernel ``_sup_inf`` refuses a distance array with no
+node within the largest delta for every caller: the mesh evaluator, both
+sides of the penalty/Wijsman bridge ``carac_W_bridge`` (in
+``convergence``, on one ``_MeshLayers``) and the decoupling r-form.
 """
 
 from __future__ import annotations
@@ -216,8 +218,6 @@ class _MeshLayers:
         return float(self.values[inside].min()) if inside.any() else INF
 
     def uniform_infimum(self, ladder: Sequence[float]) -> ExtReal:
-        if not (self.dist <= max(ladder)).any():
-            raise ValueError(_NO_NODE)
         return _sup_inf(self.values, self.dist, ladder)
 
     def penalized(self, n: float, p: float) -> np.ndarray:
@@ -263,7 +263,10 @@ _NO_NODE = "no mesh node within the largest delta of the region"
 
 def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> float:
     """sup over the delta ladder of inf{values : dist <= delta} (INF for an
-    empty rung), one mask per rung; see ``_sup_of_rungs``."""
+    empty rung), one mask per rung; see ``_sup_of_rungs``.  Refuses, with
+    a ``ValueError``, a ``dist`` with no node within the largest delta."""
+    if not (dist <= max(ladder)).any():
+        raise ValueError(_NO_NODE)
     return _sup_of_rungs(float(values[mask].min()) if mask.any() else INF
                          for mask in (dist <= delta for delta in ladder))
 
@@ -273,8 +276,8 @@ def _sorted_sup_inf(running_min: np.ndarray, dist: np.ndarray,
     """``_sup_inf`` for values ordered so that ``dist`` is nondecreasing,
     given as their running minimum: each rung {dist <= delta} is then a
     prefix, and its infimum the running minimum at the prefix's end.  The
-    same refusal as ``_MeshLayers.uniform_infimum`` when no node is within
-    the largest delta.  Only the sign of a zero minimum can differ from
+    same refusal as ``_sup_inf`` when no node is within the largest
+    delta.  Only the sign of a zero minimum can differ from
     ``_sup_inf``, whose minima run in node order."""
     ends = np.searchsorted(dist, ladder, "right")
     if not ends.any():

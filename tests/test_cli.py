@@ -238,6 +238,16 @@ class TestRunScenario:
         assert main(["run", path, "--no-timings"]) == 1
         assert "needs params.xstar" in capsys.readouterr().err
 
+    def test_dual_vector_of_another_dimension_is_refused(self, tmp_path, capsys):
+        # printed numpy's "matmul: Input operand 1 has a mismatch ..."
+        path = write_scenario(tmp_path, {
+            "name": "wide-xstar", "operation": "frechet_membership",
+            "instance": "abs-kink", "params": {"xstar": [1.5, 2.0]}})
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: x* has dimension 2, the model's box 1\n"
+
     def test_invariant_violation_exits_one(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise InvariantError("penalty values must be nondecreasing in n")

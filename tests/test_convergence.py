@@ -202,6 +202,13 @@ class TestKuratowski:
         assert kuratowski_sets(seq, PointSet.of([(0.0,)]),
                                probes=[(0.0,), (2.0,)], cfg=SET_CFG).holds
 
+    def test_no_probes_is_refused(self):
+        # raised a bare "min() arg is an empty sequence"
+        S = PointSet.of([(0.0,)])
+        seq = SetSequence(generator=lambda n: S, dim=1)
+        with pytest.raises(ValueError, match="probes must be nonempty"):
+            kuratowski_sets(seq, S, probes=[], cfg=CFG)
+
     def test_never_holds_wijsman_with_failed_kuratowski(self):
         cases = [
             (setseq(lambda n: [(1.0 / n,)]), PointSet.of([(0.0,)])),
@@ -346,6 +353,15 @@ class TestTilt:
         assert node == pytest.approx(1.0, abs=0.1 + 1e-12)
 
 
+    def test_dual_vector_of_another_dimension_is_refused(self):
+        mesh = MeshSpec.line(-1.0, 1.0, 0.1)
+        f = tabmodel(lambda x: x * x, mesh)
+        analytic = FunctionModel.analytic(lambda p: p[0] * p[0], mesh.box)
+        for model in (f, analytic):
+            with pytest.raises(ValueError, match=r"x\* has dimension 2, the model's box 1"):
+                tilt(model, (1.0, 5.0))
+
+
 class TestSlice:
     def test_zero_direction_required(self):
         mesh = MeshSpec.line(-1.0, 1.0, 0.05)
@@ -354,6 +370,18 @@ class TestSlice:
         with pytest.raises(ValueError):
             slice_at_point(seq, f, (0.0,), 0.5, directions=[(1.0,)],
                            cfg=CFG, mesh=mesh)
+
+    def test_direction_of_another_dimension_is_refused_before_any_f_n(self):
+        # the analytic tilt zipped (1, 5) down to (1,), and the verdict Held
+        mesh = MeshSpec.line(-1.0, 1.0, 0.05)
+        f = FunctionModel.analytic(lambda p: abs(p[0]), mesh.box)
+
+        def make(n):
+            raise AssertionError(f"f_{n} generated")
+
+        seq = FunctionSequence(make, box=mesh.box)
+        with pytest.raises(ValueError, match=r"x\* has dimension 2"):
+            slice_at_point(seq, f, (0.0,), 0.5, [(0.0,), (1.0, 5.0)], CFG, mesh)
 
     def test_single_direction_reduces_to_tilted_wijsman(self):
         mesh = MeshSpec.line(-1.0, 1.0, 0.05)

@@ -151,3 +151,12 @@ class TestPairwiseKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 400 * 2600 * 8
+
+    @pytest.mark.parametrize("norm", [EUCLIDEAN, MAX, TAXICAB, BoxNorm(MAX, 1)])
+    def test_rows_of_different_widths_are_refused(self, norm):
+        # a 1-wide row was measured on axis 0 alone, and a 3-wide row
+        # against 2-wide ones ran off B's columns (IndexError)
+        for A, B in ((np.zeros((1, 1)), np.zeros((4, 2))),
+                     (np.zeros((1, 3)), np.zeros((4, 2)))):
+            with pytest.raises(ValueError, match=rf"dimension {A.shape[1]} .* dimension 2"):
+                norm.pairwise(A, B)

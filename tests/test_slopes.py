@@ -74,6 +74,14 @@ class TestStrongSlope:
         with pytest.raises((ValueError, KeyError)):
             strong_slope(tabmodel(abs, mesh), (0.505,), mesh, CFG)
 
+    def test_probe_of_another_dimension_is_refused(self):
+        # an analytic model takes the 3-D probe; its distances to the 2-D
+        # nodes raised a bare IndexError
+        mesh = MeshSpec(box=((-1.0, 1.0), (-1.0, 1.0)), h=(0.1, 0.1))
+        f = FunctionModel.analytic(lambda p: abs(p[0]) + abs(p[1]), mesh.box, norm=MAX)
+        with pytest.raises(ValueError, match="dimension 3 .* dimension 2"):
+            strong_slope(f, (0.5, 0.5, 0.5), mesh, CFG)
+
     def test_gradient_agreement_on_smooth_instances(self):
         h = 1e-3
         mesh = line(h=h)
@@ -112,6 +120,14 @@ class TestEkelandPoint:
         f = tabmodel(lambda x: x, mesh)
         z = ekeland_point(f, (0.0,), 2.0, 1.0, mesh)
         assert z == (0.0,)
+
+    def test_start_of_another_dimension_is_refused(self):
+        # the start (0.5,) was measured on axis 0 alone, and the point
+        # (0.0, -0.5) came back as an Ekeland point of a 2-D mesh
+        mesh = MeshSpec(box=((-1.0, 1.0), (-1.0, 1.0)), h=(0.1, 0.1))
+        f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()).sum(axis=1), norm=MAX)
+        with pytest.raises(ValueError, match="dimension 1 .* dimension 2"):
+            ekeland_point(f, (0.5,), 1.0, 0.5, mesh)
 
     def test_value_never_increases(self):
         mesh = line(h=0.05)

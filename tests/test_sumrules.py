@@ -13,7 +13,7 @@ from epislope import (
     prop71_bridge, r2_witness,
 )
 from epislope.sumrules import PRODUCT_DIM_CAP, product_mesh
-from epislope import catalogue, sumrules
+from epislope import catalogue, convergence, sumrules
 
 COARSE = catalogue.coarse_config()
 
@@ -183,6 +183,31 @@ def test_bridge_and_witness_assemble_the_product_once(monkeypatch, operation, na
     args = (p["sum"], p["oracles"]) if operation == "r2_witness" else (p["sum"],)
     getattr(sumrules, operation)(*args, p["xbar"], p["mesh"], p["cfg"])
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("operation", ["decoupling_inequality", "prop71_bridge",
+                                       "r2_witness"])
+def test_xbar_beyond_every_delta_of_the_mesh_is_refused_before_any_sweep(monkeypatch,
+                                                                         operation):
+    """No node lies within lam + delta of xbar = 5 on the line [-1, 1]:
+    the decoupling inequality was a vacuous Holds there (lhs = rhs = inf),
+    and the bridge and the witness raised an off-node KeyError from their
+    Wijsman side.  Each refuses in the r-form's rungs instead."""
+    p = get("sum-smooth-kink")
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(convergence, "_sweep", sweep)
+    args = (p["sum"], p["oracles"]) if operation == "r2_witness" else (p["sum"],)
+    with pytest.raises(ValueError, match="no mesh node within the largest delta"):
+        getattr(sumrules, operation)(*args, (5.0,), p["mesh"], p["cfg"])
+
+
+def test_xbar_just_outside_the_box_keeps_its_verdict():
+    p = get("sum-smooth-kink")
+    v = decoupling_inequality(p["sum"], (1.02,), p["mesh"], p["cfg"])
+    assert v.holds and v.witness["rows"][0]["lhs"] == 1.8525000000000005
 
 
 class TestSumRuleWitness:

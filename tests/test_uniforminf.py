@@ -10,15 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    Ball, EUCLIDEAN, FinitePoints, FunctionModel, INF, LimitConfig, MAX, MeshSpec, PenaltySpec,
-    PointSet, Predicate, Status, TAXICAB, WholeSpace, carac_W_bridge, nogoodlsc,
-    penalty_limit, penalty_value, plain_infimum, robustness, uniform_infimum,
+    Ball, EUCLIDEAN, FinitePoints, FunctionModel, FunctionSequence, INF, LimitConfig, MAX,
+    MeshSpec, Norm, PenaltySpec, PointSet, Predicate, Status, TAXICAB, WholeSpace,
+    carac_W_bridge, convergence, nogoodlsc, penalty_limit, penalty_value, plain_infimum,
+    restrict, robustness, uniform_infimum, values_on, wijsman_at_point,
 )
+from epislope.uniforminf import _MeshLayers
+from epislope.verdict import decide, margin
 
 CFG = LimitConfig()
 # ladder whose smallest rung (1/32) keeps the sparse model's truncation
 # bound affordable in the exact tests
 EXACT_CFG = LimitConfig(delta_ladder=tuple(0.5 / 2 ** k for k in range(5)))
+COARSE_DELTAS = LimitConfig(delta_ladder=(0.5, 0.25, 0.125))
 
 
 def line(h=0.01):
@@ -251,6 +255,127 @@ class TestPenaltyWijsmanBridge:
                                        mesh, CFG)
             if ineq.decisive and wij.decisive:
                 assert ineq.status is wij.status
+
+
+def wijsman_or_refusal(*args, **kwargs):
+    """``wijsman_at_point``, or the type of the error it raises."""
+    try:
+        return wijsman_at_point(*args, **kwargs)
+    except (ValueError, KeyError) as error:
+        return type(error)
+
+
+def reference_bridge(f, S, x, p, mesh, cfg):
+    """``carac_W_bridge`` as two evaluators per lambda: r of f_S over the
+    ball B_lam(x) in the model's norm, and r_S of f restricted to it; the
+    Wijsman side from f + n d_S^p tabulated afresh."""
+    f_S = restrict(f, S)
+    rows = []
+    for lam in cfg.radius_ladder:
+        ball = Ball(tuple(float(c) for c in x), lam, f.norm)
+        lhs = uniform_infimum(f_S, ball, mesh, cfg)
+        rhs = uniform_infimum(restrict(f, ball), S, mesh, cfg)
+        rows.append((lam, lhs, rhs, margin(lhs, rhs)))
+    worst = min(row[3] for row in rows)
+    dist = S.distances(mesh.nodes(), f.norm)
+    values = values_on(f, mesh)
+    seq = FunctionSequence(
+        lambda n: FunctionModel.tabulated(mesh, values + n * dist ** p, norm=f.norm),
+        box=mesh.box, norm=f.norm)
+    wij = wijsman_or_refusal(seq, f_S, x, 2 * max(cfg.radius_ladder), cfg, mesh)
+    return rows, decide(-worst, cfg.tol, cfg.decision_band), worst, wij
+
+
+def hexed(rows):
+    return [tuple(float(v).hex() for v in row) for row in rows]
+
+
+bridge_meshes = st.builds(
+    lambda lo, step, counts: MeshSpec(
+        box=tuple((lo / 100.0, lo / 100.0 + step * (c - 1)) for c in counts),
+        h=(step,) * len(counts)),
+    st.integers(-100, 100), st.sampled_from((0.05, 0.1, 0.25)),
+    st.lists(st.integers(2, 7), min_size=1, max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bridge_meshes, st.sampled_from((EUCLIDEAN, MAX, TAXICAB)),
+       st.sampled_from((0.5, 1.0, 2.0)), st.data())
+def test_bridge_rows_are_the_per_lambda_evaluators(mesh, norm, p, data):
+    """The bridge reads both sides of every lambda row off one evaluator:
+    each row is float.hex-equal to two per-lambda evaluators, the statuses,
+    margins and Wijsman verdicts agree, and where the evaluators refuse,
+    the bridge refuses with a ValueError too."""
+    nodes = mesh.nodes()
+    keys = [tuple(q) for q in nodes]
+    fv = np.array(data.draw(st.lists(
+        st.one_of(st.floats(-10.0, 10.0), st.just(math.inf)),
+        min_size=mesh.node_count, max_size=mesh.node_count)))
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    kind = data.draw(st.sampled_from(("ball", "foreign ball", "whole", "predicate",
+                                      "points")))
+    some = st.lists(st.sampled_from(keys), min_size=1, max_size=3)
+    if kind in ("ball", "foreign ball"):
+        own = norm if kind == "ball" else data.draw(
+            st.sampled_from([m for m in (EUCLIDEAN, MAX, TAXICAB) if m != norm]))
+        center, rim = data.draw(some)[0], data.draw(some)[0]
+        S = Ball(center, own.dist(rim, center), own)
+    elif kind == "whole":
+        S = WholeSpace()
+    elif kind == "predicate":
+        picked = set(data.draw(some))
+        S = Predicate(lambda q: tuple(q) in picked)
+    else:
+        S = FinitePoints(PointSet.of(data.draw(some)))
+    x = data.draw(st.sampled_from(keys))
+    # on the mesh, off it, and beyond every rung of the ladders (refused)
+    shift = data.draw(st.sampled_from((0.0, 0.0, 0.3, 40.0)))
+    x = tuple(c + shift * h for c, h in zip(x, mesh.h))
+    # coarse delta rungs reach past the ball and the region: rows that fail
+    cfg = data.draw(st.sampled_from((CFG, COARSE_DELTAS)))
+    try:
+        rows, status, worst, want = reference_bridge(f, S, x, p, mesh, cfg)
+    except ValueError:
+        with pytest.raises(ValueError):
+            carac_W_bridge(f, S, x, p, mesh, cfg)
+        return
+    # a Wijsman side that raises leaves the rows to compare
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convergence, "wijsman_at_point", wijsman_or_refusal)
+        ineq, wij = carac_W_bridge(f, S, x, p, mesh, cfg)
+    got = [(r["lambda"], r["lhs"], r["rhs"], r["margin"]) for r in ineq.witness["rows"]]
+    assert hexed(got) == hexed(rows)
+    assert ineq.status is status and float(ineq.margin).hex() == float(worst).hex()
+    if isinstance(want, type):
+        assert wij is want
+    else:
+        assert (wij.status, wij.margin, wij.witness) == (want.status, want.margin,
+                                                         want.witness)
+
+
+def test_bridge_builds_one_evaluator_and_measures_three_distance_rows():
+    """One evaluator gives f, d_S and every lambda row: three pairwise
+    calls (d_S, the distances to x, the Wijsman sweep's) on a 2001-node
+    line, where two evaluators per lambda made 17 and 18."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.001)
+    f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()[:, 0]))
+    built, measured = [], []
+    real_init, real_pairwise = _MeshLayers.__init__, Norm.pairwise
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    def pairwise(self, A, B):
+        measured.append(len(A) * len(B))
+        return real_pairwise(self, A, B)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_MeshLayers, "__init__", init)
+        mp.setattr(Norm, "pairwise", pairwise)
+        ineq, wij = carac_W_bridge(f, Ball((0.25,), 0.1), (0.25,), 1.0, mesh, CFG)
+    assert (len(built), len(measured)) == (1, 3)
+    assert ineq.holds and wij.holds
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
