@@ -51,7 +51,7 @@ class RunReport:
             "scenario": self.scenario,
             "seed": self.seed,
             "config": _jsonable(self.config),
-            "verdicts": _jsonable(self.verdicts),
+            "verdicts": self.verdicts,  # Verdict.to_dict() output, JSON types already
             "tables": _jsonable(self.tables),
             "timings": self.timings,
         }
@@ -182,10 +182,12 @@ def _r2_witness(payload, params, cfg) -> Labelled:
 @dataclass(frozen=True)
 class Operation:
     """An ``epislope run`` operation: the instance payload keys it reads
-    (the region is separate, as params may give it), whether it accepts
-    exact (finite-exception) instances, and its runner."""
+    (the region is separate, as params may give it), the scenario params
+    it reads, whether it accepts exact (finite-exception) instances, and
+    its runner."""
 
     needs: Tuple[str, ...]
+    params: Tuple[str, ...]
     exact: bool
     run: Callable[[Dict[str, Any], Dict[str, Any], LimitConfig], Labelled]
 
@@ -193,15 +195,16 @@ class Operation:
 _SEQUENCE = ("seq_factory", "limit", "probe", "mesh")
 _SUM = ("sum", "xbar", "mesh")
 OPERATIONS: Dict[str, Operation] = {
-    "penalty_limit": Operation(("model",), True, _penalty_limit),
-    "robustness": Operation(("model",), True, _robustness),
-    "wijsman_at_point": Operation(_SEQUENCE, False, _wijsman_at_point),
-    "slope_stability": Operation(_SEQUENCE, False, _slope_stability),
-    "frechet_membership": Operation(("model", "probes", "mesh"), False, _frechet_membership),
-    "strong_slope": Operation(("model", "probes", "mesh"), False, _strong_slope),
-    "decoupling_inequality": Operation(_SUM, False, _decoupling_inequality),
-    "prop71_bridge": Operation(_SUM, False, _prop71_bridge),
-    "r2_witness": Operation(("sum", "oracles", "xbar", "mesh"), False, _r2_witness),
+    "penalty_limit": Operation(("model",), ("p", "region"), True, _penalty_limit),
+    "robustness": Operation(("model",), ("region",), True, _robustness),
+    "wijsman_at_point": Operation(_SEQUENCE, ("probe", "lambda_max"), False, _wijsman_at_point),
+    "slope_stability": Operation(_SEQUENCE, ("probe",), False, _slope_stability),
+    "frechet_membership": Operation(("model", "probes", "mesh"), ("xstar", "probe"), False,
+                                    _frechet_membership),
+    "strong_slope": Operation(("model", "probes", "mesh"), ("probe",), False, _strong_slope),
+    "decoupling_inequality": Operation(_SUM, (), False, _decoupling_inequality),
+    "prop71_bridge": Operation(_SUM, (), False, _prop71_bridge),
+    "r2_witness": Operation(("sum", "oracles", "xbar", "mesh"), (), False, _r2_witness),
 }
 
 
@@ -210,7 +213,8 @@ def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
     """Run one catalogue operation; returns labelled verdicts and tables.
 
     An instance the operation cannot run on is refused (ValueError) before
-    any work, naming the first payload key it lacks."""
+    any work, naming the first payload key it lacks; then so is a params
+    key the operation does not read."""
     op = OPERATIONS.get(operation)
     if op is None:
         raise ValueError(f"unknown operation '{operation}'")
@@ -221,6 +225,10 @@ def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
         if payload.get(key) is None:
             raise ValueError(f"instance '{name}' has no '{key}' payload; "
                              f"{operation} reads {', '.join(op.needs)}")
+    for key in params:
+        if key not in op.params:
+            raise ValueError(f"{operation} reads no params.{key}; it reads "
+                             + (", ".join(f"params.{k}" for k in op.params) or "no params"))
     return op.run(payload, params, cfg)
 
 
@@ -233,11 +241,21 @@ def _mapping(doc: Dict[str, Any], key: str) -> Dict[str, Any]:
     return section
 
 
+_SCENARIO_KEYS = ("name", "operation", "instance", "params", "config", "expected")
+
+
 def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
                     timings: bool = True) -> Tuple[RunReport, int]:
     for key in ("name", "operation", "instance"):
         if key not in doc:
             raise ValueError(f"scenario is missing required key '{key}'")
+    for key in doc:
+        if key not in _SCENARIO_KEYS:
+            raise ValueError(f"unknown scenario key {key!r}; a scenario has "
+                             f"{', '.join(_SCENARIO_KEYS)}")
+    if "expected" in doc and doc["expected"] not in [s.value for s in Status]:
+        raise ValueError(f"scenario 'expected' must be Holds, Fails or Inconclusive, "
+                         f"got {doc['expected']!r}")
     seed = catalogue.resolve_seed(seed)
     payload = catalogue.get(doc["instance"], seed=seed)
     cfg = _resolve_config(payload, _mapping(doc, "config"))
@@ -256,9 +274,8 @@ def scenario_report(doc: Dict[str, Any], seed: Optional[int] = None,
         tables=tables,
         timings={"seconds": elapsed} if timings else None,
     )
-    expected = doc.get("expected")
-    if expected is not None:
-        code = 0 if overall.value == expected else 2
+    if "expected" in doc:
+        code = 0 if overall.value == doc["expected"] else 2
     else:
         code = EXIT[overall]
     return report, code

@@ -16,10 +16,11 @@ value below the default, the least squared distance to the ball's
 center), and every delta rung, the plain infimum and each penalty value
 is a walk over those few layers.
 
-The masked rung kernel ``_sup_inf`` refuses a distance array with no
-node within the largest delta for every caller: the mesh evaluator, both
-sides of the penalty/Wijsman bridge ``carac_W_bridge`` (in
-``convergence``, on one ``_MeshLayers``) and the decoupling r-form.
+``_sup_of_rungs`` alone decides a ladder: it takes the sup of the rung
+infima of the exact evaluator and of both mesh kernels (``_sup_inf``, one
+mask per rung, and ``_sorted_sup_inf``, prefixes of one distance order),
+checks each ladder and the penalty schedule to be nondecreasing, and
+refuses a mesh rung ladder with no node within the largest delta.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .functions import (FunctionModel, MeshSpec, SparsePoint, Variant,
                         inf_over_region, tabulate)
 from .geometry import NormKind
 from .regions import Ball, Region
-from .verdict import (SLACK, InvariantError, LimitConfig, Verdict,
+from .verdict import (SLACK, InvariantError, LimitConfig, Verdict, _finite,
                       excess_verdict, margin)
 
 
@@ -49,10 +50,12 @@ class PenaltySpec:
     n_schedule: Tuple[float, ...] = tuple(2.0 ** k for k in range(9))
 
     def __post_init__(self):
-        if not self.p > 0:  # also refuses NaN
-            raise ValueError("exponent p must be positive")
-        if list(self.n_schedule) != sorted(set(self.n_schedule)) or min(self.n_schedule) <= 0:
-            raise ValueError("n_schedule must be increasing positive")
+        ns = self.n_schedule
+        if not (_finite(self.p) and self.p > 0):
+            raise ValueError(f"exponent p must be finite and positive, got {self.p!r}")
+        if not (ns and all(map(_finite, ns)) and list(ns) == sorted(set(ns)) and ns[0] > 0):
+            raise ValueError(f"n_schedule must be nonempty, finite, increasing and positive, "
+                             f"got {ns!r}")
 
 
 @dataclass
@@ -164,15 +167,7 @@ class _ValueLayers:
         return self.infimum(self.radius)
 
     def uniform_infimum(self, ladder: Sequence[float]) -> ExtReal:
-        best: Optional[ExtReal] = None
-        prev: Optional[ExtReal] = None
-        for delta in ladder:
-            inf_d = self.infimum(self.radius + Fraction(delta))
-            if prev is not None and inf_d < prev:
-                raise InvariantError("uniform infimum not monotone along the delta ladder")
-            prev = inf_d
-            best = inf_d if best is None else max(best, inf_d)
-        return best
+        return _sup_of_rungs(self.infimum(self.radius + Fraction(delta)) for delta in ladder)
 
     def penalties(self, ns: Sequence[float], p: float) -> List[float]:
         """min of f + n * d_S^p in floats, for each n of ``ns``.  Within a
@@ -262,12 +257,9 @@ _NO_NODE = "no mesh node within the largest delta of the region"
 
 
 def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> float:
-    """sup over the delta ladder of inf{values : dist <= delta} (INF for an
-    empty rung), one mask per rung; see ``_sup_of_rungs``.  Refuses, with
-    a ``ValueError``, a ``dist`` with no node within the largest delta."""
-    if not (dist <= max(ladder)).any():
-        raise ValueError(_NO_NODE)
-    return _sup_of_rungs(float(values[mask].min()) if mask.any() else INF
+    """sup over the delta ladder of inf{values : dist <= delta}, one mask
+    per rung, an empty one ``None`` to ``_sup_of_rungs``."""
+    return _sup_of_rungs(float(values[mask].min()) if mask.any() else None
                          for mask in (dist <= delta for delta in ladder))
 
 
@@ -275,27 +267,31 @@ def _sorted_sup_inf(running_min: np.ndarray, dist: np.ndarray,
                     ladder: Sequence[float]) -> float:
     """``_sup_inf`` for values ordered so that ``dist`` is nondecreasing,
     given as their running minimum: each rung {dist <= delta} is then a
-    prefix, and its infimum the running minimum at the prefix's end.  The
-    same refusal as ``_sup_inf`` when no node is within the largest
-    delta.  Only the sign of a zero minimum can differ from
-    ``_sup_inf``, whose minima run in node order."""
+    prefix, and its infimum the running minimum at the prefix's end.  Only
+    the sign of a zero minimum can differ from ``_sup_inf``, whose minima
+    run in node order."""
     ends = np.searchsorted(dist, ladder, "right")
-    if not ends.any():
-        raise ValueError(_NO_NODE)
-    return _sup_of_rungs(float(running_min[k - 1]) if k else INF for k in ends)
+    return _sup_of_rungs(float(running_min[k - 1]) if k else None for k in ends)
 
 
-def _sup_of_rungs(rung_infs: Iterable[float]) -> float:
-    """The sup of a delta ladder's rung infima, given in ladder order;
-    monotone nondecreasing as delta shrinks (checked, else
-    InvariantError), so it equals the smallest-rung value."""
+def _sup_of_rungs(rung_infs: Iterable[Optional[ExtReal]],
+                  error: str = "uniform infimum not monotone along the delta ladder") -> ExtReal:
+    """The sup of a ladder's rung values in ladder order, each rung no
+    lower than the last (a float within ``SLACK``, a Fraction exactly; else
+    ``InvariantError(error)``): one of the values, in its own type.  An
+    empty rung, ``None``, reads as INF; an empty first rung (the largest
+    delta) is refused with ``ValueError(_NO_NODE)``."""
     best = -math.inf
     prev = None
     for inf_d in rung_infs:
-        if inf_d == -math.inf:
+        if inf_d is None:
+            if prev is None:
+                raise ValueError(_NO_NODE)
+            inf_d = INF
+        elif inf_d == -math.inf:
             raise InvariantError("-inf is not an extended-real value")
-        if prev is not None and inf_d < prev - SLACK:
-            raise InvariantError("uniform infimum not monotone along the delta ladder")
+        if prev is not None and inf_d < (prev - SLACK if isinstance(prev, float) else prev):
+            raise InvariantError(error)
         prev = inf_d
         best = max(best, inf_d)
     return best
@@ -322,9 +318,7 @@ def penalty_limit(f: FunctionModel, S: Region, spec: PenaltySpec,
     """
     layers = _layers(f, S, mesh)
     vals = layers.penalties(spec.n_schedule, spec.p)
-    for a, b in zip(vals, vals[1:]):
-        if b < a - SLACK:
-            raise InvariantError("penalty values must be nondecreasing in n")
+    _sup_of_rungs(vals, "penalty values must be nondecreasing in n")
     r = layers.uniform_infimum(cfg.delta_ladder)
     last = vals[-1]
     gap = abs(margin(r, last))

@@ -157,6 +157,40 @@ class TestRunScenario:
         assert captured.err.startswith("error: ") and named in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"operation": "wijsman_at_point", "instance": "envelope-of-kink",
+          "params": {"lamda_max": 0.0, "prob": [0.5]}},
+         "wijsman_at_point reads no params.lamda_max; it reads params.probe, "
+         "params.lambda_max"),
+        ({"operation": "decoupling_inequality", "instance": "sum-smooth-kink",
+          "params": {"xbar": [0.5]}}, "decoupling_inequality reads no params.xbar"),
+        ({"operation": "strong_slope", "instance": "abs-kink", "parms": {},
+          "params": {"radius": 0.1}}, "unknown scenario key 'parms'"),
+        ({"operation": "strong_slope", "instance": "abs-kink", "params": {"radius": 0.1}},
+         "strong_slope reads no params.radius"),
+        ({"operation": "decoupling_inequality", "instance": "sum-smooth-kink",
+          "expected": "holds"}, "must be Holds, Fails or Inconclusive"),
+        ({"operation": "penalty_limit", "instance": "quadratic-at-origin",
+          "params": {"p": float("inf")}}, "exponent p must be finite"),
+    ], ids=["wijsman-typos", "sum-xbar", "top-level-key", "slope-radius",
+            "expected-case", "p-inf"])
+    def test_scenario_typos_are_refused(self, tmp_path, capsys, doc, named):
+        # each ran on the defaults (exit 0, or Holds at the payload's xbar),
+        # and a misspelt expectation exited 2 like a real mismatch
+        path = write_scenario(tmp_path, {"name": "typo", **doc})
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_every_operation_names_the_params_it_reads(self):
+        assert {name: op.params for name, op in cli.OPERATIONS.items()} == {
+            "penalty_limit": ("p", "region"), "robustness": ("region",),
+            "wijsman_at_point": ("probe", "lambda_max"), "slope_stability": ("probe",),
+            "frechet_membership": ("xstar", "probe"), "strong_slope": ("probe",),
+            "decoupling_inequality": (), "prop71_bridge": (), "r2_witness": ()}
+
     @pytest.mark.parametrize("lambda_max", [-3.0, float("nan")], ids=["negative", "nan"])
     def test_negative_or_nan_lambda_max_is_refused(self, tmp_path, capsys, lambda_max):
         # both exited 0 on the lambda = 0 row alone, and NaN was written
@@ -383,6 +417,7 @@ class TestSweep:
         (["--instance", "abs-kink", "--p", "-1"], "positive"),
         (["--instance", "abs-kink", "--p", "1", "0"], "positive"),
         (["--instance", "abs-kink", "--p", "nan"], "positive"),
+        (["--instance", "abs-kink", "--p", "inf"], "finite"),
     ])
     def test_bad_input_is_refused_without_a_traceback(self, args, named, capsys):
         assert main(["sweep", *args]) == 1

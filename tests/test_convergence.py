@@ -631,6 +631,16 @@ class TestSweepWork:
         with pytest.raises(RuntimeError, match="f_1 generated"):
             recovery_sequence(late, f, (0.0,), CFG, mesh)
 
+    def test_a_probe_beyond_every_rung_is_refused_before_any_f_n(self):
+        """The lambda rows' r(f) read the sorted rung kernel, which passes an
+        empty largest rung to the rung rule's refusal."""
+        mesh = MeshSpec.line(-1.0, 1.0, 0.05)
+        _, seq, made = self.envelope_sequence(mesh)
+        f = FunctionModel.analytic(lambda p: abs(p[0]), mesh.box)
+        with pytest.raises(ValueError, match="no mesh node within the largest delta"):
+            wijsman_at_point(seq, f, (5.0,), 0.5, CFG, mesh)
+        assert made == Counter()
+
     def test_an_analytic_limit_is_tabulated_once_per_verdict(self):
         """The lambda rows share one tabulation of an analytic f: N node
         values and f(x), not one tabulation per row."""

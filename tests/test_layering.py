@@ -1,8 +1,9 @@
 """Structure of the package: every import sits at module level and is
 used by its module, the relative imports between modules form no cycle, so
 the modules load in one order, outside ``verdict`` no status literal
-sets a status except at the listed sites, and ``uniforminf`` chooses
-between its exact and mesh evaluators at one site."""
+sets a status except at the listed sites, ``uniforminf`` chooses
+between its exact and mesh evaluators at one site, and one function of
+``uniforminf`` applies its rung rule."""
 
 import ast
 import pathlib
@@ -210,3 +211,37 @@ def test_the_dispatch_check_finds_a_second_branch():
         "        raise ValueError\n")
     assert _variant_dispatches(tree) == ["_layers", "plain"]
     assert _mesh_refusals(tree) == ["B.__init__", "plain"]
+
+
+def _rung_rule_raises(tree):
+    """Every ``raise InvariantError(...)`` (the ladder and penalty-schedule
+    monotonicity checks) and every raise naming ``_NO_NODE``."""
+    def match(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        func = getattr(node.exc, "func", None)
+        return (isinstance(func, ast.Name) and func.id == "InvariantError"
+                or any(isinstance(inner, ast.Name) and inner.id == "_NO_NODE"
+                       for inner in ast.walk(node.exc)))
+    return _enclosing(tree, match)
+
+
+def test_uniforminf_applies_its_rung_rule_at_one_site():
+    """Exact rungs, both mesh kernels and the penalty schedule go through
+    ``_sup_of_rungs``: it alone refuses an empty largest rung and raises
+    the monotonicity errors."""
+    assert set(_rung_rule_raises(MODULES["uniforminf"])) == {"_sup_of_rungs"}
+
+
+def test_the_rung_rule_check_finds_a_second_raiser():
+    tree = ast.parse(
+        "def _sup_of_rungs(rungs):\n"
+        "    raise InvariantError('not monotone')\n"
+        "class Layers:\n"
+        "    def uniform_infimum(self):\n"
+        "        raise InvariantError('not monotone')\n"
+        "def _kernel(dist):\n"
+        "    if not dist.any():\n"
+        "        raise ValueError(_NO_NODE)\n"
+        "    raise ValueError('another refusal')\n")
+    assert _rung_rule_raises(tree) == ["_sup_of_rungs", "Layers.uniform_infimum", "_kernel"]

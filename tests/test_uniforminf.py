@@ -15,8 +15,8 @@ from epislope import (
     carac_W_bridge, convergence, nogoodlsc, penalty_limit, penalty_value, plain_infimum,
     restrict, robustness, uniform_infimum, values_on, wijsman_at_point,
 )
-from epislope.uniforminf import _MeshLayers
-from epislope.verdict import decide, margin
+from epislope.uniforminf import _NO_NODE, _MeshLayers, _sup_of_rungs
+from epislope.verdict import InvariantError, decide, margin
 
 CFG = LimitConfig()
 # ladder whose smallest rung (1/32) keeps the sparse model's truncation
@@ -123,6 +123,17 @@ class TestPenaltyValue:
             PenaltySpec(p=0.0)
         with pytest.raises(ValueError):
             PenaltySpec(n_schedule=(4.0, 2.0))
+
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"p": math.inf}, "exponent p"), ({"p": math.nan}, "exponent p"),
+        ({"n_schedule": ()}, "n_schedule"), ({"n_schedule": (1.0, math.inf)}, "n_schedule"),
+        ({"n_schedule": (1.0, math.nan)}, "n_schedule"),
+    ], ids=["p-inf", "p-nan", "schedule-empty", "schedule-inf", "schedule-nan"])
+    def test_non_finite_spec_is_refused(self, kwargs, named):
+        # p = inf reported Holds; an inf or NaN multiplier made the penalty
+        # limit NaN, with a NaN margin
+        with pytest.raises(ValueError, match=named):
+            PenaltySpec(**kwargs)
 
 
 class TestPenaltyLimit:
@@ -468,6 +479,33 @@ def test_penalty_values_are_minima_of_the_node_sums(counts, p, norm, kind, data)
         return
     _, verdict = penalty_limit(f, S, spec, mesh, CFG)
     assert [float(v).hex() for _, v in verdict.witness["penalty_values"]] == want
+
+
+class TestSupOfRungs:
+    """The one rung rule: every ladder's sup, the penalty schedule's check
+    and the empty-reach refusal."""
+
+    def test_fraction_rungs_return_the_same_object(self):
+        rungs = [Fraction(-1), Fraction(-1, 2), Fraction(-1, 3)]
+        assert _sup_of_rungs(rungs) is rungs[-1]
+
+    def test_a_tiny_fraction_decrease_still_raises(self):
+        # SLACK covers float rounding; exact rungs compare exactly
+        with pytest.raises(InvariantError, match="not monotone"):
+            _sup_of_rungs([Fraction(0), Fraction(-1, 10 ** 15)])
+        assert _sup_of_rungs([0.0, -1e-15]) == 0.0
+
+    def test_a_decrease_raises_the_given_message(self):
+        with pytest.raises(InvariantError, match="penalty values must be nondecreasing"):
+            _sup_of_rungs([1.0, 0.5], "penalty values must be nondecreasing in n")
+
+    def test_an_empty_first_rung_is_refused(self):
+        with pytest.raises(ValueError, match=_NO_NODE):
+            _sup_of_rungs([None, None, 1.0])
+
+    def test_an_empty_later_rung_reads_as_inf(self):
+        assert _sup_of_rungs([-1.0, None]) == INF
+        assert _sup_of_rungs([Fraction(-1), None]) == INF
 
 
 def _untouchable(p):
