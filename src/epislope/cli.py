@@ -60,14 +60,18 @@ class RunReport:
 
 def _resolve_config(payload: Dict[str, Any], overrides: Dict[str, Any]) -> LimitConfig:
     """The instance's own config (else the default one) with the scenario's
-    ``config`` overrides applied on top; lists become tuples."""
+    ``config`` overrides applied on top; lists become tuples.  A config is
+    validated once: without overrides the base config is returned as is."""
     kwargs = {}
     allowed = {f.name for f in fields(LimitConfig)}
     for key, value in overrides.items():
         if key not in allowed:
             raise ValueError(f"unknown config key '{key}'")
         kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return replace(payload.get("cfg") or LimitConfig(), **kwargs)
+    base = payload.get("cfg")
+    if base is None:
+        return LimitConfig(**kwargs)
+    return replace(base, **kwargs) if kwargs else base
 
 
 def _number(value: Any, key: str) -> float:

@@ -12,8 +12,10 @@ Recovery sequences and Wijsman verdicts at a point x share one sweep
 balls B_r(x), and the delta rungs of each ball whose uniform infimum of
 f a Wijsman row compares, are prefixes of one order.  f is gathered in
 that order once; each f_n the sweep visits is generated once, reduced to
-its recovery pick, ball infima and the caller's per-n step (the Ekeland
-witnesses of ``slopes``), and dropped.
+its recovery pick, its minima over the segments between consecutive ball
+ends (one row of a window x segments array, turned into ball infima by
+one running minimum after the last f_n) and the caller's per-n step (the
+Ekeland witnesses of ``slopes``), and dropped.
 Memory is O(N) in the node count, not O(N) per f_n.  Wijsman convergence
 is a tail statement, so a Wijsman verdict without a per-n step sweeps the
 eventual window of the schedule only: each f_n of the window is generated
@@ -190,9 +192,11 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     prefix too, since max(0, d - lam) is nondecreasing in the sorted d, so
     r(f) reads the running minimum of f at the rungs' ends.  Each f_n is
     fetched once and gathered in distance order up to the largest prefix
-    needed.  The ball infima are its prefix minima at the balls' ends: one
-    minimum per segment between consecutive ends, then a running minimum
-    over the segments.  The recovery pick in the radius-r_n prefix is the
+    needed.  The ball infima are its prefix minima at the balls' ends: each
+    f_n writes one minimum per segment between consecutive ends into its
+    row of a (swept n) x (segments) array, and after the last f_n one
+    running minimum along the rows and one gather give every ball's infima
+    at once.  The recovery pick in the radius-r_n prefix is the
     first position of least error |f_n - f(x)|: least error, then least
     distance, then least node index.
 
@@ -230,7 +234,7 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     slots = np.searchsorted(cuts, reach_ends[filled])
     top = int(cuts[-1]) if cuts.size else 0
     picks, stepped = [], []
-    infs = np.full((len(lambdas), count - start), INF)
+    segments = np.empty((count - start, len(cuts)))
     for j in range(start, count):
         n = cfg.n_schedule[j]
         fn = seq.generator(n)
@@ -239,10 +243,12 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
         k = int(np.argmin(np.abs(vals[:ends[j]] - fx)))
         picks.append((n, tuple(nodes[order[k]]), float(vals[k]), float(dist[k]), radii[j]))
         if top:
-            segments = np.minimum.reduceat(vals[:top], starts)
-            infs[filled, j - start] = np.minimum.accumulate(segments)[slots]
+            np.minimum.reduceat(vals[:top], starts, out=segments[j - start])
         if step is not None:
             stepped.append(step(n, fn, picks[-1][1]))
+    infs = np.full((len(lambdas), count - start), INF)
+    np.minimum.accumulate(segments, axis=1, out=segments)
+    infs[filled] = segments[:, slots].T
     return fx, picks, r_values, infs.tolist(), stepped
 
 

@@ -285,19 +285,27 @@ def inf_over_region(f: FunctionModel, S: Region, mesh: MeshSpec) -> ExtReal:
     return float(vals[inside].min()) if inside.any() else INF
 
 
-def _scan_min(a: np.ndarray) -> None:
-    """Running minimum of every line of ``a`` along its last axis, in place.
-    A line is nonincreasing up to its first rise a[..., j+1] > a[..., j], so
-    it is its own running minimum there: the scan starts at the least first
-    rise over all lines, and lines that never rise cost no scan.  Only the
-    sign of a zero can differ from a full scan, at an equal -0.0, 0.0 pair,
-    and ``_ramp_pass`` erases it."""
-    rises = a[..., 1:] > a[..., :-1]
+def _scan_min(a: np.ndarray, backward: bool = False) -> None:
+    """Running minimum of every line of ``a`` along its last axis, in place;
+    from the end of each line to its start when ``backward`` is set.  A
+    line is nonincreasing in the scan direction up to its first rise, so it
+    is its own running minimum there: the scan starts at the least first
+    rise over all lines, and lines that never rise cost no scan.  The rises
+    are found on ``a`` as laid out (a backward rise is a[..., j] >
+    a[..., j+1], the last such j the first one met), so a backward scan
+    reads no reversed view until its tail.  Only the sign of a zero can
+    differ from a full scan, at an equal -0.0, 0.0 pair, and ``_ramp_pass``
+    erases it."""
+    rises = a[..., :-1] > a[..., 1:] if backward else a[..., 1:] > a[..., :-1]
     if rises.ndim > 1:
         rises = rises.any(axis=tuple(range(rises.ndim - 1)))
-    if rises.any():
+    if not rises.any():
+        return
+    if backward:
+        tail = a[..., len(rises) - int(rises[::-1].argmax())::-1]
+    else:
         tail = a[..., int(rises.argmax()):]
-        np.fmin.accumulate(tail, axis=-1, out=tail)
+    np.fmin.accumulate(tail, axis=-1, out=tail)
 
 
 def _ramp_pass(v: np.ndarray, slope: float) -> np.ndarray:
@@ -317,7 +325,7 @@ def _ramp_pass(v: np.ndarray, slope: float) -> np.ndarray:
     _scan_min(fwd)
     fwd += ramp
     bwd = np.add(v, ramp)
-    _scan_min(bwd[..., ::-1])
+    _scan_min(bwd, backward=True)
     bwd -= ramp
     np.minimum(fwd, bwd, out=fwd)
     return np.minimum(fwd, v, out=fwd)
@@ -375,7 +383,9 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     low = fv.min()
     if low == INF:
         raise ValueError("f is +inf on the whole mesh")
-    if mesh.dim == 1 or f.norm.kind is NormKind.TAXICAB:
+    if mesh.dim == 1:
+        out = _ramp_pass(fv, n * mesh.h[0])
+    elif f.norm.kind is NormKind.TAXICAB:
         out = fv.reshape(mesh._counts)
         for axis, step in enumerate(mesh.h):
             out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * step), axis, -1)

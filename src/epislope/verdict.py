@@ -142,7 +142,13 @@ def _jsonable(obj):
 
 
 def _finite(value, kind=numbers.Real) -> bool:
-    """A finite number of the given kind; a bool is not one here."""
+    """A finite number of the given kind (``numbers.Real`` or
+    ``numbers.Integral``); a bool is not one here.  An exact int or float
+    skips the slow ABC checks and gets the same answer."""
+    if type(value) is int:
+        return True
+    if type(value) is float:
+        return kind is numbers.Real and math.isfinite(value)
     return (isinstance(value, kind) and not isinstance(value, bool)
             and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 

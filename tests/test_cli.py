@@ -10,6 +10,7 @@ import yaml
 
 from epislope import InvariantError, catalogue, cli
 from epislope.cli import main, scenario_report
+from epislope.verdict import LimitConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -313,6 +314,48 @@ class TestRunScenario:
         assert main(["run", path, "--out", str(out), "--no-timings"]) == 0
         report = json.loads(out.read_text())
         assert report["verdicts"][0]["witness"]["value"] == pytest.approx(1.0)
+
+
+class TestConfigValidation:
+    """A scenario's config is validated once: the instance's own config,
+    else one default, is used as is when the scenario overrides nothing."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        check = LimitConfig.__post_init__
+
+        def counted(cfg):
+            calls.append(1)
+            check(cfg)
+        monkeypatch.setattr(LimitConfig, "__post_init__", counted)
+        return calls
+
+    @pytest.mark.parametrize("pair", ["wijsman_at_point:envelope-of-kink",
+                                      "penalty_limit:quadratic-at-origin",
+                                      "slope_stability:envelope-of-quadratic"])
+    def test_default_config_is_validated_once(self, validations, pair):
+        operation, instance = pair.split(":")
+        scenario_report({"name": "once", "operation": operation, "instance": instance},
+                        seed=20260823, timings=False)
+        assert len(validations) == 1
+
+    @pytest.mark.parametrize("instance", sorted(
+        name for name in catalogue.names() if name.startswith("decouple-")))
+    def test_own_config_is_not_validated_again(self, validations, instance):
+        catalogue.get(instance, seed=20260823)
+        own = len(validations)
+        assert own >= 1
+        scenario_report({"name": "own", "operation": "decoupling_inequality",
+                         "instance": instance}, seed=20260823, timings=False)
+        assert len(validations) == 2 * own
+
+    def test_tol_above_the_default_band_is_still_refused(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "name": "wide-tol", "operation": "wijsman_at_point",
+            "instance": "envelope-of-kink", "config": {"tol": 0.1}})
+        assert main(["run", path, "--no-timings"]) == 1
+        assert "tol" in capsys.readouterr().err
 
 
 class TestExactTable:

@@ -2,13 +2,15 @@
 one-sided excess verdict."""
 
 import math
+import numbers
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from epislope.extreal import INF
-from epislope.verdict import (LimitConfig, Status, combine, decide,
+from epislope.verdict import (LimitConfig, Status, _finite, combine, decide,
                               excess_verdict, margin)
 
 TOL, BAND = 1e-6, 0.05
@@ -191,3 +193,25 @@ class TestLimitConfigFields:
     def test_eventually_window_that_is_not_an_integer_is_refused(self, window):
         with pytest.raises(ValueError, match="eventually_window"):
             LimitConfig(eventually_window=window)
+
+
+def _finite_by_abc(value, kind):
+    """The ABC form of the finiteness check, without the exact-type fast path."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+
+
+class TestFinite:
+    @pytest.mark.parametrize("kind", [numbers.Real, numbers.Integral],
+                             ids=["Real", "Integral"])
+    @pytest.mark.parametrize("value", [
+        0, 7, -3, 2 ** 80, True, False, 0.0, -0.0, 2.5, math.inf, -math.inf, math.nan,
+        Fraction(1, 3), Fraction(4), Decimal("1.5"), Decimal("NaN"),
+        np.float64(2.5), np.float64(-0.0), np.float64(math.inf), np.float64(math.nan),
+        np.int64(3), np.bool_(True), "1", None,
+    ], ids=repr)
+    def test_matches_the_abc_form(self, value, kind):
+        assert _finite(value, kind) is _finite_by_abc(value, kind)
+
+    def test_default_kind_is_real(self):
+        assert _finite(2.5) and not _finite(math.inf) and not _finite(True)
