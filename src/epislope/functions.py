@@ -22,8 +22,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF, ExtReal, check
-from .geometry import (PAIRWISE_CELL_BUDGET, BoxNorm, EUCLIDEAN, Norm, NormKind,
-                       Point, PointSet, _row_blocks, gap_distance)
+from .geometry import (BoxNorm, EUCLIDEAN, Norm, NormKind, Point, PointSet, gap_distance,
+                       pairwise_blocks)
 from .regions import Region
 from .verdict import KEY_DECIMALS, SLACK
 
@@ -206,15 +206,20 @@ def _check_rung_step(alpha_step: float, *ends: float) -> None:
                          f"of the ladder, got {alpha_step!r}")
 
 
+# Most points of one sampled cloud.  A gap distance walks the pairs of two
+# clouds in row blocks, so this caps the points kept, not a block's cells.
+CLOUD_POINT_CAP = 1 << 20
+
+
 def _check_cloud_size(spans: np.ndarray, alpha_step: float) -> None:
     """Refuse, before any point is made, a cloud whose ladders (one per
     node, one rung per ``alpha_step`` over each nonnegative span) would
-    hold more than ``geometry.PAIRWISE_CELL_BUDGET`` points."""
+    hold more than ``CLOUD_POINT_CAP`` points."""
     spans = spans[spans >= 0]
     count = float(np.floor(spans / alpha_step).sum()) + spans.size
-    if count > PAIRWISE_CELL_BUDGET:
+    if count > CLOUD_POINT_CAP:
         raise ValueError(f"the sample would hold about {count:.0f} points, above the "
-                         f"budget of {PAIRWISE_CELL_BUDGET}; raise alpha_step")
+                         f"budget of {CLOUD_POINT_CAP}; raise alpha_step")
 
 
 def sample_epigraph(f: FunctionModel, mesh: MeshSpec, cap: float,
@@ -368,7 +373,7 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
       the 8 neighbours (``_chessboard_envelope``), linear in the count.
     - Every other case (Euclidean in 2-D and up, unequal steps, the max
       norm in 3-D and up): brute force over node pairs, walked in row
-      blocks under ``geometry.PAIRWISE_CELL_BUDGET`` cells.
+      blocks by ``geometry.pairwise_blocks``.
 
     The linear kernels build n||y - x|| from n*h and index differences,
     the brute force from node coordinates, so the two differ by rounding,
@@ -377,8 +382,8 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     closing min with f, and a clamp at min f), so f_n equals f at the
     argmin of f bit for bit, as the true envelope does.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if not 0 < n < math.inf:  # an infinite or NaN n makes NaN envelopes
+        raise ValueError(f"n must be positive and finite, got {n!r}")
     fv = values_on(f, mesh)
     low = fv.min()
     if low == INF:
@@ -395,15 +400,16 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     else:
         nodes = mesh.nodes()
         out = np.empty(len(fv))
-        for rows in _row_blocks(len(nodes), len(nodes)):
-            D = f.norm.pairwise(nodes[rows], nodes)
+        for rows, D, _ in pairwise_blocks(f.norm, nodes, nodes):
             D *= n
             D += fv  # f(y) + n||y - x||, in place on the distance block
-            out[rows] = D.min(axis=1)
+            D.min(axis=1, out=out[rows])
     # every kernel keeps f_n <= f; the ramp form can round below min f
     np.maximum(out, low, out=out)
-    return FunctionModel.tabulated(mesh, out, norm=f.norm, lipschitz_hint=n,
-                                   name=f"{f.name}▽{n}||.||")
+    # min f is finite and n too, so out holds no NaN or -inf: the model is
+    # built as ``FunctionModel.tabulated`` would build it, without its scan
+    return FunctionModel(Variant.TABULATED, mesh.box, f.norm, n, f"{f.name}▽{n}||.||",
+                         mesh=mesh, values=out)
 
 
 def epi_hypo_gap_triple(f: FunctionModel, g: FunctionModel, mesh: MeshSpec,
@@ -422,11 +428,11 @@ def epi_hypo_gap_triple(f: FunctionModel, g: FunctionModel, mesh: MeshSpec,
         nodes = mesh.nodes()
         f_inf = np.isposinf(fv)
         best = INF
-        for rows in _row_blocks(len(nodes), len(nodes)):
-            D = f.norm.pairwise(nodes[rows], nodes)  # rows: g-nodes y, cols: f-nodes x
+        # rows: g-nodes y, cols: f-nodes x
+        for rows, D, vert in pairwise_blocks(f.norm, nodes, nodes):
             with np.errstate(invalid="ignore"):
                 # g(y)=+inf: hypo is all of R there, no vertical gap
-                vert = fv - gv[rows, None]
+                np.subtract(fv, gv[rows, None], out=vert)
                 np.maximum(vert, 0.0, out=vert)
             np.maximum(D, vert, out=D)
             # f(x)=+inf: no epi/graph point at x (also clears inf - inf NaNs)

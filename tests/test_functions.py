@@ -1,6 +1,7 @@
 """Function models, epigraph/graph/hypograph sampling, restriction,
 region infima, Lipschitz envelopes, gap triples."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    Ball, EUCLIDEAN, FunctionModel, INF, LimitConfig, MeshSpec, Predicate,
+    Ball, EUCLIDEAN, MAX, TAXICAB, FunctionModel, INF, LimitConfig, MeshSpec, Predicate,
     PointSet, WholeSpace, catalogue, epi_hypo_gap_triple, gap_distance,
     inf_over_region, pasch_hausdorff, point_set_distance, restrict,
     sample_epigraph, sample_graph, sample_hypograph, slope_stability_witness,
@@ -179,6 +180,19 @@ class TestEpigraphSampling:
         with pytest.raises(ValueError, match="2000000002 points"):
             sample_hypograph(f, m, cap=2.0, floor=0.0, alpha_step=1e-9)
 
+    def test_cloud_cap_is_its_own_not_the_pairwise_block_size(self):
+        # 2^19 rungs above each of 2 nodes, each ladder closed by one more
+        # rung: 2^20 + 2 points are refused, about 10^5 (well above one
+        # pairwise block of 2^16 cells) are sampled
+        m = MeshSpec.line(0.0, 1.0, 1.0)
+        f = model(lambda x: 1.0, m)
+        with pytest.raises(ValueError, match="1048578 points"):
+            sample_epigraph(f, m, cap=2.0, alpha_step=2.0 ** -19)
+        with pytest.raises(ValueError, match="1048578 points"):
+            sample_hypograph(f, m, cap=1.0, floor=0.0, alpha_step=2.0 ** -19)
+        cloud = sample_epigraph(f, m, cap=2.0, alpha_step=2.0 ** -16)
+        assert len(cloud) == 2 * (2 ** 16 + 1) > 2 ** 16
+
     def test_epigraph_points_above_graph(self):
         m = line(h=0.2)
         f = model(lambda x: x * x, m)
@@ -260,6 +274,35 @@ class TestLipschitzEnvelope:
         f = model(lambda x: math.inf, m)
         with pytest.raises(ValueError):
             pasch_hausdorff(f, 1.0, m)
+
+    @pytest.mark.parametrize("n", [0.0, -1.0, math.inf, math.nan])
+    def test_n_outside_the_positive_reals_rejected(self, n):
+        m = line(h=0.5)
+        with pytest.raises(ValueError, match="n must be positive and finite"):
+            pasch_hausdorff(model(abs, m), n, m)
+
+    @pytest.mark.parametrize("norm,mesh", [
+        (EUCLIDEAN, line(h=0.1)),
+        (TAXICAB, MeshSpec(box=((0.0, 1.0), (0.0, 0.5)), h=(0.25, 0.125))),
+        (MAX, MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.25, 0.25))),
+        (EUCLIDEAN, MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.25, 0.25))),
+    ])
+    def test_envelope_model_is_the_tabulated_one(self, norm, mesh):
+        """Every kernel's envelope is built as FunctionModel.tabulated builds
+        it from the same values, field by field."""
+        rng = np.random.default_rng(7)
+        vals = rng.uniform(-1.0, 1.0, mesh.node_count)
+        vals[::3] = math.inf
+        f = FunctionModel.tabulated(mesh, vals, norm=norm, name="f")
+        env = pasch_hausdorff(f, 2.5, mesh)
+        want = FunctionModel.tabulated(mesh, env.values, norm=norm, lipschitz_hint=2.5,
+                                       name="f▽2.5||.||")
+        for fld in dataclasses.fields(FunctionModel):
+            got, ref = getattr(env, fld.name), getattr(want, fld.name)
+            if fld.name == "values":
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            else:
+                assert got == ref, fld.name
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)

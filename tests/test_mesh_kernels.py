@@ -330,16 +330,21 @@ def test_blocked_predicate_distances_are_the_dense_min(mesh, norm, cells, data):
 
 
 @contextlib.contextmanager
-def recorded_pairwise():
-    """Record the cell count of every Norm.pairwise / BoxNorm.pairwise call."""
+def recorded_pairwise(outs=None):
+    """Record the cell count of every Norm.pairwise / BoxNorm.pairwise call,
+    passing buffer arguments through; with a list ``outs``, also the array
+    each call returns."""
     calls = []
 
     def wrap(cls):
         inner = cls.pairwise
 
-        def pairwise(self, A, B):
+        def pairwise(self, A, B, *buffers, **named):
             calls.append((cls, len(A) * len(B)))
-            return inner(self, A, B)
+            D = inner(self, A, B, *buffers, **named)
+            if outs is not None:
+                outs.append(D)
+            return D
         return pairwise
 
     with pytest.MonkeyPatch.context() as mp:
@@ -349,21 +354,83 @@ def recorded_pairwise():
 
 
 def test_no_pairwise_call_exceeds_the_cell_budget():
+    """Each reduction computes every cell once, in blocks within the
+    budget, and writes every block into the first block's memory."""
     mesh = MeshSpec(box=((-1.0, 1.0), (-1.0, 1.0)), h=(0.02, 0.02))  # 101 x 101
     rng = np.random.default_rng(3)
     f = FunctionModel.tabulated(mesh, rng.uniform(-1.0, 1.0, mesh.node_count))
-    with recorded_pairwise() as calls:
+    outs = []
+    with recorded_pairwise(outs) as calls:
         pasch_hausdorff(f, 2.0, mesh)
     assert max(cells for _, cells in calls) <= PAIRWISE_CELL_BUDGET
     assert sum(cells for _, cells in calls) == mesh.node_count ** 2  # each cell once
+    assert len(outs) > 1 and all(np.shares_memory(D, outs[0]) for D in outs[1:])
 
     box = BoxNorm(EUCLIDEAN, 2)
     A = PointSet.of(rng.uniform(-1.0, 1.0, (5000, 3)), norm=box)
     B = PointSet.of(rng.uniform(2.0, 3.0, (5000, 3)), norm=box)
-    with recorded_pairwise() as calls:
+    outs = []
+    with recorded_pairwise(outs) as calls:
         gap_distance(A, B)
     assert max(cells for _, cells in calls) <= PAIRWISE_CELL_BUDGET
     assert sum(cells for cls, cells in calls if cls is BoxNorm) == 5000 * 5000
+    assert len(outs) > 1 and all(np.shares_memory(D, outs[0]) for D in outs[1:])
+
+
+def test_block_walk_refuses_rows_of_two_widths_before_any_block():
+    with recorded_pairwise() as calls, pytest.raises(ValueError, match="dimension 2"):
+        next(geometry.pairwise_blocks(MAX, np.zeros((3, 2)), np.zeros((4, 1))))
+    with pytest.raises(ValueError, match="dimension 1"):
+        next(geometry.pairwise_blocks(MAX, np.zeros((0, 1)), np.zeros((4, 2))))
+    assert calls == []
+
+
+def budgets(rows, cols):
+    """Cell budgets that walk a rows x cols matrix as one cell, as blocks
+    with a partial last one, as one row per block with the row wider than
+    the budget, and as the default."""
+    step = next((k for k in range(2, rows) if rows % k), 1)  # rows % step != 0
+    return (1, step * cols + cols // 2, max(cols - 1, 1), PAIRWISE_CELL_BUDGET)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds, st.one_of(clouds, st.just([])), cloud_norms, st.data())
+def test_every_block_walk_is_the_dense_result_bit_for_bit(a, b, norm, data):
+    """gap_distance, Predicate distances, the 2-D Euclidean brute-force
+    envelope and the exact gap triple, walked under several cell budgets,
+    are tobytes()-equal to the one dense pairwise matrix's results, with
+    +inf values and an empty set among the inputs."""
+    A = PointSet.of(a, norm=norm)
+    B = PointSet.of(b, norm=norm, dim=3)
+    mesh = grid(data.draw(st.integers(-200, 200)), data.draw(st.sampled_from(STEPS)),
+                data.draw(st.lists(st.integers(2, 7), min_size=2, max_size=2)))
+    nodes, N = mesh.nodes(), mesh.node_count
+    fv = seeded_values(data, N)
+    gv = np.array(data.draw(st.lists(values, min_size=N, max_size=N)))
+    n = data.draw(st.floats(0.5, 64.0))
+    picked = data.draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=N))
+    member = np.isin(np.arange(N), sorted(picked))
+    region = Predicate(lambda p: bool(member[mesh.node_index(p)]))
+    f = FunctionModel.tabulated(mesh, fv, norm=EUCLIDEAN)
+    g = FunctionModel.tabulated(mesh, gv, norm=EUCLIDEAN)
+
+    gap_want = INF if not b else float(norm.pairwise(A.array, B.array).min())
+    near_want = EUCLIDEAN.pairwise(nodes, nodes[member]).min(axis=1)
+    env_want = np.maximum(dense_envelope(fv, n, mesh, EUCLIDEAN), fv[np.isfinite(fv)].min())
+    triple_want = dense_exact_gap(fv, gv, nodes, EUCLIDEAN)
+    walks = {*budgets(len(A), max(len(B), 1)), *budgets(N, N), *budgets(N, member.sum())}
+    for cells in sorted(walks):
+        with cell_budget(cells):
+            assert bits(gap_distance(A, B)) == bits(gap_distance(B, A)) == bits(gap_want)
+            assert bits(region.distances(nodes, EUCLIDEAN)) == bits(near_want)
+            assert bits(pasch_hausdorff(f, n, mesh).values) == bits(env_want)
+            triple = epi_hypo_gap_triple(f, g, mesh, cap=0.0, floor=0.0, alpha_step=1.0,
+                                         exact=True)
+            assert bits(triple) == bits((triple_want,) * 3)
 
 
 # ---------------------------------------------------------- node lookup
