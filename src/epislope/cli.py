@@ -292,7 +292,9 @@ def _refusing(command: Callable[..., int]) -> Callable[..., int]:
     def run(*args, **kwargs) -> int:
         try:
             return command(*args, **kwargs)
-        except (OSError, ValueError, KeyError, yaml.YAMLError) as exc:
+        except KeyError as exc:  # str() of a KeyError is the repr of its message
+            print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        except (OSError, ValueError, yaml.YAMLError) as exc:
             print(f"error: {exc}", file=sys.stderr)
         except InvariantError as exc:
             print(f"error: invariant violated: {exc}", file=sys.stderr)

@@ -36,8 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .extreal import INF
-from .functions import (FunctionModel, MeshSpec, epi_hypo_gap_triple, restrict,
-                        tilt, values_on)
+from .functions import FunctionModel, MeshSpec, epi_hypo_gap_triple, tilt, values_on
 from .geometry import Norm, EUCLIDEAN, PointSet, point_set_distance
 from .regions import Region
 from .uniforminf import _MeshLayers, _sorted_sup_inf, _sup_inf
@@ -213,8 +212,6 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     dist = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
     order = np.argsort(dist, kind="stable")
     dist = dist[order]
-    # f is tabulated once, for the balls' r(f) only; f(x) above stays
-    # analytic, so an off-lattice probe works
     low = np.minimum.accumulate(values_on(f, mesh)[order]) if lambdas else None
     r_values = [_sorted_sup_inf(low, np.maximum(0.0, dist - lam), cfg.delta_ladder)
                 for lam in lambdas]
@@ -332,16 +329,16 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
     penalized sequence to f_S at x).  The two statuses agree whenever both
     are decisive.
 
-    One evaluator (``_MeshLayers``) gives f, d_S and every row: f_S is f
-    where S holds and +inf elsewhere, the left side is r of f_S over
-    max(0, d_x - lam), and the right side r_S of f where d_x <= lam, d_x
-    being the node distances to x.  These are the arrays and masks of two
-    evaluators per lambda, so each row is theirs bit for bit.
+    One evaluator (``_MeshLayers``) gives f, d_S and every row: f_S (also
+    the Wijsman limit) is f where S holds and +inf elsewhere, the left side
+    is r of f_S over max(0, d_x - lam), and the right side r_S of f where
+    d_x <= lam, d_x being the node distances to x: the arrays and masks of
+    two evaluators per lambda, so each row is theirs bit for bit.
     """
     layers = _MeshLayers(f, S, mesh)
     nodes = mesh.nodes()
     d_x = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
-    # a region's members are its contains on every node, bit for bit
+    # members_given is S.members, so this is restrict(f, S)'s array
     f_S_values = np.where(S.members_given(nodes, f.norm, layers.dist), layers.values, INF)
     rows = []
     worst = math.inf
@@ -360,7 +357,8 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
                                        name=f"{f.name}+{n}d^p")
 
     seq = FunctionSequence(make, box=mesh.box, norm=f.norm)
-    wij = wijsman_at_point(seq, restrict(f, S), x, lambda_max=max(cfg.radius_ladder) * 2,
+    f_S = FunctionModel.tabulated(mesh, f_S_values, norm=f.norm, name=f"{f.name}|S")
+    wij = wijsman_at_point(seq, f_S, x, lambda_max=max(cfg.radius_ladder) * 2,
                            cfg=cfg, mesh=mesh)
     return ineq, wij
 

@@ -16,12 +16,3 @@ ExtReal = Union[float, Fraction]
 
 INF: float = math.inf
 
-
-def check(a: ExtReal) -> ExtReal:
-    """Reject NaN and -infinity; return the value unchanged."""
-    if isinstance(a, float):
-        if math.isnan(a):
-            raise ValueError("NaN is not an extended real")
-        if math.isinf(a) and a < 0:
-            raise ValueError("-infinity is not representable")
-    return a

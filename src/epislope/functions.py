@@ -2,10 +2,10 @@
 epigraph/graph/hypograph sampling, restriction, infima over regions and
 the Lipschitz (Pasch-Hausdorff) envelope f ▽ n||.||.
 
-Two evaluation regimes coexist.  Analytic models are closures sampled on
-demand; tabulated models carry exact values at mesh nodes and refuse
-off-node queries, so that every "inf over X" is a finite reproducible
-minimum.  Finite-exception models (a default value plus finitely many
+A model on a mesh is tabulated: it is its values at the mesh nodes, and
+it refuses an off-node query, so that every "inf over X" is a finite
+reproducible minimum and restriction, tilting and the envelope are array
+operations.  Finite-exception models (a default value plus finitely many
 exceptional points) support exact rational evaluation and never touch a
 mesh.
 """
@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .extreal import INF, ExtReal, check
-from .geometry import (BoxNorm, EUCLIDEAN, Norm, NormKind, Point, PointSet, gap_distance,
+from .extreal import INF, ExtReal
+from .geometry import (BoxNorm, EUCLIDEAN, Norm, NormKind, PointSet, gap_distance,
                        pairwise_blocks)
 from .regions import Region
 from .verdict import KEY_DECIMALS, SLACK
@@ -117,7 +117,6 @@ class MeshSpec:
 
 
 class Variant(enum.Enum):
-    ANALYTIC = "analytic"
     TABULATED = "tabulated"
     FINITE_EXCEPTION = "finite_exception"
 
@@ -135,19 +134,12 @@ class FunctionModel:
     norm: Norm = EUCLIDEAN
     lipschitz_hint: Optional[float] = None
     name: str = ""
-    # analytic
-    fn: Optional[Callable[[Point], ExtReal]] = None
     # tabulated
     mesh: Optional[MeshSpec] = None
     values: Optional[np.ndarray] = None
     # finite exception
     default: ExtReal = 0
     exceptions: Dict[SparsePoint, ExtReal] = field(default_factory=dict)
-    ambient_dim: int = 0
-
-    @staticmethod
-    def analytic(fn, box, norm=EUCLIDEAN, lipschitz_hint=None, name="") -> "FunctionModel":
-        return FunctionModel(Variant.ANALYTIC, tuple(box), norm, lipschitz_hint, name, fn=fn)
 
     @staticmethod
     def tabulated(mesh: MeshSpec, values: np.ndarray, norm=EUCLIDEAN,
@@ -162,14 +154,11 @@ class FunctionModel:
 
     @staticmethod
     def finite_exception(default: ExtReal, exceptions: Dict[SparsePoint, ExtReal],
-                         ambient_dim: int, box=(), norm=EUCLIDEAN, name="") -> "FunctionModel":
+                         box=(), norm=EUCLIDEAN, name="") -> "FunctionModel":
         return FunctionModel(Variant.FINITE_EXCEPTION, tuple(box), norm, None, name,
-                             default=default, exceptions=dict(exceptions),
-                             ambient_dim=ambient_dim)
+                             default=default, exceptions=dict(exceptions))
 
     def __call__(self, x: Sequence[float]) -> ExtReal:
-        if self.variant is Variant.ANALYTIC:
-            return check(self.fn(tuple(x)))
         if self.variant is Variant.TABULATED:
             i = self.mesh.node_index(x)
             if i < 0:
@@ -181,15 +170,13 @@ class FunctionModel:
 
 
 def tabulate(f: FunctionModel, mesh: MeshSpec) -> FunctionModel:
-    """Freeze an analytic model onto a mesh; tabulated models pass through."""
-    if f.variant is Variant.TABULATED:
-        if f.mesh is not None and f.mesh.box == mesh.box and f.mesh.h == mesh.h:
-            return f
+    """f itself, when it is tabulated on ``mesh``; a model tabulated on
+    another mesh, and a finite-exception model, are refused."""
+    if f.variant is not Variant.TABULATED:
+        raise ValueError("a finite-exception model has no mesh values")
+    if f.mesh != mesh:
         raise ValueError("tabulated model bound to a different mesh")
-    nodes = mesh.nodes()
-    vals = np.array([float(f(tuple(p))) for p in nodes])
-    return FunctionModel.tabulated(mesh, vals, norm=f.norm,
-                                   lipschitz_hint=f.lipschitz_hint, name=f.name)
+    return f
 
 
 def values_on(f: FunctionModel, mesh: MeshSpec) -> np.ndarray:
@@ -276,10 +263,11 @@ def sample_hypograph(f: FunctionModel, mesh: MeshSpec, cap: float, floor: float,
 
 
 def restrict(f: FunctionModel, S: Region) -> FunctionModel:
-    """f_S = f + indicator of S."""
-    def fn(x):
-        return f(x) if S.contains(x) else INF
-    return FunctionModel.analytic(fn, f.box, norm=f.norm, name=f"{f.name}|S")
+    """f_S = f + indicator of S: f at the nodes in S (``S.members``), +inf
+    elsewhere."""
+    vals = values_on(f, f.mesh)
+    return FunctionModel.tabulated(f.mesh, np.where(S.members(f.mesh.nodes()), vals, INF),
+                                   norm=f.norm, name=f"{f.name}|S")
 
 
 def inf_over_region(f: FunctionModel, S: Region, mesh: MeshSpec) -> ExtReal:
@@ -450,20 +438,11 @@ def epi_hypo_gap_triple(f: FunctionModel, g: FunctionModel, mesh: MeshSpec,
 
 
 def tilt(f: FunctionModel, xstar: Sequence[float]) -> FunctionModel:
-    """x -> f(x) + <xstar, x>; an x* of another dimension than the
-    model's box is refused."""
-    xs = tuple(float(c) for c in xstar)
-    if f.box and len(xs) != len(f.box):
+    """x -> f(x) + <xstar, x> at every node; an x* of another dimension
+    than the model's box is refused."""
+    vals = values_on(f, f.mesh)
+    xs = np.asarray(xstar, dtype=float)
+    if len(xs) != len(f.box):
         raise ValueError(f"x* has dimension {len(xs)}, the model's box {len(f.box)}")
-    if f.variant is Variant.TABULATED:
-        shift = f.mesh.nodes() @ np.asarray(xs)
-        return FunctionModel.tabulated(f.mesh, f.values + shift, norm=f.norm,
-                                       name=f"{f.name}+x*")
-
-    def fn(x):
-        v = f(x)
-        if v == INF:
-            return INF
-        return v + sum(a * float(b) for a, b in zip(xs, x))
-
-    return FunctionModel.analytic(fn, f.box, norm=f.norm, name=f"{f.name}+x*")
+    return FunctionModel.tabulated(f.mesh, vals + f.mesh.nodes() @ xs, norm=f.norm,
+                                   name=f"{f.name}+x*")

@@ -366,4 +366,4 @@ def nogoodlsc(N: int, I: int, delta_min: float) -> FunctionModel:
             # coordinate 0 < i - 1, so the sparse point is already sorted
             exceptions[((0, Fraction(1, i * n)), (i - 1, step))] = value
     return FunctionModel.finite_exception(default=Fraction(0), exceptions=exceptions,
-                                          ambient_dim=I, name=f"nogoodlsc(N={N},I={I})")
+                                          name=f"nogoodlsc(N={N},I={I})")

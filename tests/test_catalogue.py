@@ -65,8 +65,7 @@ def _model(f: FunctionModel):
     out = {"name": f.name, "variant": f.variant.value, "norm": _norm(f.norm),
            "hint": None if f.lipschitz_hint is None else _hex(f.lipschitz_hint)}
     if f.variant is Variant.FINITE_EXCEPTION:
-        out.update(default=str(f.default), ambient_dim=f.ambient_dim,
-                   exceptions=len(f.exceptions))
+        out.update(default=str(f.default), exceptions=len(f.exceptions))
     else:
         out["mesh"] = _mesh(f.mesh)
         out["values"] = _hexes(values_on(f, f.mesh))

@@ -41,7 +41,7 @@ class TestRunScenario:
         path = write_scenario(tmp_path, {
             "name": "bad", "operation": "penalty_limit", "instance": "nope"})
         assert main(["run", path]) == 1
-        assert "nope" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown catalogue instance 'nope'\n"
 
     def test_missing_key_exits_one(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"name": "incomplete"})
@@ -282,6 +282,16 @@ class TestRunScenario:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: x* has dimension 2, the model's box 1\n"
+
+    def test_off_node_probe_is_refused_without_quotes(self, tmp_path, capsys):
+        # the KeyError's message was printed as its repr, in quotes
+        path = write_scenario(tmp_path, {
+            "name": "off-node", "operation": "wijsman_at_point",
+            "instance": "envelope-of-kink", "params": {"probe": [0.123]}})
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: off-node query (0.123,) on a tabulated model\n"
 
     def test_invariant_violation_exits_one(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

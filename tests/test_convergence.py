@@ -252,20 +252,25 @@ class TestRecovery:
         with pytest.raises(ValueError):
             recovery_sequence(seq, f, (0.5,), CFG, mesh)
 
-    @pytest.mark.parametrize("step,x,status", [(0.05, 0.01, Status.INCONCLUSIVE),
-                                               (0.25, 0.1, Status.FAILS)])
-    def test_distance_beyond_the_least_radius_is_an_excess(self, step, x, status):
-        """No node lies within the least radius 0.5/2^7 of x: the nearest
-        one, 0.01 (0.1) away, exceeds it by about 0.006, inside the band
-        (0.096, above it), while the value error is 0."""
-        mesh = MeshSpec.line(-1.0, 1.0, step)
-        zero = tabmodel(lambda t: 0.0, mesh)
-        f = FunctionModel.analytic(lambda p: 0.0, mesh.box)
-        seq = FunctionSequence(lambda n: zero, box=mesh.box)
-        _, v = recovery_sequence(seq, f, (x,), CFG, mesh)
+    @pytest.mark.parametrize("band,status", [(0.05, Status.INCONCLUSIVE),
+                                             (0.005, Status.FAILS)])
+    def test_distance_beyond_the_least_radius_is_an_excess(self, band, status):
+        """f_n is 1 at the node probe 0 up to n = 48, the last n whose
+        recovery radius (0.5/2^5) reaches the nodes 0.01 away, where f_n is
+        0 = f(0); from n = 49 on the radii hold the probe alone, and f_n is
+        exact there.  The window picks up to n = 48 lie 0.01 away with
+        value error 0: about 0.006 beyond the least radius 0.5/2^7, inside
+        the band 0.05 and past the band 0.005."""
+        mesh = MeshSpec.line(-1.0, 1.0, 0.01)
+        cfg = LimitConfig(decision_band=band)
+        f = tabmodel(lambda t: 0.0, mesh)
+        off = tabmodel(lambda t: 1.0 if t == 0.0 else 0.0, mesh)
+        seq = FunctionSequence(lambda n: off if n <= 48 else f, box=mesh.box)
+        _, v = recovery_sequence(seq, f, (0.0,), cfg, mesh)
         assert v.witness["window_value_err"] == 0.0
+        assert v.witness["window_dist"] == pytest.approx(0.01)
         assert v.status is status
-        assert v.margin == v.witness["window_dist"] - min(CFG.radius_ladder)
+        assert v.margin == v.witness["window_dist"] - min(cfg.radius_ladder)
 
 
 class TestWijsmanAtPoint:
@@ -356,10 +361,8 @@ class TestTilt:
     def test_dual_vector_of_another_dimension_is_refused(self):
         mesh = MeshSpec.line(-1.0, 1.0, 0.1)
         f = tabmodel(lambda x: x * x, mesh)
-        analytic = FunctionModel.analytic(lambda p: p[0] * p[0], mesh.box)
-        for model in (f, analytic):
-            with pytest.raises(ValueError, match=r"x\* has dimension 2, the model's box 1"):
-                tilt(model, (1.0, 5.0))
+        with pytest.raises(ValueError, match=r"x\* has dimension 2, the model's box 1"):
+            tilt(f, (1.0, 5.0))
 
 
 class TestSlice:
@@ -372,9 +375,8 @@ class TestSlice:
                            cfg=CFG, mesh=mesh)
 
     def test_direction_of_another_dimension_is_refused_before_any_f_n(self):
-        # the analytic tilt zipped (1, 5) down to (1,), and the verdict Held
         mesh = MeshSpec.line(-1.0, 1.0, 0.05)
-        f = FunctionModel.analytic(lambda p: abs(p[0]), mesh.box)
+        f = tabmodel(abs, mesh)
 
         def make(n):
             raise AssertionError(f"f_{n} generated")
@@ -548,10 +550,11 @@ TIED = st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, math.inf))
 def test_sweep_matches_masked_brute_force(step, lo_steps, counts, norm, probe_kind,
                                           lambda_max, window, data):
     """Recovery picks, Wijsman rows and witness equal the masked brute force
-    bit for bit: 1-D and 2-D meshes, all three norms, probes on a node, at
-    a midpoint (ties in distance) and off the mesh lattice, +inf values and
-    ties in error, and every window of the 8-entry schedule, from one
-    entry to the whole schedule (a Wijsman sweep from its first n)."""
+    bit for bit: 1-D and 2-D meshes, all three norms, +inf values and ties
+    in error and in distance, and every window of the 8-entry schedule,
+    from one entry to the whole schedule (a Wijsman sweep from its first
+    n).  A probe at a midpoint or off the mesh lattice is refused by the
+    tabulated limit's lookup before any f_n is generated."""
     cfg = LimitConfig(n_schedule=tuple(range(1, 9)), eventually_window=window)
     lo = lo_steps * step
     mesh = MeshSpec(box=tuple((lo, lo + step * (c - 1)) for c in counts),
@@ -563,15 +566,19 @@ def test_sweep_matches_masked_brute_force(step, lo_steps, counts, norm, probe_ki
     shift = {"node": 0.0, "midpoint": 0.5, "offset": 0.3}[probe_kind]
     x = tuple(lo + step * (i + shift) for i in corner)
     fv = np.array(data.draw(st.lists(TIED, min_size=count, max_size=count)))
-    fx = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
     if probe_kind == "node":
-        fv[mesh.node_index(x)] = fx
+        fv[mesh.node_index(x)] = data.draw(st.sampled_from((0.0, 0.5, 1.0)))
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    if probe_kind != "node":
+        def make(n):
+            raise AssertionError(f"f_{n} generated")
 
-    def fn(p):
-        i = mesh.node_index(p)
-        return float(fv[i]) if i >= 0 else fx
-
-    f = FunctionModel.analytic(fn, mesh.box, norm=norm)
+        seq = FunctionSequence(make, box=mesh.box, norm=norm)
+        with pytest.raises(KeyError, match="off-node query"):
+            recovery_sequence(seq, f, x, cfg, mesh)
+        with pytest.raises(KeyError, match="off-node query"):
+            wijsman_at_point(seq, f, x, lambda_max, cfg, mesh)
+        return
 
     def vals_at(n):
         return tables[n % len(tables)]
@@ -632,31 +639,30 @@ class TestSweepWork:
             recovery_sequence(late, f, (0.0,), CFG, mesh)
 
     def test_a_probe_beyond_every_rung_is_refused_before_any_f_n(self):
-        """The lambda rows' r(f) read the sorted rung kernel, which passes an
-        empty largest rung to the rung rule's refusal."""
+        """5.0 lies beyond every rung and off the mesh: the tabulated limit's
+        lookup refuses it, before the lambda rows' r(f) and any f_n."""
         mesh = MeshSpec.line(-1.0, 1.0, 0.05)
-        _, seq, made = self.envelope_sequence(mesh)
-        f = FunctionModel.analytic(lambda p: abs(p[0]), mesh.box)
-        with pytest.raises(ValueError, match="no mesh node within the largest delta"):
+        f, seq, made = self.envelope_sequence(mesh)
+        with pytest.raises(KeyError, match=r"off-node query \(5.0,\)"):
             wijsman_at_point(seq, f, (5.0,), 0.5, CFG, mesh)
         assert made == Counter()
 
-    def test_an_analytic_limit_is_tabulated_once_per_verdict(self):
-        """The lambda rows share one tabulation of an analytic f: N node
-        values and f(x), not one tabulation per row."""
+    def test_the_limit_is_read_by_one_lookup_per_verdict(self, monkeypatch):
+        """The lambda rows share the limit's node values: one model call per
+        verdict, f(x) at the probe, not one per node or per row."""
         mesh = MeshSpec.line(-1.0, 1.0, 0.05)
-        g, seq, _ = self.envelope_sequence(mesh)
+        f, seq, _ = self.envelope_sequence(mesh)
         calls = Counter()
+        real = FunctionModel.__call__
 
-        def fn(p):
-            calls["f"] += 1
-            return abs(p[0] - 0.3)
+        def counting(model, x):
+            calls[x] += 1
+            return real(model, x)
 
-        f = FunctionModel.analytic(fn, mesh.box)
+        monkeypatch.setattr(FunctionModel, "__call__", counting)
         verdict = wijsman_at_point(seq, f, (0.0,), 0.5, CFG, mesh)
-        assert verdict.to_dict() == wijsman_at_point(seq, g, (0.0,), 0.5, CFG, mesh).to_dict()
         assert len(verdict.witness["rows"]) > 1
-        assert calls["f"] <= mesh.node_count + 1
+        assert calls == Counter({(0.0,): 1})
 
     def test_memory_is_linear_in_the_node_count(self):
         """One Wijsman verdict on a 4001-node line holds a few node arrays at

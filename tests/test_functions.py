@@ -14,7 +14,7 @@ from epislope import (
     PointSet, WholeSpace, catalogue, epi_hypo_gap_triple, gap_distance,
     inf_over_region, pasch_hausdorff, point_set_distance, restrict,
     sample_epigraph, sample_graph, sample_hypograph, slope_stability_witness,
-    tabulate, values_on,
+    tabulate, tilt, values_on,
 )
 
 
@@ -89,17 +89,37 @@ class TestModels:
         with pytest.raises(ValueError):
             FunctionModel.tabulated(m, np.full(m.node_count, np.nan))
 
-    def test_analytic_tabulate_roundtrip(self):
+    def test_tabulate_passes_a_model_on_its_own_mesh_through(self):
         m = line(h=0.25)
-        f = FunctionModel.analytic(lambda x: x[0] ** 2, m.box)
-        t = tabulate(f, m)
-        np.testing.assert_allclose(t.values, values_on(f, m))
+        f = model(lambda x: x * x, m)
+        assert tabulate(f, m) is f
+        assert tabulate(f, line(h=0.25)) is f  # an equal mesh is the same mesh
+        assert values_on(f, m) is f.values
 
     def test_tabulate_refuses_foreign_mesh(self):
         m = line(h=0.25)
         f = model(abs, m)
         with pytest.raises(ValueError):
             tabulate(f, line(h=0.5))
+
+
+class TestFiniteExceptionModelsHaveNoMeshValues:
+    """A finite-exception model is exact and meshless: the mesh operations
+    refuse it instead of evaluating it node by node or wrapping it."""
+
+    EXACT = FunctionModel.finite_exception(default=0, exceptions={((0, 1),): -1})
+
+    def test_tabulate_refuses(self):
+        with pytest.raises(ValueError, match="no mesh values"):
+            tabulate(self.EXACT, line(h=0.5))
+
+    def test_restrict_refuses(self):
+        with pytest.raises(ValueError, match="no mesh values"):
+            restrict(self.EXACT, WholeSpace())
+
+    def test_tilt_refuses(self):
+        with pytest.raises(ValueError, match="no mesh values"):
+            tilt(self.EXACT, (1.0,))
 
 
 class TestEpigraphSampling:
@@ -221,6 +241,15 @@ class TestRestrictAndInf:
         f = model(lambda x: x, m)
         g = restrict(f, Predicate(lambda p: 0.0 <= p[0] <= 1.0))
         assert g((0.5,)) == 0.5
+
+    def test_restrict_is_f_on_the_members_and_inf_elsewhere(self):
+        m = line(h=0.1)
+        f = model(lambda x: x * x, m, norm=MAX)
+        S = Ball((0.2,), 0.3)
+        g = restrict(f, S)
+        assert g.mesh is m and g.norm == MAX
+        np.testing.assert_array_equal(g.values,
+                                      np.where(S.members(m.nodes()), f.values, INF))
 
     def test_inf_quadratic_over_ball(self):
         m = line(h=0.1)

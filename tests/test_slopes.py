@@ -75,11 +75,11 @@ class TestStrongSlope:
             strong_slope(tabmodel(abs, mesh), (0.505,), mesh, CFG)
 
     def test_probe_of_another_dimension_is_refused(self):
-        # an analytic model takes the 3-D probe; its distances to the 2-D
-        # nodes raised a bare IndexError
+        # its distances to the 2-D nodes raised a bare IndexError; the 3-D
+        # probe names no node of the 2-D mesh
         mesh = MeshSpec(box=((-1.0, 1.0), (-1.0, 1.0)), h=(0.1, 0.1))
-        f = FunctionModel.analytic(lambda p: abs(p[0]) + abs(p[1]), mesh.box, norm=MAX)
-        with pytest.raises(ValueError, match="dimension 3 .* dimension 2"):
+        f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()).sum(axis=1), norm=MAX)
+        with pytest.raises(KeyError, match=r"off-node query \(0.5, 0.5, 0.5\)"):
             strong_slope(f, (0.5, 0.5, 0.5), mesh, CFG)
 
     def test_gradient_agreement_on_smooth_instances(self):

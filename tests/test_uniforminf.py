@@ -389,6 +389,26 @@ def test_bridge_builds_one_evaluator_and_measures_three_distance_rows():
     assert ineq.holds and wij.holds
 
 
+def test_bridge_evaluates_its_model_at_the_probe_only():
+    """The Wijsman side takes the bridge's f_S array as a tabulated limit:
+    one model call, the probe lookup, on a 2001-node line, where the
+    restricted closure was evaluated node by node (2 203 calls)."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.001)
+    f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()[:, 0]))
+    calls = []
+    real = FunctionModel.__call__
+
+    def counting(model, x):
+        calls.append(x)
+        return real(model, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FunctionModel, "__call__", counting)
+        ineq, wij = carac_W_bridge(f, Ball((0.25,), 0.1), (0.25,), 1.0, mesh, CFG)
+    assert len(calls) <= 1
+    assert ineq.holds and wij.holds
+
+
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_uniform_infimum_below_plain_and_penalty_monotone(seed):
@@ -583,8 +603,7 @@ def exact_instances(draw):
     values = st.one_of(level, st.just(INF))
     exceptions = {tuple(sorted(pt.items())): draw(values) for pt in points}
     default = draw(st.one_of(level, st.just(INF)) if draw(st.booleans()) else level)
-    f = FunctionModel.finite_exception(default=default, exceptions=exceptions,
-                                       ambient_dim=dim)
+    f = FunctionModel.finite_exception(default=default, exceptions=exceptions)
     if exceptions and draw(st.booleans()):  # a center on the exceptions' support
         sparse = dict(draw(st.sampled_from(sorted(exceptions))))
         center = tuple(sparse.get(i, Fraction(0)) for i in range(dim))
@@ -709,8 +728,7 @@ def layer_instances(draw):
                                   max_size=dim))
         exceptions[tuple(sorted(pt.items()))] = pool[draw(st.integers(0, len(pool) - 1))]
     default = draw(st.sampled_from([Fraction(0), 1, -1.5, INF]))
-    f = FunctionModel.finite_exception(default=default, exceptions=exceptions,
-                                       ambient_dim=dim)
+    f = FunctionModel.finite_exception(default=default, exceptions=exceptions)
     if draw(st.booleans()):
         center = draw(st.sampled_from([(0.0,) * dim, (0,) * dim, (Fraction(0),) * dim]))
     else:
@@ -735,7 +753,7 @@ def test_value_layers_match_the_per_point_reference(instance):
 
 
 class TestMeshWork:
-    """One evaluation of f per node and at most one d_S per mesh call:
+    """f read off its node values and at most one d_S per mesh call:
     a penalty limit and a robustness report share them between their
     parts, and the plain infimum measures no distance."""
 
@@ -759,15 +777,19 @@ class TestMeshWork:
         (lambda f, S, mesh: robustness(f, S, mesh, CFG), 1),
     ], ids=["uniform_infimum", "plain_infimum", "penalty_value", "penalty_limit",
             "robustness"])
-    def test_f_and_d_S_are_computed_once_per_call(self, counts, call, distances):
+    def test_f_and_d_S_are_computed_once_per_call(self, counts, call, distances,
+                                                  monkeypatch):
+        """d_S is measured at most once, and f is read off its node values,
+        never evaluated at a node."""
         mesh = line(h=0.1)
         evaluated = []
+        real = FunctionModel.__call__
 
-        def square(x):
+        def counting(model, x):
             evaluated.append(x)
-            return x[0] * x[0]
+            return real(model, x)
 
-        f = FunctionModel.analytic(square, mesh.box)
-        call(f, Ball((0.25,), 0.1), mesh)
+        monkeypatch.setattr(FunctionModel, "__call__", counting)
+        call(tabmodel(lambda x: x * x, mesh), Ball((0.25,), 0.1), mesh)
         assert counts["distances"] == distances
-        assert len(evaluated) == mesh.node_count
+        assert evaluated == []
