@@ -25,7 +25,7 @@ from .extreal import INF, ExtReal
 from .geometry import (BoxNorm, EUCLIDEAN, Norm, NormKind, PointSet, gap_distance,
                        pairwise_blocks)
 from .regions import Region
-from .verdict import KEY_DECIMALS, SLACK
+from .verdict import KEY_DECIMALS, SLACK, InvariantError
 
 Box = Tuple[Tuple[float, float], ...]
 
@@ -43,7 +43,8 @@ class MeshSpec:
     found arithmetically, ``rint((x - lo) / h)`` per axis, then checked
     against the box and that 9-decimal snap.  ``node_index`` returns -1
     for a point that names no node; a tabulated ``FunctionModel`` raises
-    ``KeyError`` for such a point.
+    ``KeyError`` for such a point, and ``ValueError`` for a point of
+    another dimension.
     """
 
     box: Box
@@ -160,6 +161,9 @@ class FunctionModel:
 
     def __call__(self, x: Sequence[float]) -> ExtReal:
         if self.variant is Variant.TABULATED:
+            if len(x) != self.mesh.dim:
+                raise ValueError(f"query {tuple(x)} has dimension {len(x)}, "
+                                 f"the model's mesh {self.mesh.dim}")
             i = self.mesh.node_index(x)
             if i < 0:
                 raise KeyError(f"off-node query {tuple(x)} on a tabulated model")
@@ -209,57 +213,99 @@ def _check_cloud_size(spans: np.ndarray, alpha_step: float) -> None:
                          f"budget of {CLOUD_POINT_CAP}; raise alpha_step")
 
 
+def _ladder_cloud(nodes: np.ndarray, starts: np.ndarray, step: float, end: float,
+                  clamp: float, norm: BoxNorm) -> PointSet:
+    """The cloud of one vertical ladder per node: the rungs start,
+    start + step, ... (``step`` < 0 walks down) up to the last one not past
+    ``end``, each clamped to ``clamp``; a ladder's clamped rungs that equal
+    the rung before them are dropped, so its points are distinct.  Every
+    start must be a rung, not past ``end``.  Rows are (node, rung), ladder
+    by ladder in node order.
+
+    A ladder is one ``np.add.accumulate`` over [start, step, step, ...],
+    which adds in order, so each rung is that of the loop ``a += step``
+    bit for bit.  Its length is bounded before it is built: each sum
+    rounds by at most half an ulp of the largest magnitude the rungs
+    reach, so a ladder moves at least |step| less than half ulp per rung,
+    and a ladder that does not pass ``end`` within its bound is an
+    ``InvariantError``.  Ladders whose bounds share a power of two are
+    built together as one rectangle, ladders x their longest bound: a
+    rectangle holds at most twice its ladders' bounded rungs, so no
+    nodes x longest-ladder rectangle is ever built and memory stays
+    O(points + nodes)."""
+    rising = step > 0
+    reach = max(float(np.abs(starts).max()), abs(end)) + abs(step)
+    rungs = np.subtract(end, starts)  # each ladder's bound, in place
+    np.abs(rungs, out=rungs)
+    rungs /= abs(step) - math.ulp(reach) / 2
+    np.floor(rungs, out=rungs)
+    rungs += 3  # a rung for the floor, one for the float division, one past end
+    group = np.frexp(rungs)[1]
+    counts = np.empty(len(starts), dtype=np.intp)
+    pieces = []
+    for g in np.unique(group):
+        rows = np.flatnonzero(group == g)
+        block = np.full((len(rows), int(rungs[rows].max())), step)
+        block[:, 0] = starts[rows]
+        np.add.accumulate(block, axis=1, out=block)
+        keep = block <= end if rising else block >= end
+        if keep[:, -1].any():
+            raise InvariantError("a ladder outran its bounded length")
+        np.copyto(block, clamp, where=block > clamp if rising else block < clamp)
+        keep[:, 1:] &= block[:, 1:] != block[:, :-1]
+        counts[rows] = keep.sum(axis=1)
+        pieces.append((g, block[keep]))
+    cloud = np.empty((int(counts.sum()), nodes.shape[1] + 1))
+    cloud[:, :-1] = np.repeat(nodes, counts, axis=0)
+    # a group's ladders lie in the cloud in node order, as in its piece
+    owner = np.repeat(group, counts)
+    for g, heights in pieces:
+        cloud[owner == g, -1] = heights
+    return PointSet(cloud, norm)
+
+
 def sample_epigraph(f: FunctionModel, mesh: MeshSpec, cap: float,
                     alpha_step: float) -> PointSet:
-    """Cloud {(x, a) : x node, a in {f(x), f(x)+step, ...} up to cap}."""
+    """Cloud {(x, a) : x node, a in {f(x), f(x)+step, ...} up to cap}: one
+    ladder per node with f(x) <= cap, its rungs running to cap + SLACK and
+    clamped to cap."""
     if not math.isfinite(cap):
         raise ValueError("cap must be finite")
     vals = values_on(f, mesh)
     # the rungs run from the least value up to cap + SLACK
     _check_rung_step(alpha_step, min(float(vals.min()), cap), cap + SLACK)
-    _check_cloud_size(cap + SLACK - vals[vals <= cap], alpha_step)
-    pts = []
-    for p, v in zip(mesh.nodes(), vals):
-        if not np.isfinite(v) or v > cap:
-            continue
-        a = v
-        while a <= cap + SLACK:
-            pts.append(tuple(p) + (min(a, cap),))
-            a += alpha_step
-    if not pts:
+    inside = vals <= cap  # +inf is above the finite cap
+    _check_cloud_size(cap + SLACK - vals[inside], alpha_step)
+    if not inside.any():
         raise ValueError("empty epigraph sample: function is +inf above cap on the box")
-    return PointSet.of(pts, norm=BoxNorm(base=f.norm, base_dim=mesh.dim))
+    return _ladder_cloud(mesh.nodes()[inside], vals[inside], alpha_step, cap + SLACK, cap,
+                         BoxNorm(base=f.norm, base_dim=mesh.dim))
 
 
 def sample_graph(f: FunctionModel, mesh: MeshSpec, cap: float) -> PointSet:
-    pts = []
     vals = values_on(f, mesh)
-    for p, v in zip(mesh.nodes(), vals):
-        if np.isfinite(v) and v <= cap:
-            pts.append(tuple(p) + (float(v),))
-    if not pts:
+    inside = np.isfinite(vals) & (vals <= cap)
+    if not inside.any():
         raise ValueError("empty graph sample")
-    return PointSet.of(pts, norm=BoxNorm(base=f.norm, base_dim=mesh.dim))
+    return PointSet(np.column_stack((mesh.nodes()[inside], vals[inside])),
+                    BoxNorm(base=f.norm, base_dim=mesh.dim))
 
 
 def sample_hypograph(f: FunctionModel, mesh: MeshSpec, cap: float, floor: float,
                      alpha_step: float) -> PointSet:
-    """Cloud between floor and min(f(x), cap); f(x)=+inf caps at `cap`."""
+    """Cloud between floor and min(f(x), cap); f(x)=+inf caps at `cap`: one
+    ladder per node down from its top to floor - SLACK, clamped to floor."""
     if not (math.isfinite(cap) and math.isfinite(floor)):
         raise ValueError("cap and floor must be finite")
     _check_rung_step(alpha_step, cap, floor - SLACK)  # the rungs' two ends
     vals = values_on(f, mesh)
     _check_cloud_size(np.minimum(vals, cap) - (floor - SLACK), alpha_step)
-    pts = []
-    for p, v in zip(mesh.nodes(), vals):
-        top = cap if not np.isfinite(v) else min(float(v), cap)
-        a = top
-        while a >= floor - SLACK:
-            pts.append(tuple(p) + (max(a, floor),))
-            a -= alpha_step
-    if not pts:
+    tops = np.where(vals > cap, cap, vals)
+    inside = tops >= floor - SLACK
+    if not inside.any():
         raise ValueError("empty hypograph sample")
-    return PointSet.of(pts, norm=BoxNorm(base=f.norm, base_dim=mesh.dim))
+    return _ladder_cloud(mesh.nodes()[inside], tops[inside], -alpha_step, floor - SLACK,
+                         floor, BoxNorm(base=f.norm, base_dim=mesh.dim))
 
 
 def restrict(f: FunctionModel, S: Region) -> FunctionModel:

@@ -1,9 +1,9 @@
 """Norms, point sets, distances and gap distances.
 
 Points are plain tuples of numbers (floats, or exact Fractions on the
-exact code paths).  Sets are finite samples; every infimum over a set is
-a genuine minimum over its points, with the empty-set convention
-``inf over {} = INF``.
+exact code paths).  A ``PointSet`` is a finite sample of float points held
+as one (n, dim) array; every infimum over a set is a genuine minimum over
+its points, with the empty-set convention ``inf over {} = INF``.
 
 Reductions over all point pairs (gap distances, distances to the nearest
 target, brute-force envelopes, the exact gap triple) never build the
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -154,20 +155,28 @@ def _as_tuple(p: Sequence[float]) -> Point:
     return tuple(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """A finite set of points sharing a dimension and a norm.
+    """A finite set of points sharing a dimension and a norm, held as one
+    (n, dim) float64 array, one row per point, which construction makes
+    read-only.  Possibly empty.
 
-    Duplicates are removed on construction.  Possibly empty.
+    ``points``, the rows as tuples, is derived from the array on first use
+    and cached; the distances read the array alone.  The array costs 8 B
+    per coordinate, 16 B per point of a 1-D sampled cloud, where a tuple of
+    two floats costs about 128 B.
     """
 
-    points: Tuple[Point, ...]
+    array: np.ndarray
     norm: object = EUCLIDEAN  # Norm or BoxNorm
-    dim: int = 0
-    _array: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.array.flags.writeable = False
 
     @staticmethod
     def of(points: Iterable[Sequence[float]], norm=EUCLIDEAN, dim: Optional[int] = None) -> "PointSet":
+        """The set of arbitrary points: duplicates are dropped, the first
+        of each kept in order."""
         seen = {}
         for p in points:
             t = _as_tuple(p)
@@ -182,22 +191,25 @@ class PointSet:
             dim = d
         elif dim is None:
             raise ValueError("empty point set needs an explicit dim")
-        arr = np.array(pts, dtype=float) if pts else None
-        return PointSet(points=pts, norm=norm, dim=dim, _array=arr)
-
-    def __len__(self) -> int:
-        return len(self.points)
+        return PointSet(np.array(pts, dtype=float).reshape(len(pts), dim), norm)
 
     @property
-    def array(self) -> Optional[np.ndarray]:
-        return self._array
+    def dim(self) -> int:
+        return self.array.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    @cached_property
+    def points(self) -> Tuple[Point, ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
 
 def point_set_distance(x: Sequence[float], S: PointSet) -> ExtReal:
     """d(x, S) = min over a in S of ||x - a||; INF if S is empty."""
     if len(x) != S.dim:
         raise ValueError(f"point dim {len(x)} != set dim {S.dim}")
-    if not S.points:
+    if not len(S):
         return INF
     xa = np.asarray([x], dtype=float)
     return float(S.norm.pairwise(xa, S.array).min())
@@ -238,7 +250,7 @@ def gap_distance(A: PointSet, B: PointSet) -> ExtReal:
         raise ValueError(f"dim mismatch {A.dim} != {B.dim}")
     if A.norm != B.norm:
         raise ValueError("norm mismatch between sets")
-    if not A.points or not B.points:
+    if not len(A) or not len(B):
         return INF
     return min(float(D.min()) for _, D, _ in pairwise_blocks(A.norm, A.array, B.array))
 

@@ -110,7 +110,7 @@ class FinitePoints(Region):
         on the mesh or off it; +inf everywhere for an empty set."""
         if self.points.dim != nodes.shape[1]:
             raise ValueError(f"point set dim {self.points.dim} != mesh dim {nodes.shape[1]}")
-        if not self.points.points:
+        if not len(self.points):
             return np.full(len(nodes), np.inf)
         return _nearest(nodes, self.points.array, norm)
 

@@ -191,7 +191,8 @@ def frechet_membership(f: FunctionModel, x: Sequence[float],
     """x* in the Fréchet subdifferential of f at x, decided through the
     slope form |grad(f - x*)|(x) = 0 and cross-checked against the
     defining liminf quotient at the smallest radius."""
-    if f(x) == INF:
+    fx = f(x)
+    if fx == INF:
         raise ValueError("membership undefined outside dom f")
     neg = tuple(-float(c) for c in xstar)
     shifted = tilt(f, neg)
@@ -202,7 +203,6 @@ def frechet_membership(f: FunctionModel, x: Sequence[float],
     nodes = mesh.nodes()
     d = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
     vals = values_on(f, mesh)
-    fx = float(f(x))
     inner = nodes @ np.asarray(xstar, dtype=float) - float(np.asarray(x) @ np.asarray(xstar, dtype=float))
     mask = (d > SLACK) & (d <= est.radius_used)
     with np.errstate(invalid="ignore"):

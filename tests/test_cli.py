@@ -283,6 +283,16 @@ class TestRunScenario:
         assert captured.out == ""
         assert captured.err == "error: x* has dimension 2, the model's box 1\n"
 
+    def test_probe_of_another_dimension_names_both(self, tmp_path, capsys):
+        # was reported as "off-node query (0.5, 0.5) on a tabulated model"
+        path = write_scenario(tmp_path, {
+            "name": "wide-probe", "operation": "strong_slope",
+            "instance": "abs-kink", "params": {"probe": [0.5, 0.5]}})
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: query (0.5, 0.5) has dimension 2, the model's mesh 1\n"
+
     def test_off_node_probe_is_refused_without_quotes(self, tmp_path, capsys):
         # the KeyError's message was printed as its repr, in quotes
         path = write_scenario(tmp_path, {

@@ -3,6 +3,8 @@ region infima, Lipschitz envelopes, gap triples."""
 
 import dataclasses
 import math
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,6 +18,9 @@ from epislope import (
     sample_epigraph, sample_graph, sample_hypograph, slope_stability_witness,
     tabulate, tilt, values_on,
 )
+from epislope.functions import _check_cloud_size, _check_rung_step
+from epislope.geometry import BoxNorm
+from epislope.verdict import SLACK
 
 
 def line(lo=-1.0, hi=1.0, h=0.1):
@@ -219,6 +224,182 @@ class TestEpigraphSampling:
         cloud = sample_epigraph(f, m, cap=2.0, alpha_step=0.2)
         for p in cloud.points:
             assert f((p[0],)) <= p[1] + 1e-12 and p[1] <= 2.0 + 1e-12
+
+
+def reference_epigraph(f, mesh, cap, alpha_step):
+    """The per-node tuple loop that the array ladders replaced, kept here
+    as their reference: rungs by ``a += alpha_step``, deduplicated by
+    ``PointSet.of``."""
+    if not math.isfinite(cap):
+        raise ValueError("cap must be finite")
+    vals = values_on(f, mesh)
+    _check_rung_step(alpha_step, min(float(vals.min()), cap), cap + SLACK)
+    _check_cloud_size(cap + SLACK - vals[vals <= cap], alpha_step)
+    pts = []
+    for p, v in zip(mesh.nodes(), vals):
+        if not np.isfinite(v) or v > cap:
+            continue
+        a = v
+        while a <= cap + SLACK:
+            pts.append(tuple(p) + (min(a, cap),))
+            a += alpha_step
+    if not pts:
+        raise ValueError("empty epigraph sample: function is +inf above cap on the box")
+    return PointSet.of(pts, norm=BoxNorm(base=f.norm, base_dim=mesh.dim))
+
+
+def reference_graph(f, mesh, cap):
+    pts = []
+    for p, v in zip(mesh.nodes(), values_on(f, mesh)):
+        if np.isfinite(v) and v <= cap:
+            pts.append(tuple(p) + (float(v),))
+    if not pts:
+        raise ValueError("empty graph sample")
+    return PointSet.of(pts, norm=BoxNorm(base=f.norm, base_dim=mesh.dim))
+
+
+def reference_hypograph(f, mesh, cap, floor, alpha_step):
+    if not (math.isfinite(cap) and math.isfinite(floor)):
+        raise ValueError("cap and floor must be finite")
+    _check_rung_step(alpha_step, cap, floor - SLACK)
+    vals = values_on(f, mesh)
+    _check_cloud_size(np.minimum(vals, cap) - (floor - SLACK), alpha_step)
+    pts = []
+    for p, v in zip(mesh.nodes(), vals):
+        top = cap if not np.isfinite(v) else min(float(v), cap)
+        a = top
+        while a >= floor - SLACK:
+            pts.append(tuple(p) + (max(a, floor),))
+            a -= alpha_step
+    if not pts:
+        raise ValueError("empty hypograph sample")
+    return PointSet.of(pts, norm=BoxNorm(base=f.norm, base_dim=mesh.dim))
+
+
+def cloud_or_refusal(sampler, *args):
+    """(array bytes, shape, norm) of a sampled cloud, or the refusal's text."""
+    try:
+        cloud = sampler(*args)
+    except ValueError as error:
+        return str(error)
+    return cloud.array.tobytes(), cloud.array.shape, cloud.norm
+
+
+@st.composite
+def ladder_cases(draw):
+    """(f, g, mesh, cap, floor, alpha_step) on a 1-D or 2-D max or taxicab
+    mesh.  Values hold +inf, -0.0, nodes above cap and ties with cap and
+    floor.  ``coarse`` steps leave every rung apart; ``fine`` steps lie
+    between the float spacing and SLACK, so the rungs past cap (or below
+    floor) clamp onto it and repeat; ``tall`` puts one tall ladder among
+    one-rung ladders."""
+    counts = draw(st.one_of(st.lists(st.integers(2, 9), min_size=1, max_size=1),
+                            st.lists(st.integers(2, 4), min_size=2, max_size=2)))
+    mesh = MeshSpec(box=tuple((-0.25, 0.25 * (c - 2)) for c in counts),
+                    h=(0.25,) * len(counts))
+    norm = draw(st.sampled_from((MAX, TAXICAB)))
+    cap = draw(st.sampled_from((-0.5, 0.0, 1.0, 2.5)))
+    kind = draw(st.sampled_from(("coarse", "fine", "tall")))
+    if kind == "coarse":
+        step = draw(st.sampled_from((0.05, 0.1, 0.25, 1.0 / 3.0, 0.7)))
+        floor = cap - draw(st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+        value = st.one_of(st.sampled_from((math.inf, -0.0, 0.0, cap, floor, cap + 1.0)),
+                          st.floats(floor - 1.0, cap + 1.0))
+    elif kind == "fine":
+        step = draw(st.sampled_from((1e-15, 3.3e-14, 2.5e-13)))
+        floor = cap - step * draw(st.integers(0, 40))
+        value = st.one_of(st.sampled_from((math.inf, cap + 1.0, floor - 1.0)),
+                          st.integers(-60, 60).map(lambda k: cap - k * step))
+    else:
+        step = draw(st.sampled_from((0.01, 0.03)))
+        low = cap - step * draw(st.integers(20, 300))
+        floor = draw(st.sampled_from((cap, low)))
+        value = st.sampled_from((cap, floor))
+    tables = [np.array(draw(st.lists(value, min_size=mesh.node_count,
+                                     max_size=mesh.node_count)))
+              for _ in range(2)]
+    if kind == "tall":
+        tables[0][draw(st.integers(0, mesh.node_count - 1))] = low
+    f, g = (FunctionModel.tabulated(mesh, t, norm=norm) for t in tables)
+    return f, g, mesh, cap, floor, step
+
+
+class TestLadderParity:
+    @given(ladder_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_clouds_are_the_reference_loops_bit_for_bit(self, case):
+        f, _, mesh, cap, floor, step = case
+        pairs = [((sample_epigraph, reference_epigraph), (f, mesh, cap, step)),
+                 ((sample_graph, reference_graph), (f, mesh, cap)),
+                 ((sample_hypograph, reference_hypograph), (f, mesh, cap, floor, step))]
+        for (sampler, reference), args in pairs:
+            assert cloud_or_refusal(sampler, *args) == cloud_or_refusal(reference, *args)
+
+    @given(ladder_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_sampled_gap_triple_is_the_reference_bit_for_bit(self, case):
+        f, g, mesh, cap, floor, step = case
+        try:
+            want = (gap_distance(reference_hypograph(g, mesh, cap, floor, step),
+                                 reference_epigraph(f, mesh, cap, step)),
+                    gap_distance(reference_hypograph(g, mesh, cap, floor, step),
+                                 reference_graph(f, mesh, cap)),
+                    gap_distance(reference_graph(g, mesh, cap),
+                                 reference_epigraph(f, mesh, cap, step)))
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                epi_hypo_gap_triple(f, g, mesh, cap, floor, step)
+            return
+        got = epi_hypo_gap_triple(f, g, mesh, cap, floor, step)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_rungs_clamped_onto_cap_or_floor_are_one_point(self):
+        # 1e-14 lies between the float spacing at 1 and SLACK: about 100
+        # rungs of each ladder fall in (cap, cap + SLACK], all clamped to cap
+        m = MeshSpec.line(0.0, 1.0, 1.0)
+        f = model(lambda x: 1.0, m)
+        epi = sample_epigraph(f, m, cap=1.0, alpha_step=1e-14)
+        assert epi.points == ((0.0, 1.0), (1.0, 1.0))
+        hypo = sample_hypograph(f, m, cap=1.0, floor=1.0, alpha_step=1e-14)
+        assert hypo.points == ((0.0, 1.0), (1.0, 1.0))
+
+
+def traced_peak(fn):
+    """(result, peak bytes that numpy and Python allocated during fn)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Peak bytes per point of one sampled 1-D cloud.  The cloud itself is 16 B
+# per point; the tuple loop peaked near 200 (a tuple, two float objects, a
+# list slot and a dict entry per point, before the array).
+CLOUD_BYTES_PER_POINT = 96
+
+
+class TestCloudMemory:
+    def test_a_fine_epigraph_peaks_within_its_per_point_bound(self):
+        m = MeshSpec.line(-1.0, 1.0, 0.01)
+        f = model(abs, m)
+        m.nodes()  # the mesh's shared node array is not the sampler's
+        cloud, peak = traced_peak(lambda: sample_epigraph(f, m, cap=2.0, alpha_step=2.0 ** -10))
+        assert len(cloud) == 308_329
+        assert peak <= CLOUD_BYTES_PER_POINT * len(cloud)
+
+    def test_one_tall_ladder_among_one_rung_ladders_is_not_a_rectangle(self):
+        # 10^4 ladders of one rung and one of 2001: a nodes x longest-ladder
+        # rectangle would be 10^4 x 2001 cells, 160 MB
+        m = MeshSpec.line(0.0, 1.0, 1e-4)
+        vals = np.full(m.node_count, 1.0)
+        vals[5000] = 1.0 - 2000 * 2.0 ** -10
+        f = FunctionModel.tabulated(m, vals)
+        m.nodes()
+        cloud, peak = traced_peak(lambda: sample_epigraph(f, m, cap=1.0, alpha_step=2.0 ** -10))
+        assert len(cloud) == 10_000 + 2001
+        assert peak <= CLOUD_BYTES_PER_POINT * len(cloud)
 
 
 class TestRestrictAndInf:

@@ -39,6 +39,25 @@ class TestPointSetDistance:
             point_set_distance((0.0, 0.0), pset([(1.0,)]))
 
 
+class TestPointSetArray:
+    def test_of_keeps_the_first_of_each_point_in_order(self):
+        S = pset([(1.0, 2.0), (0.0, 0.0), (1.0, 2.0), (-0.0, 0.0)])
+        assert S.array.tobytes() == np.array([(1.0, 2.0), (0.0, 0.0)]).tobytes()
+        assert S.points == ((1.0, 2.0), (0.0, 0.0)) and len(S) == 2 and S.dim == 2
+
+    def test_an_empty_set_is_a_zero_row_array_of_its_dim(self):
+        S = pset([], dim=3)
+        assert S.array.shape == (0, 3) and S.dim == 3 and len(S) == 0
+        assert S.points == ()
+
+    def test_the_array_is_read_only_and_the_tuples_are_built_once(self):
+        S = pset([(0.5,), (1.5,)], norm=MAX)
+        with pytest.raises(ValueError):
+            S.array[0, 0] = 2.0
+        assert S.points is S.points
+        assert S.points == ((0.5,), (1.5,))
+
+
 class TestGapDistance:
     def test_shared_point_zero(self):
         A = pset([(0.0,), (2.0,)])

@@ -75,11 +75,13 @@ class TestStrongSlope:
             strong_slope(tabmodel(abs, mesh), (0.505,), mesh, CFG)
 
     def test_probe_of_another_dimension_is_refused(self):
-        # its distances to the 2-D nodes raised a bare IndexError; the 3-D
-        # probe names no node of the 2-D mesh
+        # its distances to the 2-D nodes raised a bare IndexError, and then
+        # it was reported as an off-node query; the refusal names both
+        # dimensions
         mesh = MeshSpec(box=((-1.0, 1.0), (-1.0, 1.0)), h=(0.1, 0.1))
         f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()).sum(axis=1), norm=MAX)
-        with pytest.raises(KeyError, match=r"off-node query \(0.5, 0.5, 0.5\)"):
+        with pytest.raises(ValueError, match=r"^query \(0.5, 0.5, 0.5\) has dimension 3, "
+                                             r"the model's mesh 2$"):
             strong_slope(f, (0.5, 0.5, 0.5), mesh, CFG)
 
     def test_gradient_agreement_on_smooth_instances(self):
@@ -271,6 +273,22 @@ class TestFrechetMembership:
         f = tabmodel(lambda x: 0.0 if abs(x) < 1e-9 else math.inf, mesh)
         with pytest.raises(ValueError):
             frechet_membership(f, (0.5,), (0.0,), mesh, CFG)
+
+    def test_f_is_looked_up_at_x_once(self, monkeypatch):
+        # the domain check and the liminf quotient each looked f up at x;
+        # the tilted model's one lookup is strong_slope's
+        mesh = line(h=0.01)
+        f = tabmodel(abs, mesh, name="|x|")
+        calls = []
+        call = FunctionModel.__call__
+
+        def counted(model, x):
+            calls.append(model.name)
+            return call(model, x)
+
+        monkeypatch.setattr(FunctionModel, "__call__", counted)
+        assert frechet_membership(f, (0.0,), (0.5,), mesh, CFG).holds
+        assert calls == ["|x|", "|x|+x*"]
 
 
 def quadratic_oracle():
