@@ -187,28 +187,27 @@ def _r2_witness(payload, params, cfg) -> Labelled:
 class Operation:
     """An ``epislope run`` operation: the instance payload keys it reads
     (the region is separate, as params may give it), the scenario params
-    it reads, whether it accepts exact (finite-exception) instances, and
-    its runner."""
+    it reads, and its runner; ``uniforminf`` alone tells exact models from
+    mesh ones."""
 
     needs: Tuple[str, ...]
     params: Tuple[str, ...]
-    exact: bool
     run: Callable[[Dict[str, Any], Dict[str, Any], LimitConfig], Labelled]
 
 
 _SEQUENCE = ("seq_factory", "limit", "probe", "mesh")
 _SUM = ("sum", "xbar", "mesh")
 OPERATIONS: Dict[str, Operation] = {
-    "penalty_limit": Operation(("model",), ("p", "region"), True, _penalty_limit),
-    "robustness": Operation(("model",), ("region",), True, _robustness),
-    "wijsman_at_point": Operation(_SEQUENCE, ("probe", "lambda_max"), False, _wijsman_at_point),
-    "slope_stability": Operation(_SEQUENCE, ("probe",), False, _slope_stability),
-    "frechet_membership": Operation(("model", "probes", "mesh"), ("xstar", "probe"), False,
+    "penalty_limit": Operation(("model",), ("p", "region"), _penalty_limit),
+    "robustness": Operation(("model",), ("region",), _robustness),
+    "wijsman_at_point": Operation(_SEQUENCE, ("probe", "lambda_max"), _wijsman_at_point),
+    "slope_stability": Operation(_SEQUENCE, ("probe",), _slope_stability),
+    "frechet_membership": Operation(("model", "probes", "mesh"), ("xstar", "probe"),
                                     _frechet_membership),
-    "strong_slope": Operation(("model", "probes", "mesh"), ("probe",), False, _strong_slope),
-    "decoupling_inequality": Operation(_SUM, (), False, _decoupling_inequality),
-    "prop71_bridge": Operation(_SUM, (), False, _prop71_bridge),
-    "r2_witness": Operation(("sum", "oracles", "xbar", "mesh"), (), False, _r2_witness),
+    "strong_slope": Operation(("model", "probes", "mesh"), ("probe",), _strong_slope),
+    "decoupling_inequality": Operation(_SUM, (), _decoupling_inequality),
+    "prop71_bridge": Operation(_SUM, (), _prop71_bridge),
+    "r2_witness": Operation(("sum", "oracles", "xbar", "mesh"), (), _r2_witness),
 }
 
 
@@ -223,8 +222,6 @@ def execute(operation: str, payload: Dict[str, Any], params: Dict[str, Any],
     if op is None:
         raise ValueError(f"unknown operation '{operation}'")
     name = payload.get("name", "")
-    if payload.get("kind") == "exact" and not op.exact:
-        raise ValueError(f"{operation} does not accept the exact instance '{name}'")
     for key in op.needs:
         if payload.get(key) is None:
             raise ValueError(f"instance '{name}' has no '{key}' payload; "

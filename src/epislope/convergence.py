@@ -7,6 +7,10 @@ tilted graphs and epigraphs.
 Gap distances against balls use the exact identity
 D(B_r(y), A) = (d(y, A) - r)^+ rather than sampling the ball.
 
+A set verdict generates each S_n it reads once, for all its probes, and
+drops it (``_set_distances``).  Wijsman, hit-and-miss and Kuratowski
+convergence are tail statements: they generate no S_n before the window.
+
 Recovery sequences and Wijsman verdicts at a point x share one sweep
 (``_sweep``): the node distances to x are sorted once, so the nested
 balls B_r(x), and the delta rungs of each ball whose uniform infimum of
@@ -30,8 +34,8 @@ every lambda row off one mesh evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,20 +50,11 @@ from .verdict import (SLACK, LimitConfig, Status, Verdict, combine, decide,
 
 @dataclass
 class SetSequence:
-    """Lazily generated sequence of finite point sets, cached per index."""
+    """Lazily generated sequence of finite point sets of one dimension;
+    nothing is cached."""
 
     generator: Callable[[int], PointSet]
     dim: int
-    norm: Norm = EUCLIDEAN
-    _cache: Dict[int, PointSet] = field(default_factory=dict, repr=False)
-
-    def at(self, n: int) -> PointSet:
-        if n not in self._cache:
-            S = self.generator(n)
-            if S.dim != self.dim:
-                raise ValueError(f"set at n={n} has dim {S.dim}, expected {self.dim}")
-            self._cache[n] = S
-        return self._cache[n]
 
 
 @dataclass
@@ -83,25 +78,40 @@ class FunctionSequence:
                                 box=self.box, norm=self.norm)
 
 
-def _set_distances(y: Sequence[float], seq: SetSequence, cfg: LimitConfig):
-    """d(y, S_n) on the suffix window of the n schedule, and the witness
-    listing (n, d(y, S_n)) for every n."""
-    dists = [point_set_distance(y, seq.at(n)) for n in cfg.n_schedule]
-    return cfg.window(dists), {"distances": list(zip(cfg.n_schedule, dists))}
+def _set_distances(probes: Sequence[Sequence[float]], seq: SetSequence,
+                   ns: Sequence[int]) -> List[List[float]]:
+    """d(y, S_n) for every probe y (one row each) and every n of ``ns``:
+    each S_n is generated once, measured from every probe and dropped."""
+    if not probes:
+        raise ValueError("probes must be nonempty")
+    table = [[] for _ in probes]
+    for n in ns:
+        S = seq.generator(n)
+        if S.dim != seq.dim:
+            raise ValueError(f"set at n={n} has dim {S.dim}, expected {seq.dim}")
+        for row, y in zip(table, probes):
+            row.append(point_set_distance(y, S))
+    return table
+
+
+def _limit(y: Sequence[float], seq: SetSequence, cfg: LimitConfig, excess) -> Verdict:
+    """The excess of the window of d(y, S_n) decided, with the witness
+    listing (n, d(y, S_n)) for every n of the schedule."""
+    [dists] = _set_distances([y], seq, cfg.n_schedule)
+    return excess_verdict(excess(cfg.window(dists)), cfg.tol, cfg.decision_band,
+                          {"distances": list(zip(cfg.n_schedule, dists))})
 
 
 def in_lower_limit(y: Sequence[float], seq: SetSequence, cfg: LimitConfig) -> Verdict:
     """y in Li S_n, the lower limit (Rockafellar & Wets 1998, ch. 4):
     limsup d(y, S_n) = 0.  The excess is the window max of d(y, S_n)."""
-    win, witness = _set_distances(y, seq, cfg)
-    return excess_verdict(max(win), cfg.tol, cfg.decision_band, witness)
+    return _limit(y, seq, cfg, max)
 
 
 def in_upper_limit(y: Sequence[float], seq: SetSequence, cfg: LimitConfig) -> Verdict:
     """y in Ls S_n, the upper limit (Rockafellar & Wets 1998, ch. 4):
     liminf d(y, S_n) = 0.  The excess is the window min of d(y, S_n)."""
-    win, witness = _set_distances(y, seq, cfg)
-    return excess_verdict(min(win), cfg.tol, cfg.decision_band, witness)
+    return _limit(y, seq, cfg, min)
 
 
 def wijsman_sets(seq: SetSequence, S: PointSet, probes: Sequence[Sequence[float]],
@@ -109,30 +119,17 @@ def wijsman_sets(seq: SetSequence, S: PointSet, probes: Sequence[Sequence[float]
     """Wijsman convergence S_n -> S (Beer 1993): d(y, S_n) -> d(y, S)
     at every y, here at every probe.  The excess is the worst window value
     of |d(y, S_n) - d(y, S)| over the probes."""
-    if not probes:
-        raise ValueError("probes must be nonempty")
-    per_probe = []
-    for y in probes:
-        dS = point_set_distance(y, S)
-        win, _ = _set_distances(y, seq, cfg)
-        per_probe.append({"probe": tuple(y),
-                          "window_max": max(abs(margin(dS, d)) for d in win)})
+    dS = [point_set_distance(y, S) for y in probes]
+    table = _set_distances(probes, seq, cfg.window(cfg.n_schedule))
+    per_probe = [{"probe": tuple(y), "window_max": max(abs(margin(d, dn)) for dn in win)}
+                 for y, d, win in zip(probes, dS, table)]
     worst = max(row["window_max"] for row in per_probe)
     return excess_verdict(worst, cfg.tol, cfg.decision_band, {"per_probe": per_probe})
 
 
-def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
-                 lam: float, cfg: LimitConfig) -> Verdict:
-    """The hit-and-miss criterion (Beer 1993) at one probe and one radius.
-
-    Hit part, for y in S (within tol): y in Li S_n.  Miss part, when B_lam(y)
-    has a positive gap to S: sup over delta of liminf (d(y, S_n) - lam -
-    delta)^+ > 0, a positivity test with that sup as margin.  A probe that
-    triggers neither part is vacuously Holds."""
-    if not lam >= 0:  # also refuses NaN
-        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
-    dyS = point_set_distance(y, S)
-    win, _ = _set_distances(y, seq, cfg)
+def _hit_or_miss(dyS: float, win: List[float], lam: float, cfg: LimitConfig) -> Verdict:
+    """``hit_and_miss`` at one probe, given d(y, S) and the probe's
+    window of d(y, S_n)."""
     if dyS <= cfg.tol:
         return excess_verdict(max(win), cfg.tol, cfg.decision_band,
                               {"branch": "hit", "window_max": max(win)})
@@ -148,12 +145,28 @@ def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
     return Verdict(Status.HOLDS, 0.0, {"branch": "vacuous"})
 
 
+def hit_and_miss(seq: SetSequence, S: PointSet, y: Sequence[float],
+                 lam: float, cfg: LimitConfig) -> Verdict:
+    """The hit-and-miss criterion (Beer 1993) at one probe and one radius.
+
+    Hit part, for y in S (within tol): y in Li S_n.  Miss part, when B_lam(y)
+    has a positive gap to S: sup over delta of liminf (d(y, S_n) - lam -
+    delta)^+ > 0, a positivity test with that sup as margin.  A probe that
+    triggers neither part is vacuously Holds."""
+    if not lam >= 0:  # also refuses NaN
+        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
+    dyS = point_set_distance(y, S)
+    [win] = _set_distances([y], seq, cfg.window(cfg.n_schedule))
+    return _hit_or_miss(dyS, win, lam, cfg)
+
+
 def kuratowski_sets(seq: SetSequence, S: PointSet, probes: Sequence[Sequence[float]],
                     cfg: LimitConfig) -> Verdict:
-    """Hit-and-miss at lambda = 0 across all probes."""
-    if not probes:
-        raise ValueError("probes must be nonempty")
-    results = [hit_and_miss(seq, S, y, 0.0, cfg) for y in probes]
+    """Hit-and-miss at lambda = 0 across all probes, from one table of
+    d(y, S_n) over the window."""
+    dS = [point_set_distance(y, S) for y in probes]
+    table = _set_distances(probes, seq, cfg.window(cfg.n_schedule))
+    results = [_hit_or_miss(d, win, 0.0, cfg) for d, win in zip(dS, table)]
     return _aggregate(results, [{"probe": tuple(y)} for y in probes])
 
 
@@ -336,10 +349,9 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
     two evaluators per lambda, so each row is theirs bit for bit.
     """
     layers = _MeshLayers(f, S, mesh)
-    nodes = mesh.nodes()
-    d_x = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
-    # members_given is S.members, so this is restrict(f, S)'s array
-    f_S_values = np.where(S.members_given(nodes, f.norm, layers.dist), layers.values, INF)
+    d_x = f.norm.pairwise(np.asarray([x], dtype=float), mesh.nodes())[0]
+    # d_S is 0 exactly at the members, so this is restrict(f, S)'s array
+    f_S_values = np.where(layers.dist == 0.0, layers.values, INF)
     rows = []
     worst = math.inf
     for lam in cfg.radius_ladder:

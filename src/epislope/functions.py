@@ -30,10 +30,6 @@ from .verdict import KEY_DECIMALS, SLACK, InvariantError
 Box = Tuple[Tuple[float, float], ...]
 
 
-def _key(p: Sequence[float]) -> Tuple[float, ...]:
-    return tuple(round(float(c), KEY_DECIMALS) for c in p)
-
-
 @dataclass(frozen=True)
 class MeshSpec:
     """Uniform grid on a closed box; nodes include both endpoints per axis.
@@ -98,7 +94,8 @@ class MeshSpec:
 
     def index_map(self) -> Dict[Tuple[float, ...], int]:
         """Snapped node coordinates -> flat index, as a dict."""
-        return {_key(p): i for i, p in enumerate(self.nodes())}
+        return {tuple(round(float(c), KEY_DECIMALS) for c in p): i
+                for i, p in enumerate(self.nodes())}
 
     def node_index(self, x: Sequence[float]) -> int:
         """Flat index of the node that the point x names, or -1."""

@@ -151,10 +151,6 @@ MAX = Norm(NormKind.MAX)
 TAXICAB = Norm(NormKind.TAXICAB)
 
 
-def _as_tuple(p: Sequence[float]) -> Point:
-    return tuple(p)
-
-
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """A finite set of points sharing a dimension and a norm, held as one
@@ -177,11 +173,7 @@ class PointSet:
     def of(points: Iterable[Sequence[float]], norm=EUCLIDEAN, dim: Optional[int] = None) -> "PointSet":
         """The set of arbitrary points: duplicates are dropped, the first
         of each kept in order."""
-        seen = {}
-        for p in points:
-            t = _as_tuple(p)
-            seen.setdefault(t, None)
-        pts = tuple(seen)
+        pts = tuple(dict.fromkeys(map(tuple, points)))
         if pts:
             d = len(pts[0])
             if any(len(p) != d for p in pts):

@@ -3,12 +3,12 @@
 A region answers exact membership of a point (``contains``) and, on an
 (N, dim) array of mesh nodes, membership of every node (``members``) and
 the distance d_S of every node in a given norm (``distances``).  These two
-are the only mesh geometry of regions; ``members_given`` is ``members``
-read off a measured d_S where it can be, as a ball's closed form allows.
-By default d_S is the distance to the nodes the region contains; a ball in
-the measuring norm (or on a line, where every norm is one), the whole
-space and a finite point set measure in closed form or to their own
-points.
+are the only mesh geometry of regions.  By default d_S is the distance to
+the nodes the region contains; a ball in the measuring norm (or on a line,
+where every norm is one), the whole space and a finite point set measure
+in closed form or to their own points.  Either way d_S is 0 exactly at
+the members (max(0, d - r) is 0 iff d <= r), so a caller that measured d_S
+reads them as ``dist == 0.0``, a Euclidean underflow to 0 aside.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ class Region:
         if not member.any():
             raise ValueError("region contains no mesh node")
         return _nearest(nodes, nodes[member], norm)
-
-    def members_given(self, nodes: np.ndarray, norm: Norm, dist: np.ndarray) -> np.ndarray:
-        """``members(nodes)``, where ``dist`` is ``distances(nodes, norm)``,
-        measured already; a region whose d_S is 0 exactly on its members
-        reads the mask off ``dist``, any other asks ``members``."""
-        return self.members(nodes)
 
 
 @dataclass(frozen=True)
@@ -80,22 +74,12 @@ class Ball(Region):
     def members(self, nodes: np.ndarray) -> np.ndarray:
         return self._center_distances(nodes) <= self.radius
 
-    def _closed_form(self, nodes: np.ndarray, norm: Norm) -> bool:
-        return norm == self.norm or nodes.shape[1] == 1
-
     def distances(self, nodes: np.ndarray, norm: Norm) -> np.ndarray:
         """Closed form in the ball's own norm, or on a 1-D mesh where every
         norm is one; otherwise the distance to the member nodes."""
-        if self._closed_form(nodes, norm):
+        if norm == self.norm or nodes.shape[1] == 1:
             return np.maximum(0.0, self._center_distances(nodes) - self.radius)
         return super().distances(nodes, norm)
-
-    def members_given(self, nodes: np.ndarray, norm: Norm, dist: np.ndarray) -> np.ndarray:
-        """The closed form max(0, d - r) is 0 exactly on the members, since
-        for floats d - r <= 0 iff d <= r (an infinite r included)."""
-        if self._closed_form(nodes, norm):
-            return dist == 0.0
-        return self.members(nodes)
 
 
 @dataclass(frozen=True)

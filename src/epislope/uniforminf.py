@@ -205,11 +205,11 @@ class _MeshLayers:
         return self.S.distances(self.mesh.nodes(), self.f.norm)
 
     def plain(self) -> ExtReal:
-        """inf_S f, measuring no d_S; a d_S this call measured already gives
-        the members where the region can read them off it."""
+        """inf_S f, measuring no d_S; a d_S this call measured already is 0
+        exactly at the member nodes, so the members are read off it."""
         if "dist" not in self.__dict__:
             return inf_over_region(self.f, self.S, self.mesh)
-        inside = self.S.members_given(self.mesh.nodes(), self.f.norm, self.dist)
+        inside = self.dist == 0.0
         return float(self.values[inside].min()) if inside.any() else INF
 
     def uniform_infimum(self, ladder: Sequence[float]) -> ExtReal:

@@ -266,6 +266,27 @@ class TestRunScenario:
         assert main(["run", path, "--no-timings"]) == 1
         assert f"no '{key}' payload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operation,key,reads", [
+        ("wijsman_at_point", "seq_factory", "seq_factory, limit, probe, mesh"),
+        ("slope_stability", "seq_factory", "seq_factory, limit, probe, mesh"),
+        ("frechet_membership", "probes", "model, probes, mesh"),
+        ("strong_slope", "probes", "model, probes, mesh"),
+        ("decoupling_inequality", "sum", "sum, xbar, mesh"),
+        ("prop71_bridge", "sum", "sum, xbar, mesh"),
+        ("r2_witness", "sum", "sum, oracles, xbar, mesh"),
+    ])
+    def test_mesh_operation_on_the_exact_instance_names_the_missing_payload(
+            self, tmp_path, capsys, operation, key, reads):
+        # the exact instance carries a model and no mesh-only payload, so
+        # the payload check is the one refusal every mesh operation needs
+        path = write_scenario(tmp_path, {
+            "name": "exact-on-mesh", "operation": operation, "instance": "nogood-slice"})
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: instance 'nogood-slice' has no '{key}' payload; "
+                                f"{operation} reads {reads}\n")
+
     def test_missing_dual_vector_is_refused(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
             "name": "no-xstar", "operation": "frechet_membership",

@@ -6,6 +6,7 @@ its work per f_n and its memory."""
 import json
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -218,6 +219,50 @@ class TestKuratowski:
         for seq, S in cases:
             if wijsman_sets(seq, S, probes, SET_CFG).holds:
                 assert not kuratowski_sets(seq, S, probes, SET_CFG).fails
+
+
+class TestSetSequenceWork:
+    """Each S_n a set verdict reads is generated once for all its probes
+    and kept by nothing once the verdict returns; the tail statements read
+    the eventual window of the n schedule only."""
+
+    def counting(self, fn):
+        made, alive = Counter(), []
+
+        def make(n):
+            made[n] += 1
+            S = PointSet.of(fn(n))
+            alive.append(weakref.ref(S))
+            return S
+
+        return SetSequence(generator=make, dim=1), made, alive
+
+    @pytest.mark.parametrize("verdict", [wijsman_sets, kuratowski_sets])
+    def test_tail_statements_generate_the_window_once(self, verdict):
+        seq, made, alive = self.counting(lambda n: [(1.0 / n,), (2.0,)])
+        S = PointSet.of([(0.0,), (2.0,)])
+        assert verdict(seq, S, [(0.0,), (2.0,), (-1.0,)], SET_CFG).holds
+        assert made == Counter(SET_CFG.window(SET_CFG.n_schedule))
+        assert [ref() for ref in alive] == [None] * len(alive)
+
+    def test_hit_and_miss_generates_the_window_once(self):
+        seq, made, alive = self.counting(lambda n: [(3.0 - 1.0 / n,)])
+        assert hit_and_miss(seq, PointSet.of([(0.0,)]), (3.0,), 1.0, CFG).fails
+        assert made == Counter(CFG.window(CFG.n_schedule))
+        assert [ref() for ref in alive] == [None] * len(alive)
+
+    @pytest.mark.parametrize("limit", [in_lower_limit, in_upper_limit])
+    def test_limits_generate_every_n_once(self, limit):
+        seq, made, alive = self.counting(lambda n: [(1.0 / n,)])
+        verdict = limit((0.0,), seq, SET_CFG)
+        assert verdict.holds and len(verdict.witness["distances"]) == 128
+        assert made == Counter(SET_CFG.n_schedule)
+        assert [ref() for ref in alive] == [None] * len(alive)
+
+    def test_a_set_of_another_dimension_is_refused(self):
+        seq = SetSequence(generator=lambda n: PointSet.of([(0.0, 0.0)]), dim=1)
+        with pytest.raises(ValueError, match="set at n=1 has dim 2, expected 1"):
+            in_lower_limit((0.0,), seq, CFG)
 
 
 class TestRecovery:

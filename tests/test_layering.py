@@ -2,8 +2,9 @@
 used by its module, the relative imports between modules form no cycle, so
 the modules load in one order, outside ``verdict`` no status literal
 sets a status except at the listed sites, ``uniforminf`` chooses
-between its exact and mesh evaluators at one site, and one function of
-``uniforminf`` applies its rung rule."""
+between its exact and mesh evaluators at one site, one function of
+``uniforminf`` applies its rung rule, and no sequence of ``convergence``
+caches its members."""
 
 import ast
 import pathlib
@@ -118,7 +119,7 @@ STATUS_LITERALS = {"HOLDS", "FAILS", "INCONCLUSIVE"}
 STATUS_ALLOWLIST = {
     ("cli", "_strong_slope"): "reports an estimate; it states nothing to decide",
     ("cli", "reproduce_example_4_2"): "an exact rational equality check, not a tolerance",
-    ("convergence", "hit_and_miss"): "vacuous branch: the probe triggers neither part",
+    ("convergence", "_hit_or_miss"): "vacuous branch: the probe triggers neither part",
 }
 
 
@@ -245,3 +246,25 @@ def test_the_rung_rule_check_finds_a_second_raiser():
         "        raise ValueError(_NO_NODE)\n"
         "    raise ValueError('another refusal')\n")
     assert _rung_rule_raises(tree) == ["_sup_of_rungs", "Layers.uniform_infimum", "_kernel"]
+
+
+def _default_factory_fields(tree):
+    """Dotted names of the class fields whose ``field(...)`` call passes a
+    ``default_factory``: a mutable per-instance default, as a cache is."""
+    return _enclosing(tree, lambda node: isinstance(node, ast.keyword)
+                      and node.arg == "default_factory")
+
+
+def test_no_convergence_dataclass_has_a_default_factory():
+    """A sequence of sets or functions generates each member on demand; a
+    mutable default such as a per-index dict is how a cache would return."""
+    assert _default_factory_fields(MODULES["convergence"]) == []
+
+
+def test_the_default_factory_check_finds_a_cache():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class SetSequence:\n"
+        "    generator: Callable\n"
+        "    _cache: Dict[int, PointSet] = field(default_factory=dict, repr=False)\n")
+    assert _default_factory_fields(tree) == ["SetSequence"]

@@ -16,11 +16,12 @@ from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FinitePoints,
                       FunctionModel, FunctionSequence, INF, LimitConfig, MeshSpec,
                       Norm, PointSet, Predicate, WholeSpace, epi_hypo_gap_triple,
                       functions, gap_distance, geometry, inf_over_region,
-                      pasch_hausdorff, robustness, wijsman_at_point)
-from epislope.functions import _key, _ramp_pass
+                      pasch_hausdorff, plain_infimum, robustness, wijsman_at_point)
+from epislope.functions import _ramp_pass
 from epislope.geometry import PAIRWISE_CELL_BUDGET
 from epislope.sumrules import (DecoupledSum, _product_data, diagonal_distance,
                                product_mesh)
+from epislope.verdict import KEY_DECIMALS
 
 STEPS = (0.01, 0.05, 0.1, 0.25)
 NORMS = (EUCLIDEAN, MAX, TAXICAB)
@@ -436,7 +437,7 @@ def test_every_block_walk_is_the_dense_result_bit_for_bit(a, b, norm, data):
 # ---------------------------------------------------------- node lookup
 
 def _old_lookup(mesh, p):
-    return mesh.index_map().get(_key(p), -1)
+    return mesh.index_map().get(tuple(round(float(c), KEY_DECIMALS) for c in p), -1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -552,18 +553,22 @@ def test_ball_infimum_matches_contains(mesh, norm, data):
 @settings(max_examples=150, deadline=None)
 @given(meshes, st.sampled_from(NORMS), st.sampled_from(NORMS), st.data())
 def test_robustness_plain_infimum_is_inf_over_region(mesh, norm, ball_norm, data):
-    """robustness reads the ball's members off its measured d_S where d_S
-    is the closed form, and asks the ball otherwise: its plain infimum is
-    inf_over_region's with radius 0, nodes exactly on the shell and an
-    infinite radius."""
+    """robustness reads the region's members off its measured d_S, where
+    it is 0: its plain infimum is inf_over_region's for a ball in its own
+    norm or another, with radius 0, nodes exactly on the shell and an
+    infinite radius, and for a predicate region."""
     fv = np.array(data.draw(st.lists(values, min_size=mesh.node_count,
                                      max_size=mesh.node_count)))
     f = FunctionModel.tabulated(mesh, fv, norm=norm)
     keys = [tuple(p) for p in mesh.nodes()]
     center, rim = data.draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2))
-    radius = data.draw(st.sampled_from((0.0, ball_norm.dist(rim, center), math.inf)))
-    ball = Ball(center, radius, ball_norm)
-    assert robustness(f, ball, mesh, LimitConfig()).plain_inf == inf_over_region(f, ball, mesh)
+    if data.draw(st.booleans()):
+        radius = data.draw(st.sampled_from((0.0, ball_norm.dist(rim, center), math.inf)))
+        region = Ball(center, radius, ball_norm)
+    else:
+        region = Predicate(lambda p: tuple(p) in {center, rim})
+    plain = robustness(f, region, mesh, LimitConfig()).plain_inf
+    assert plain == inf_over_region(f, region, mesh)
 
 
 def test_robustness_on_a_ball_measures_center_distances_once():
@@ -651,3 +656,58 @@ def test_region_members_and_distances_match_brute_force(lo_cents, step, counts, 
         got = S.distances(nodes, norm)
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(meshes, st.sampled_from(NORMS), st.data())
+def test_members_are_the_nodes_at_distance_zero(mesh, norm, data):
+    """Every region's d_S is 0 exactly at its member nodes, which is how a
+    measured d_S gives the members: a ball in its own norm or another, with
+    radius 0, nodes on the shell or an infinite radius; the whole space; a
+    predicate; a finite point set in the max and taxicab norms, its points
+    on nodes or off them by any offset (one a float rounds away, one it
+    keeps).  An empty predicate has no members and no d_S, and its plain
+    infimum, which measures none, is +inf."""
+    nodes = mesh.nodes()
+    node = st.sampled_from([tuple(p) for p in nodes])
+    kind = data.draw(st.sampled_from(("ball", "whole", "predicate", "points")))
+    if kind == "ball":
+        center, rim = data.draw(node), data.draw(node)
+        own = data.draw(st.sampled_from(NORMS))
+        S = Ball(center, data.draw(st.sampled_from((0.0, own.dist(rim, center), math.inf))),
+                 own)
+    elif kind == "whole":
+        S = WholeSpace()
+    elif kind == "predicate":
+        picked = set(data.draw(st.lists(node, max_size=4)))
+        S = Predicate(lambda p: tuple(p) in picked)
+        if not picked:
+            assert not S.members(nodes).any()
+            with pytest.raises(ValueError, match="no mesh node"):
+                S.distances(nodes, norm)
+            f = FunctionModel.tabulated(mesh, np.zeros(len(nodes)), norm=norm)
+            assert plain_infimum(f, S, mesh) == INF
+            return
+    else:
+        norm = data.draw(st.sampled_from((MAX, TAXICAB)))
+        offsets = st.sampled_from((0.0, 1e-300, 5e-324, 1e-12, 0.3 * min(mesh.h)))
+        points = data.draw(st.lists(node, min_size=1, max_size=4))
+        S = FinitePoints(PointSet.of([tuple(c + data.draw(offsets) for c in p)
+                                      for p in points]))
+    assert S.members(nodes).tolist() == (S.distances(nodes, norm) == 0.0).tolist()
+
+
+def test_a_finite_point_within_underflow_of_a_node_is_at_distance_zero():
+    """The one place where d_S == 0 is wider than membership: a point
+    1e-170 from a node, in the Euclidean norm, whose squared offset
+    underflows to 0.  The node is no member, but its d_S is 0, so r_S
+    counts it, and so does the plain infimum read off the measured d_S."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.5)
+    nodes = mesh.nodes()
+    S = FinitePoints(PointSet.of([(1e-170,)]))
+    assert not S.members(nodes).any()
+    assert S.distances(nodes, EUCLIDEAN).tolist() == [1.0, 0.5, 0.0, 0.5, 1.0]
+    f = FunctionModel.tabulated(mesh, np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
+    report = robustness(f, S, mesh, LimitConfig())
+    assert report.r_value == report.plain_inf == 3.0
+    assert inf_over_region(f, S, mesh) == plain_infimum(f, S, mesh) == INF
