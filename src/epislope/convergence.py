@@ -186,6 +186,19 @@ def snap_half_node(lam: float, h: float) -> float:
     return (k + 0.5) * h
 
 
+def _rung_reach(dist: np.ndarray, lam: float, delta: float) -> int:
+    """The length of the prefix of the sorted ``dist`` on which
+    max(0, d - lam) <= delta, the float predicate of a rung of B_lam(x):
+    ``searchsorted`` at lam + delta, moved to where the predicate changes
+    (it is nondecreasing in d, so it holds on a prefix)."""
+    k = int(np.searchsorted(dist, lam + delta, "right"))
+    while k < len(dist) and max(0.0, dist[k] - lam) <= delta:
+        k += 1
+    while k and not max(0.0, dist[k - 1] - lam) <= delta:
+        k -= 1
+    return k
+
+
 def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
            cfg: LimitConfig, mesh: MeshSpec, lambdas: Sequence[float] = (),
            step: Optional[Callable] = None, start: int = 0):
@@ -198,11 +211,13 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     schedule.
 
     The distances from x to the nodes are sorted once (stable, so ties
-    keep node order); every ball is then a prefix of that order.  f is
-    gathered in that order once, before any f_n; each delta rung of
-    B_lam(x), {max(0, d - lam) <= delta} in the ball's closed form, is a
-    prefix too, since max(0, d - lam) is nondecreasing in the sorted d, so
-    r(f) reads the running minimum of f at the rungs' ends.  Each f_n is
+    keep node order); every ball is then a prefix of that order.  Each
+    delta rung of B_lam(x), {max(0, d - lam) <= delta} in the ball's closed
+    form, is a prefix too, since max(0, d - lam) is nondecreasing in the
+    sorted d, so r(f) reads the running minimum of f at the rungs' ends.
+    The largest delta's rung of every ball bounds them all (``_rung_reach``):
+    f is gathered in distance order up to the farthest of those ends, once,
+    before any f_n, and each ball's rungs are found in its own.  Each f_n is
     fetched once and gathered in distance order up to the largest prefix
     needed.  The ball infima are its prefix minima at the balls' ends: each
     f_n writes one minimum per segment between consecutive ends into its
@@ -225,9 +240,12 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     dist = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
     order = np.argsort(dist, kind="stable")
     dist = dist[order]
-    low = np.minimum.accumulate(values_on(f, mesh)[order]) if lambdas else None
-    r_values = [_sorted_sup_inf(low, np.maximum(0.0, dist - lam), cfg.delta_ladder)
-                for lam in lambdas]
+    # the largest delta rung of B_lam(x) ends at reach[i]; no rung reads past it
+    reach = [_rung_reach(dist, lam, cfg.delta_ladder[0]) for lam in lambdas]
+    low = (np.minimum.accumulate(values_on(f, mesh)[order[:max(reach)]])
+           if lambdas else None)
+    r_values = [_sorted_sup_inf(low, np.maximum(0.0, dist[:k] - lam), cfg.delta_ladder)
+                for lam, k in zip(lambdas, reach)]
     ladder = cfg.radius_ladder
     count = len(cfg.n_schedule)
     radii = [ladder[min(j * len(ladder) // count, len(ladder) - 1)] for j in range(count)]
@@ -346,10 +364,14 @@ def carac_W_bridge(f: FunctionModel, S: Region, x: Sequence[float], p: float,
     the Wijsman limit) is f where S holds and +inf elsewhere, the left side
     is r of f_S over max(0, d_x - lam), and the right side r_S of f where
     d_x <= lam, d_x being the node distances to x: the arrays and masks of
-    two evaluators per lambda, so each row is theirs bit for bit.
+    two evaluators per lambda, so each row is theirs bit for bit.  An x
+    whose smallest ball B_lam(x) holds no node is refused, as that ball's
+    evaluator (``Ball.distances``) refuses it.
     """
     layers = _MeshLayers(f, S, mesh)
     d_x = f.norm.pairwise(np.asarray([x], dtype=float), mesh.nodes())[0]
+    if not d_x.min() <= cfg.radius_ladder[-1]:
+        raise ValueError("region contains no mesh node")
     # d_S is 0 exactly at the members, so this is restrict(f, S)'s array
     f_S_values = np.where(layers.dist == 0.0, layers.values, INF)
     rows = []

@@ -85,6 +85,15 @@ class MeshSpec:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _axis_index(self) -> Tuple[np.ndarray, ...]:
+        """0.0, 1.0, ..., count - 1 as one read-only float array per axis,
+        built on first use: the ramps of the linear envelopes scale them."""
+        out = tuple(np.arange(count, dtype=float) for count in self._counts)
+        for index in out:
+            index.flags.writeable = False
+        return out
+
     def nodes(self) -> np.ndarray:
         """All nodes as a (count, dim) array, C order over axes.
 
@@ -344,14 +353,15 @@ def _scan_min(a: np.ndarray, backward: bool = False) -> None:
     np.fmin.accumulate(tail, axis=-1, out=tail)
 
 
-def _ramp_pass(v: np.ndarray, slope: float) -> np.ndarray:
+def _ramp_pass(v: np.ndarray, slope: float, index: np.ndarray) -> np.ndarray:
     """1-D envelope of v along its last axis, min over j of
     v_j + slope*|i - j|, for every line at once: with ramp_i = slope*i it
-    is min(ramp + cummin(v - ramp), revcummin(v + ramp) - ramp, v).  Each
-    running minimum starts at the first rise (``_scan_min``), so a slope
-    above the Lipschitz constant of every line costs no scan at all."""
-    ramp = np.arange(v.shape[-1], dtype=float)
-    ramp *= slope
+    is min(ramp + cummin(v - ramp), revcummin(v + ramp) - ramp, v), the
+    ramp scaled from ``index``, the floats 0, 1, ... of that axis
+    (``MeshSpec._axis_index``).  Each running minimum starts at the first
+    rise (``_scan_min``), so a slope above the Lipschitz constant of every
+    line costs no scan at all."""
+    ramp = np.multiply(index, slope)
     # the running minima (fmin, faster here than minimum, and trimmed) differ
     # from minimum.accumulate only at NaN, which tabulated values never hold,
     # and in which of -0.0 and 0.0 they keep:
@@ -367,7 +377,7 @@ def _ramp_pass(v: np.ndarray, slope: float) -> np.ndarray:
     return np.minimum(fwd, v, out=fwd)
 
 
-def _chessboard_envelope(v: np.ndarray, step: float) -> np.ndarray:
+def _chessboard_envelope(v: np.ndarray, step: float, index: np.ndarray) -> np.ndarray:
     """min over nodes (k, l) of v[k, l] + step*max(|i - k|, |j - l|) on a
     2-D grid.  The max norm on equal steps is the 8-neighbour path
     length, so two raster scans give it exactly: a 1-D pass along every
@@ -376,7 +386,7 @@ def _chessboard_envelope(v: np.ndarray, step: float) -> np.ndarray:
     back) in the finished row before it.  The 1-D pass comes first, for
     all rows at once: a row that is step-Lipschitz along itself stays so
     under these updates, so no later row needs it again."""
-    out = _ramp_pass(v, step)
+    out = _ramp_pass(v, step, index)
     for grid in (out, out[::-1]):  # the backward scan runs on a reversed view
         for r in range(1, len(grid)):
             prev = grid[r - 1]
@@ -396,10 +406,12 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
 
     - 1-D meshes (every norm) and the taxicab norm in any dimension: one
       1-D distance-transform pass per axis, min(ramp + cummin(f - ramp),
-      revcummin(f + ramp) - ramp, f) with ramp_i = n*h*i.  Exact, since
-      the l1 cone is separable; linear in the node count.  Each running
-      minimum starts at the first rise over the lines of the pass, so an
-      n above the Lipschitz constant of the data costs no scan.
+      revcummin(f + ramp) - ramp, f) with ramp_i = n*h*i, scaled from the
+      mesh's float index of the axis (built on the first envelope, then
+      shared).  Exact, since the l1 cone is separable; linear in the node
+      count.  Each running minimum starts at the first rise over the lines
+      of the pass, so an n above the Lipschitz constant of the data costs
+      no scan.
     - The max norm on a 2-D mesh with equal steps: two raster scans over
       the 8 neighbours (``_chessboard_envelope``), linear in the count.
     - Every other case (Euclidean in 2-D and up, unequal steps, the max
@@ -420,14 +432,16 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     if low == INF:
         raise ValueError("f is +inf on the whole mesh")
     if mesh.dim == 1:
-        out = _ramp_pass(fv, n * mesh.h[0])
+        out = _ramp_pass(fv, n * mesh.h[0], mesh._axis_index[0])
     elif f.norm.kind is NormKind.TAXICAB:
         out = fv.reshape(mesh._counts)
-        for axis, step in enumerate(mesh.h):
-            out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * step), axis, -1)
+        for axis, (step, index) in enumerate(zip(mesh.h, mesh._axis_index)):
+            out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * step, index),
+                              axis, -1)
         out = out.ravel()
     elif f.norm.kind is NormKind.MAX and mesh.dim == 2 and mesh.h[0] == mesh.h[1]:
-        out = _chessboard_envelope(fv.reshape(mesh._counts), n * mesh.h[0]).ravel()
+        out = _chessboard_envelope(fv.reshape(mesh._counts), n * mesh.h[0],
+                                   mesh._axis_index[1]).ravel()
     else:
         nodes = mesh.nodes()
         out = np.empty(len(fv))

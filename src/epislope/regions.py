@@ -76,9 +76,13 @@ class Ball(Region):
 
     def distances(self, nodes: np.ndarray, norm: Norm) -> np.ndarray:
         """Closed form in the ball's own norm, or on a 1-D mesh where every
-        norm is one; otherwise the distance to the member nodes."""
+        norm is one; otherwise the distance to the member nodes.  Either
+        way a ball that holds no node is refused."""
         if norm == self.norm or nodes.shape[1] == 1:
-            return np.maximum(0.0, self._center_distances(nodes) - self.radius)
+            center = self._center_distances(nodes)
+            if not center.min() <= self.radius:
+                raise ValueError("region contains no mesh node")
+            return np.maximum(0.0, center - self.radius)
         return super().distances(nodes, norm)
 
 

@@ -3,6 +3,12 @@ witnesses for Wijsman-perturbed sequences, Fréchet-subdifferential
 membership through the slope reformulation, and slope-control witnesses
 for penalized pairs with injected subdifferential oracles.
 
+A strong slope measures the node distances to its probe once and
+narrows its radius rungs, which are nested, one from the next; a Fréchet
+test reads its liminf quotient off the same distances and neighbours, so
+it measures them once too.  The probe's own node is left out by its
+index, so every probe that f accepts is measured.
+
 Subdifferential oracles are supplied, never inferred: slope-control
 checks run only on instances whose subdifferentials are known in closed
 form (smooth, convex piecewise-linear, envelopes thereof).
@@ -20,7 +26,7 @@ import numpy as np
 from .extreal import INF, ExtReal
 from .functions import FunctionModel, MeshSpec, tilt, values_on
 from .convergence import FunctionSequence, _wijsman, snap_half_node
-from .verdict import (FORMS_AGREE_TOL, SLACK, InvariantError, LimitConfig,
+from .verdict import (FORMS_AGREE_TOL, InvariantError, LimitConfig,
                       Verdict, excess_verdict)
 
 
@@ -56,35 +62,55 @@ class StabilityWitness:
         return max(self.slopes[len(self.slopes) - window:])
 
 
-def strong_slope(f: FunctionModel, x: Sequence[float], mesh: MeshSpec,
-                 cfg: LimitConfig) -> SlopeEstimate:
-    """|grad f|(x) estimated as the sup of (f(x)-f(y))^+ / ||x-y|| over
-    nodes y != x within each radius rung; the estimate is the entry at the
-    smallest rung and the full trace is retained (monotone in radius)."""
+def _slope_rungs(f: FunctionModel, x: Sequence[float], mesh: MeshSpec,
+                 cfg: LimitConfig) -> Tuple[SlopeEstimate, np.ndarray, np.ndarray]:
+    """``strong_slope`` of f at x, and the node indices and distances to x
+    of the neighbours within its smallest nonempty rung, in node order.
+
+    The neighbours are the nodes other than the one x names within the
+    largest radius; fx - f, its +inf mask and positive part, and the
+    ratios are taken on them once.  The ladder is strictly decreasing, so
+    each later rung is narrowed from the one before by ``d <= r``, and the
+    trace ends at the last rung that holds a neighbour."""
     fx = f(x)
     if fx == INF:
         raise ValueError("slope undefined outside dom f")
     fx = float(fx)
-    nodes = mesh.nodes()
-    d = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
     vals = values_on(f, mesh)
-    if d.min() > SLACK:
-        raise ValueError("x must be a mesh node")
+    d = f.norm.pairwise(np.asarray([x], dtype=float), mesh.nodes())[0]
+    ladder = cfg.radius_ladder
+    near = d <= ladder[0]
+    near[mesh.node_index(x)] = False
+    idx = np.flatnonzero(near)
+    if not idx.size:
+        raise ValueError("no neighbor node within the radius ladder; refine the ladder")
+    d = d[idx]
+    vals = vals[idx]
     with np.errstate(invalid="ignore"):
         num = fx - vals
     num = np.where(np.isfinite(vals), num, -np.inf)  # y outside dom never raises the ratio
-    pos = np.maximum(num, 0.0)
-    trace = []
-    for r in cfg.radius_ladder:
-        mask = (d > SLACK) & (d <= r)
-        if not mask.any():
-            continue
-        sup = float((pos[mask] / d[mask]).max())
-        trace.append((r, sup))
-    if not trace:
-        raise ValueError("no neighbor node within the radius ladder; refine the ladder")
+    ratio = np.maximum(num, 0.0, out=num)
+    ratio /= d
+    trace = [(ladder[0], float(ratio.max()))]
+    for r in ladder[1:]:
+        inside = d <= r
+        if not inside.any():
+            break
+        d, ratio, idx = d[inside], ratio[inside], idx[inside]
+        trace.append((r, float(ratio.max())))
     r_small, v = trace[-1]
-    return SlopeEstimate(value=v, radius_used=r_small, ratio_trace=trace)
+    return SlopeEstimate(value=v, radius_used=r_small, ratio_trace=trace), idx, d
+
+
+def strong_slope(f: FunctionModel, x: Sequence[float], mesh: MeshSpec,
+                 cfg: LimitConfig) -> SlopeEstimate:
+    """|grad f|(x) estimated as the sup of (f(x)-f(y))^+ / ||x-y|| over
+    nodes y within each radius rung, y other than the node that x names
+    (``f(x)`` refuses a point that names none); the estimate is the entry
+    at the smallest nonempty rung and the full trace is retained
+    (monotone in radius).  One distance pass: the rungs are nested, so
+    each is narrowed from the one before (``_slope_rungs``)."""
+    return _slope_rungs(f, x, mesh, cfg)[0]
 
 
 def ekeland_point(f: FunctionModel, x0: Sequence[float], sigma: float,
@@ -190,25 +216,24 @@ def frechet_membership(f: FunctionModel, x: Sequence[float],
                        cfg: LimitConfig) -> Verdict:
     """x* in the Fréchet subdifferential of f at x, decided through the
     slope form |grad(f - x*)|(x) = 0 and cross-checked against the
-    defining liminf quotient at the smallest radius."""
+    defining liminf quotient at the smallest radius.  The quotient is read
+    off the slope form's distances and neighbours of that rung
+    (``_slope_rungs``), so a test measures the node distances once."""
     fx = f(x)
     if fx == INF:
         raise ValueError("membership undefined outside dom f")
     neg = tuple(-float(c) for c in xstar)
-    shifted = tilt(f, neg)
-    est = strong_slope(shifted, x, mesh, cfg)
+    est, near, d = _slope_rungs(tilt(f, neg), x, mesh, cfg)
     s = float(est.value)
 
-    # independent liminf form on the smallest usable radius
-    nodes = mesh.nodes()
-    d = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
-    vals = values_on(f, mesh)
-    inner = nodes @ np.asarray(xstar, dtype=float) - float(np.asarray(x) @ np.asarray(xstar, dtype=float))
-    mask = (d > SLACK) & (d <= est.radius_used)
+    # independent liminf form on the neighbours of the smallest usable rung
+    xs = np.asarray(xstar, dtype=float)
+    vals = values_on(f, mesh)[near]
+    inner = (mesh.nodes() @ xs)[near] - float(np.asarray(x) @ xs)
     with np.errstate(invalid="ignore"):
-        quot = (vals[mask] - fx - inner[mask]) / d[mask]
-    quot = np.where(np.isfinite(vals[mask]), quot, np.inf)
-    liminf = float(quot.min()) if quot.size else math.inf
+        quot = (vals - fx - inner) / d
+    quot = np.where(np.isfinite(vals), quot, np.inf)
+    liminf = float(quot.min())
     slope_from_liminf = max(0.0, -liminf)
     agree = abs(slope_from_liminf - s) <= FORMS_AGREE_TOL
 

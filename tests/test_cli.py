@@ -205,18 +205,19 @@ class TestRunScenario:
         assert captured.err.startswith("error: ") and "lambda_max" in captured.err
         assert len(captured.err.splitlines()) == 1
 
-    def test_robustness_with_an_empty_region_fails_with_infinite_margin(self, tmp_path,
-                                                                        capsys):
-        # B(0.2505, 0.0004) holds no node: inf over it is +inf, while r
-        # sees the zero at 0.25 through its delta-enlargements
+    @pytest.mark.parametrize("operation", ["robustness", "penalty_limit"])
+    def test_a_region_with_no_node_is_refused(self, tmp_path, capsys, operation):
+        # B(0.2505, 0.0004) holds no node: its d_S is measured in closed
+        # form on the line, and refused as a region with no node is in
+        # every other norm and kind
         path = write_scenario(tmp_path, {
-            "name": "empty-ball", "operation": "robustness",
+            "name": "empty-ball", "operation": operation,
             "instance": "indicator-interval",
             "params": {"region": {"center": [0.2505], "radius": 0.0004}}})
-        assert main(["run", path, "--no-timings"]) == 2
-        verdict = json.loads(capsys.readouterr().out)["verdicts"][0]
-        assert verdict["status"] == "Fails" and verdict["margin"] == "inf"
-        assert verdict["witness"] == {"r_value": 0.0, "plain_inf": "inf"}
+        assert main(["run", path, "--no-timings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: region contains no mesh node\n"
 
     def test_failing_verdict_exits_two(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {
@@ -323,6 +324,23 @@ class TestRunScenario:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: off-node query (0.123,) on a tabulated model\n"
+
+    @pytest.mark.parametrize("operation,params", [
+        ("strong_slope", {}), ("frechet_membership", {"xstar": [1.0]})])
+    def test_a_probe_that_names_a_node_is_measured(self, tmp_path, capsys, operation,
+                                                   params):
+        # 0.1 + 1e-10 names the node 0.1 (f reads it there); the slope
+        # kernels refused it as more than 1e-12 from every node
+        path = write_scenario(tmp_path, {
+            "name": "near-node", "operation": operation, "instance": "abs-kink",
+            "params": {"probe": [0.1000000001]} | params})
+        assert main(["run", path, "--no-timings"]) == 0
+        witness = json.loads(capsys.readouterr().out)["verdicts"][0]["witness"]
+        if operation == "strong_slope":
+            # |x| falls with slope 1 towards 0; the distances are the probe's
+            assert witness["value"] == pytest.approx(1.0, abs=1e-7)
+        else:
+            assert witness["slope"] == 0.0 and witness["forms_agree"]
 
     def test_invariant_violation_exits_one(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,10 +1,12 @@
 """Set and function convergence verdicts: lower/upper limits, Wijsman,
 hit-and-miss, Kuratowski, recovery sequences, slice convergence, tilts;
 the one-sweep recovery and Wijsman kernel against a masked brute force,
-its work per f_n and its memory."""
+its lambda rows against the full sorted order, its work per f_n and its
+memory."""
 
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -19,9 +21,10 @@ from epislope import (
     graph_epi_gap, hit_and_miss, in_lower_limit, in_upper_limit,
     kuratowski_sets, pasch_hausdorff, recovery_sequence, slice_at_point,
     slope_stability_witness, tilt, tilt_gap_invariance, uniform_infimum,
-    wijsman_at_point, wijsman_sets,
+    values_on, wijsman_at_point, wijsman_sets,
 )
-from epislope.convergence import snap_half_node
+from epislope.convergence import _rung_reach, _sweep, snap_half_node
+from epislope.uniforminf import _sorted_sup_inf
 from epislope.verdict import SLACK, combine, decide, margin
 
 CFG = LimitConfig()
@@ -639,6 +642,73 @@ def test_sweep_matches_masked_brute_force(step, lo_steps, counts, norm, probe_ki
     got = wijsman_at_point(make_seq(), f, x, lambda_max, cfg, mesh)
     want = masked_wijsman(vals_at, f, x, lambda_max, cfg, mesh)
     assert hexed(got.to_dict()) == hexed(want.to_dict())
+
+
+def full_order_rows(f, x, cfg, mesh, lambdas):
+    """r(f) of each lambda row as the sweep read it on all N nodes: the
+    running minimum of f and max(0, d - lam) over the whole sorted order."""
+    dist = f.norm.pairwise(np.asarray([x], dtype=float), mesh.nodes())[0]
+    order = np.argsort(dist, kind="stable")
+    dist = dist[order]
+    low = np.minimum.accumulate(values_on(f, mesh)[order])
+    return [_sorted_sup_inf(low, np.maximum(0.0, dist - lam), cfg.delta_ladder)
+            for lam in lambdas], dist
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from((0.05, 0.1, 0.25)), st.integers(-4, 4),
+       st.one_of(st.lists(st.integers(2, 13), min_size=1, max_size=1),
+                 st.lists(st.integers(2, 5), min_size=2, max_size=2)),
+       st.sampled_from((EUCLIDEAN, MAX, TAXICAB)), st.data())
+def test_lambda_rows_on_the_largest_rungs_prefix_are_the_full_order(step, lo_steps, counts,
+                                                                     norm, data):
+    """Each lambda row read on the prefix that its largest delta rung
+    reaches equals the row read on all N nodes bit for bit, or both
+    refuse: lam = 0, lams reaching past the box, and lams and deltas that
+    are multiples of the step, so that distances tie at a rung's end and
+    lam + delta rounds to either side of a node's distance."""
+    lo = lo_steps * step
+    mesh = MeshSpec(box=tuple((lo, lo + step * (c - 1)) for c in counts),
+                    h=(step,) * len(counts))
+    lambdas = sorted(set(data.draw(st.lists(
+        st.one_of(st.integers(0, 8).map(lambda k: k * step), st.just(40.0),
+                  st.floats(0.0, 2.0)), min_size=1, max_size=4))), reverse=True)
+    deltas = set(data.draw(st.lists(
+        st.one_of(st.integers(1, 8).map(lambda k: k * step), st.floats(1e-3, 2.0)),
+        min_size=1, max_size=5)))
+    cfg = LimitConfig(n_schedule=(1, 2), delta_ladder=tuple(sorted(deltas, reverse=True)))
+    count = mesh.node_count
+    fv = np.array(data.draw(st.lists(st.one_of(TIED, st.just(-0.0)),
+                                     min_size=count, max_size=count)))
+    at = data.draw(st.integers(0, count - 1))
+    fv[at] = 0.0
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    x = tuple(mesh.nodes()[at])
+    seq = FunctionSequence(lambda n: f, box=mesh.box, norm=norm)
+    try:
+        want, dist = full_order_rows(f, x, cfg, mesh, lambdas)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=re.escape(str(error))):
+            _sweep(seq, f, x, cfg, mesh, lambdas)
+        return
+    assert hexed(_sweep(seq, f, x, cfg, mesh, lambdas)[2]) == hexed(want)
+    for lam in lambdas:
+        for delta in cfg.delta_ladder:
+            reach = int((np.maximum(0.0, dist - lam) <= delta).sum())
+            assert _rung_reach(dist, lam, delta) == reach
+
+
+@pytest.mark.parametrize("dist,lam,delta", [
+    ((0.0, 0.1, 0.2, 0.4000000000000001), 0.1, 0.30000000000000004),
+    ((0.0, 0.1, 0.2, 0.30000000000000004), 0.1, 0.2)], ids=["past", "short of"])
+def test_a_rungs_reach_is_its_predicate_where_lam_plus_delta_rounds(dist, lam, delta):
+    """lam + delta rounds short of (then past) a distance whose
+    max(0, d - lam) is (is not) within delta: the reach follows the
+    predicate, not ``searchsorted`` at lam + delta."""
+    dist = np.asarray(dist)
+    want = int((np.maximum(0.0, dist - lam) <= delta).sum())
+    assert int(np.searchsorted(dist, lam + delta, "right")) != want
+    assert _rung_reach(dist, lam, delta) == want
 
 
 class TestSweepWork:

@@ -340,12 +340,13 @@ class TestLadderParity:
     def test_sampled_gap_triple_is_the_reference_bit_for_bit(self, case):
         f, g, mesh, cap, floor, step = case
         try:
-            want = (gap_distance(reference_hypograph(g, mesh, cap, floor, step),
-                                 reference_epigraph(f, mesh, cap, step)),
-                    gap_distance(reference_hypograph(g, mesh, cap, floor, step),
-                                 reference_graph(f, mesh, cap)),
-                    gap_distance(reference_graph(g, mesh, cap),
-                                 reference_epigraph(f, mesh, cap, step)))
+            # sampled in the triple's order, so that the first refusal is its
+            epi_f = reference_epigraph(f, mesh, cap, step)
+            graph_f = reference_graph(f, mesh, cap)
+            hypo_g = reference_hypograph(g, mesh, cap, floor, step)
+            graph_g = reference_graph(g, mesh, cap)
+            want = (gap_distance(hypo_g, epi_f), gap_distance(hypo_g, graph_f),
+                    gap_distance(graph_g, epi_f))
         except ValueError as error:
             with pytest.raises(ValueError, match=re.escape(str(error))):
                 epi_hypo_gap_triple(f, g, mesh, cap, floor, step)

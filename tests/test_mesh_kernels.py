@@ -1,9 +1,10 @@
 """Mesh-native kernels against brute force at small sizes: the Lipschitz
 envelopes (1-D, separable taxicab, chessboard scans and the blocked
-fallback), row-blocked pairwise minima and their cell budget (and one
-pairwise call per Wijsman verdict), arithmetic node lookup, product-mesh values and diagonal distances gathered from
-base-mesh arrays, ball infima, and region membership and distances on
-node arrays."""
+fallback) and the mesh-held ramp index they scale, row-blocked pairwise
+minima and their cell budget (and one pairwise call per Wijsman verdict,
+strong slope and Fréchet test), arithmetic node lookup, product-mesh
+values and diagonal distances gathered from base-mesh arrays, ball
+infima, and region membership and distances on node arrays."""
 
 import contextlib
 import math
@@ -16,7 +17,8 @@ from epislope import (Ball, BoxNorm, EUCLIDEAN, MAX, TAXICAB, FinitePoints,
                       FunctionModel, FunctionSequence, INF, LimitConfig, MeshSpec,
                       Norm, PointSet, Predicate, WholeSpace, epi_hypo_gap_triple,
                       functions, gap_distance, geometry, inf_over_region,
-                      pasch_hausdorff, plain_infimum, robustness, wijsman_at_point)
+                      frechet_membership, pasch_hausdorff, plain_infimum, robustness,
+                      strong_slope, wijsman_at_point)
 from epislope.functions import _ramp_pass
 from epislope.geometry import PAIRWISE_CELL_BUDGET
 from epislope.sumrules import (DecoupledSum, _product_data, diagonal_distance,
@@ -86,7 +88,7 @@ def test_ramp_pass_is_the_temporary_formula_bit_for_bit(shape, transpose, step, 
     if transpose:
         v = v.T
     before = v.tobytes()
-    got = _ramp_pass(v, slope)
+    got = _ramp_pass(v, slope, np.arange(v.shape[-1], dtype=float))
     assert got.tobytes() == _temporary_ramp_pass(v, slope).tobytes()
     assert v.tobytes() == before
 
@@ -124,9 +126,88 @@ def test_ramp_pass_from_the_first_rise_is_the_temporary_formula(length, rows, tr
     if transpose and rows:
         v = np.ascontiguousarray(v.T).T
     before = v.tobytes()
-    got = _ramp_pass(v, slope)
+    got = _ramp_pass(v, slope, np.arange(v.shape[-1], dtype=float))
     assert got.tobytes() == _temporary_ramp_pass(v, slope).tobytes()
     assert v.tobytes() == before
+
+
+def _arange_ramp_pass(v, slope):
+    """``_ramp_pass`` as it built its ramp before the mesh held the index:
+    a fresh ``np.arange`` per pass, scaled in place."""
+    ramp = np.arange(v.shape[-1], dtype=float)
+    ramp *= slope
+    fwd = np.subtract(v, ramp)
+    functions._scan_min(fwd)
+    fwd += ramp
+    bwd = np.add(v, ramp)
+    functions._scan_min(bwd, backward=True)
+    bwd -= ramp
+    np.minimum(fwd, bwd, out=fwd)
+    return np.minimum(fwd, v, out=fwd)
+
+
+@contextlib.contextmanager
+def ramp_indices():
+    """Record (line length, index) of every ``_ramp_pass`` call."""
+    seen = []
+
+    def recording(v, slope, index):
+        seen.append((v.shape[-1], index))
+        return _ramp_pass(v, slope, index)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions, "_ramp_pass", recording)
+        yield seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-200, 200), st.sampled_from(STEPS),
+       st.sampled_from([(EUCLIDEAN, 1), (MAX, 1), (TAXICAB, 2), (TAXICAB, 3), (MAX, 2)]),
+       st.floats(0.5, 64.0), st.data())
+def test_envelopes_on_the_mesh_index_are_the_arange_ramps(lo_cents, step, kind, n, data):
+    """The 1-D, taxicab and chessboard envelopes scale the mesh's float
+    index of each pass's axis: with a fresh ``np.arange`` per pass instead,
+    every envelope is the same bit for bit (signed zeros and +inf
+    included), and each index is the mesh's read-only array for its axis."""
+    norm, dim = kind
+    counts = data.draw(st.lists(st.integers(2, 9 if dim < 3 else 4),
+                                min_size=dim, max_size=dim))
+    mesh = grid(lo_cents, step, counts)
+    fv = np.array(data.draw(st.lists(st.one_of(values, st.just(-0.0)),
+                                     min_size=mesh.node_count, max_size=mesh.node_count)))
+    fv[data.draw(st.integers(0, mesh.node_count - 1))] = data.draw(st.sampled_from((0.0, -0.0)))
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    with ramp_indices() as seen:
+        got = pasch_hausdorff(f, n, mesh).values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions, "_ramp_pass", lambda v, slope, index: _arange_ramp_pass(v, slope))
+        want = pasch_hausdorff(f, n, mesh).values
+    assert got.tobytes() == want.tobytes()
+    axes = [1] if norm == MAX and dim == 2 else list(range(dim))
+    assert len(seen) == len(axes)
+    for (length, index), axis in zip(seen, axes):
+        assert length == counts[axis] and index is mesh._axis_index[axis]
+        assert not index.flags.writeable
+        assert index.tobytes() == np.arange(length, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("norm,counts", [(EUCLIDEAN, (9,)), (TAXICAB, (5, 7)), (MAX, (6, 6))],
+                         ids=["line", "taxicab", "chessboard"])
+def test_the_mesh_index_is_built_on_the_first_envelope_and_shared(norm, counts):
+    """No index at construction (set-up does no work for it); the first
+    envelope builds it, and a second envelope on the mesh reads the same
+    read-only arrays."""
+    mesh = grid(-50, 0.25, counts)
+    assert "_axis_index" not in mesh.__dict__
+    f = FunctionModel.tabulated(mesh, np.resize([0.0, 2.0, -1.0, math.inf], mesh.node_count),
+                                norm=norm)
+    with ramp_indices() as first:
+        pasch_hausdorff(f, 1.0, mesh)
+    with ramp_indices() as second:
+        pasch_hausdorff(f, 2.0, mesh)
+    assert first and len(first) == len(second)
+    for (_, a), (_, b) in zip(first, second):
+        assert a is b and not a.flags.writeable
 
 
 @contextlib.contextmanager
@@ -421,7 +502,10 @@ def test_every_block_walk_is_the_dense_result_bit_for_bit(a, b, norm, data):
 
     gap_want = INF if not b else float(norm.pairwise(A.array, B.array).min())
     near_want = EUCLIDEAN.pairwise(nodes, nodes[member]).min(axis=1)
-    env_want = np.maximum(dense_envelope(fv, n, mesh, EUCLIDEAN), fv[np.isfinite(fv)].min())
+    # the clamp at min f over all values, as the envelope takes it: where
+    # that least value is a zero of both signs, which one np.min returns
+    # depends on the array it reduces
+    env_want = np.maximum(dense_envelope(fv, n, mesh, EUCLIDEAN), fv.min())
     triple_want = dense_exact_gap(fv, gv, nodes, EUCLIDEAN)
     walks = {*budgets(len(A), max(len(B), 1)), *budgets(N, N), *budgets(N, member.sum())}
     for cells in sorted(walks):
@@ -593,6 +677,22 @@ def test_wijsman_verdict_measures_center_distances_once():
         verdict = wijsman_at_point(seq, f, (0.25,), 0.5, LimitConfig(), mesh)
     assert len(calls) == 1
     assert verdict.holds and len(verdict.witness["rows"]) == 8
+
+
+def test_slope_and_frechet_tests_measure_node_distances_once():
+    """A strong slope measures the node distances once for all its rungs,
+    and a Fréchet test reads its liminf quotient off the slope's distances
+    and neighbours: one pairwise call each on a 2001-node line (the Fréchet
+    test made two before)."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.001)
+    f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()[:, 0]))
+    with recorded_pairwise() as calls:
+        assert strong_slope(f, (0.25,), mesh, LimitConfig()).value == pytest.approx(1.0)
+    assert len(calls) == 1
+    with recorded_pairwise() as calls:
+        verdict = frechet_membership(f, (0.25,), (1.0,), mesh, LimitConfig())
+    assert len(calls) == 1
+    assert verdict.holds and verdict.witness["forms_agree"]
 
 
 # ------------------------------------------- region members and distances

@@ -1,10 +1,12 @@
 """Strong slopes, discrete Ekeland points, slope-stability witnesses,
 Fréchet-subdifferential membership, and slope-control witnesses; the
-sequence witnesses' work per f_n and their memory."""
+nested slope rungs and the Fréchet quotient against the masked loops they
+replaced, and the sequence witnesses' work per f_n and their memory."""
 
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epislope import (
-    EUCLIDEAN, MAX, TAXICAB, FunctionModel, FunctionSequence, LimitConfig,
+    EUCLIDEAN, INF, MAX, TAXICAB, FunctionModel, FunctionSequence, LimitConfig,
     MeshSpec, Status,
     SubdifferentialOracle, ekeland_point, frechet_membership, p2_witness,
     pasch_hausdorff, sequence_p2_stability, slope_stability_witness,
-    stationary_sequence, strong_slope,
+    stationary_sequence, strong_slope, tilt, values_on,
 )
 from epislope.slopes import _least_sum_norm
+from epislope.verdict import FORMS_AGREE_TOL, SLACK
 
 CFG = LimitConfig()
 
@@ -92,6 +95,119 @@ class TestStrongSlope:
             est = strong_slope(f, (x,), mesh, CFG)
             # Hessian bound 2 gives the mesh-error constant
             assert abs(est.value - abs(2 * x)) <= 2 * h + 1e-12
+
+
+def reference_slope_trace(f, x, mesh, cfg):
+    """The masked loop that the nested rungs replaced, kept as their
+    reference: one mask over every node per rung, the probe's node left out
+    as the nodes within SLACK of x."""
+    fx = f(x)
+    if fx == INF:
+        raise ValueError("slope undefined outside dom f")
+    fx = float(fx)
+    d = f.norm.pairwise(np.asarray([x], dtype=float), mesh.nodes())[0]
+    vals = values_on(f, mesh)
+    with np.errstate(invalid="ignore"):
+        num = fx - vals
+    num = np.where(np.isfinite(vals), num, -np.inf)
+    pos = np.maximum(num, 0.0)
+    trace = []
+    for r in cfg.radius_ladder:
+        mask = (d > SLACK) & (d <= r)
+        if not mask.any():
+            continue
+        trace.append((r, float((pos[mask] / d[mask]).max())))
+    if not trace:
+        raise ValueError("no neighbor node within the radius ladder; refine the ladder")
+    return trace
+
+
+def reference_frechet_witness(f, x, xstar, mesh, cfg):
+    """The Fréchet witness as the masked loop took it: the slope of the
+    tilted model, then a second distance pass and a mask for the quotient."""
+    fx = f(x)
+    trace = reference_slope_trace(tilt(f, tuple(-float(c) for c in xstar)), x, mesh, cfg)
+    radius, s = trace[-1]
+    nodes = mesh.nodes()
+    d = f.norm.pairwise(np.asarray([x], dtype=float), nodes)[0]
+    vals = values_on(f, mesh)
+    xs = np.asarray(xstar, dtype=float)
+    inner = nodes @ xs - float(np.asarray(x) @ xs)
+    mask = (d > SLACK) & (d <= radius)
+    with np.errstate(invalid="ignore"):
+        quot = (vals[mask] - fx - inner[mask]) / d[mask]
+    quot = np.where(np.isfinite(vals[mask]), quot, np.inf)
+    liminf = float(quot.min()) if quot.size else math.inf
+    return {"slope": s, "liminf_quotient": liminf,
+            "forms_agree": abs(max(0.0, -liminf) - s) <= FORMS_AGREE_TOL, "radius": radius}
+
+
+def hexed(obj):
+    """Floats as float.hex, containers recursively: equality is bitwise."""
+    if isinstance(obj, dict):
+        return {k: hexed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [hexed(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    return obj
+
+
+@st.composite
+def slope_cases(draw):
+    """(f, node probe, mesh, cfg): a 1-D or 2-D mesh in any of the three
+    norms, values with +inf, -0.0 and ties, a probe at a corner or
+    anywhere, and a radius ladder that is the default one, one whose small
+    rungs hold no node, one of node distances (ties at a rung's end) or one
+    whose every rung is empty (refused)."""
+    counts = draw(st.one_of(st.lists(st.integers(2, 12), min_size=1, max_size=1),
+                            st.lists(st.integers(2, 6), min_size=2, max_size=2)))
+    step = draw(st.sampled_from((0.05, 0.1, 0.25)))
+    lo = draw(st.integers(-8, 8)) * step
+    mesh = MeshSpec(box=tuple((lo, lo + step * (c - 1)) for c in counts),
+                    h=(step,) * len(counts))
+    norm = draw(st.sampled_from((EUCLIDEAN, MAX, TAXICAB)))
+    entry = st.one_of(st.sampled_from((0.0, -0.0, 1.0, math.inf)),
+                      st.integers(-3, 3).map(lambda k: k * step), st.floats(-4.0, 4.0))
+    count = mesh.node_count
+    vals = np.array(draw(st.lists(entry, min_size=count, max_size=count)))
+    at = draw(st.one_of(st.sampled_from((0, count - 1)), st.integers(0, count - 1)))
+    vals[at] = draw(st.sampled_from((0.0, -0.0, 1.0, -2.5)))
+    ladder = draw(st.sampled_from((CFG.radius_ladder, (2.0, 0.3, 0.01, 0.001),
+                                   (3 * step, 2 * step, step), (0.01,))))
+    f = FunctionModel.tabulated(mesh, vals, norm=norm)
+    return f, tuple(mesh.nodes()[at]), mesh, LimitConfig(radius_ladder=ladder)
+
+
+class TestNestedRungParity:
+    @given(slope_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_strong_slope_is_the_masked_loop_bit_for_bit(self, case):
+        f, x, mesh, cfg = case
+        try:
+            want = reference_slope_trace(f, x, mesh, cfg)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                strong_slope(f, x, mesh, cfg)
+            return
+        got = strong_slope(f, x, mesh, cfg)
+        assert hexed(got.ratio_trace) == hexed(want)
+        assert hexed([got.value, got.radius_used]) == hexed(want[-1][::-1])
+
+    @given(slope_cases(), st.lists(st.one_of(st.sampled_from((0.0, -0.0, 1.0)),
+                                             st.floats(-3.0, 3.0)), min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_frechet_witness_is_the_masked_loop_bit_for_bit(self, case, xstar):
+        f, x, mesh, cfg = case
+        xstar = xstar[:mesh.dim]
+        try:
+            want = reference_frechet_witness(f, x, xstar, mesh, cfg)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                frechet_membership(f, x, xstar, mesh, cfg)
+            return
+        got = frechet_membership(f, x, xstar, mesh, cfg).witness
+        assert hexed(got) == hexed(want)
 
 
 class TestEkelandPoint:

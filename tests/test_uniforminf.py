@@ -469,6 +469,25 @@ def test_finite_points_region_edge_cases():
         FinitePoints(PointSet.of([(0.0,)])).distances(mesh.nodes(), MAX)
 
 
+@pytest.mark.parametrize("mesh,ball", [
+    (MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.5, 0.5)), ((0.25, 0.25), 0.05)),
+    (MeshSpec.line(-1.0, 1.0, 0.05), ((0.025,), 0.01))], ids=["2-D", "line"])
+@pytest.mark.parametrize("norm", [EUCLIDEAN, MAX], ids=["euclidean", "max"])
+def test_a_ball_with_no_node_is_refused_in_every_norm(mesh, ball, norm):
+    """The closed-form d_S of a ball in its own norm (or on a line) refuses
+    a ball that holds no node, as the member-node distance of every other
+    ball does; the plain infimum measures no d_S and stays +inf."""
+    f = FunctionModel.tabulated(mesh, np.zeros(mesh.node_count), norm=MAX)
+    S = Ball(*ball, norm)
+    assert not S.members(mesh.nodes()).any()
+    for measure in (lambda: robustness(f, S, mesh, CFG),
+                    lambda: penalty_limit(f, S, PenaltySpec(), mesh, CFG),
+                    lambda: uniform_infimum(f, S, mesh, CFG)):
+        with pytest.raises(ValueError, match="^region contains no mesh node$"):
+            measure()
+    assert plain_infimum(f, S, mesh) == INF
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(2, 9), min_size=1, max_size=2), st.sampled_from((0.5, 1.0, 2.0, 3.0)),
        st.sampled_from((EUCLIDEAN, MAX, TAXICAB)),
