@@ -398,11 +398,37 @@ def _chessboard_envelope(v: np.ndarray, step: float, index: np.ndarray) -> np.nd
     return out
 
 
+def _moves_within(v: np.ndarray, steps: Sequence[float], diagonals: bool) -> bool:
+    """Whether v moves by at most ``steps[k]`` between neighbours along
+    each axis k, and with ``diagonals`` (a 2-D v of equal steps) also
+    between diagonal neighbours, in float differences.  A +inf node fails
+    by itself: its differences are +inf or NaN, and NaN compares false."""
+    pairs = []
+    for axis, step in enumerate(steps):
+        head = (slice(None),) * axis
+        pairs.append((v[head + (slice(1, None),)], v[head + (slice(None, -1),)], step))
+    if diagonals:
+        pairs += [(v[1:, 1:], v[:-1, :-1], steps[0]), (v[1:, :-1], v[:-1, 1:], steps[0])]
+    with np.errstate(invalid="ignore"):  # +inf - +inf
+        for ahead, behind, step in pairs:
+            moves = np.subtract(ahead, behind)
+            # in place: a second fresh array costs more than the test
+            if not np.abs(moves, out=moves).max() <= step:
+                return False
+    return True
+
+
 def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel:
     """Lipschitz envelope f_n(x) = min over nodes y of f(y) + n||y - x||.
 
-    f_n <= f nodewise, and f_n is n-Lipschitz on node pairs.  The kernel
-    depends on the norm and the mesh:
+    f_n <= f nodewise, and f_n is n-Lipschitz on node pairs.  Where the
+    linear kernels below apply and f moves by at most n*h between
+    neighbouring nodes (along each axis, and on the chessboard also along
+    both diagonals; compared in floats, so a +inf node fails), f is its
+    own envelope: it comes back as a fresh copy of its values, bit for
+    bit, and no kernel runs.  The float comparison certifies each step
+    within one subtraction's rounding, less than the ramps' own.
+    Otherwise the kernel depends on the norm and the mesh:
 
     - 1-D meshes (every norm) and the taxicab norm in any dimension: one
       1-D distance-transform pass per axis, min(ramp + cummin(f - ramp),
@@ -410,8 +436,7 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
       mesh's float index of the axis (built on the first envelope, then
       shared).  Exact, since the l1 cone is separable; linear in the node
       count.  Each running minimum starts at the first rise over the lines
-      of the pass, so an n above the Lipschitz constant of the data costs
-      no scan.
+      of the pass, so lines that never rise cost no scan.
     - The max norm on a 2-D mesh with equal steps: two raster scans over
       the 8 neighbours (``_chessboard_envelope``), linear in the count.
     - Every other case (Euclidean in 2-D and up, unequal steps, the max
@@ -431,6 +456,17 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     low = fv.min()
     if low == INF:
         raise ValueError("f is +inf on the whole mesh")
+    name = f"{f.name}▽{n}||.||"
+    # the linear kernels' path cost is n*h per step along an axis (and
+    # along a diagonal on the chessboard); data that never moves by more
+    # than that from one node to the next is its own envelope
+    chessboard = (mesh.dim == 2 and f.norm.kind is NormKind.MAX
+                  and mesh.h[0] == mesh.h[1])
+    if ((mesh.dim == 1 or f.norm.kind is NormKind.TAXICAB or chessboard)
+            and _moves_within(fv.reshape(mesh._counts), [n * step for step in mesh.h],
+                              chessboard)):
+        return FunctionModel(Variant.TABULATED, mesh.box, f.norm, n, name,
+                             mesh=mesh, values=fv.copy())
     if mesh.dim == 1:
         out = _ramp_pass(fv, n * mesh.h[0], mesh._axis_index[0])
     elif f.norm.kind is NormKind.TAXICAB:
@@ -439,7 +475,7 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
             out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * step, index),
                               axis, -1)
         out = out.ravel()
-    elif f.norm.kind is NormKind.MAX and mesh.dim == 2 and mesh.h[0] == mesh.h[1]:
+    elif chessboard:
         out = _chessboard_envelope(fv.reshape(mesh._counts), n * mesh.h[0],
                                    mesh._axis_index[1]).ravel()
     else:
@@ -453,8 +489,7 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     np.maximum(out, low, out=out)
     # min f is finite and n too, so out holds no NaN or -inf: the model is
     # built as ``FunctionModel.tabulated`` would build it, without its scan
-    return FunctionModel(Variant.TABULATED, mesh.box, f.norm, n, f"{f.name}▽{n}||.||",
-                         mesh=mesh, values=out)
+    return FunctionModel(Variant.TABULATED, mesh.box, f.norm, n, name, mesh=mesh, values=out)
 
 
 def epi_hypo_gap_triple(f: FunctionModel, g: FunctionModel, mesh: MeshSpec,

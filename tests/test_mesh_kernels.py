@@ -168,14 +168,19 @@ def test_envelopes_on_the_mesh_index_are_the_arange_ramps(lo_cents, step, kind, 
     """The 1-D, taxicab and chessboard envelopes scale the mesh's float
     index of each pass's axis: with a fresh ``np.arange`` per pass instead,
     every envelope is the same bit for bit (signed zeros and +inf
-    included), and each index is the mesh's read-only array for its axis."""
+    included), and each index is the mesh's read-only array for its axis.
+    One node is fixed out of its neighbours' reach, so f is not
+    n-Lipschitz and the ramp passes run."""
     norm, dim = kind
     counts = data.draw(st.lists(st.integers(2, 9 if dim < 3 else 4),
                                 min_size=dim, max_size=dim))
     mesh = grid(lo_cents, step, counts)
     fv = np.array(data.draw(st.lists(st.one_of(values, st.just(-0.0)),
                                      min_size=mesh.node_count, max_size=mesh.node_count)))
-    fv[data.draw(st.integers(0, mesh.node_count - 1))] = data.draw(st.sampled_from((0.0, -0.0)))
+    zero, far = data.draw(st.lists(st.integers(0, mesh.node_count - 1), min_size=2,
+                                   max_size=2, unique=True))
+    fv[zero] = data.draw(st.sampled_from((0.0, -0.0)))
+    fv[far] = 11.0 + n * step  # the drawn values lie in [-10, 10] or are +inf
     f = FunctionModel.tabulated(mesh, fv, norm=norm)
     with ramp_indices() as seen:
         got = pasch_hausdorff(f, n, mesh).values
@@ -238,9 +243,9 @@ def counted_scans():
 
 
 def test_envelope_above_the_lipschitz_constant_runs_no_scan():
-    """|x| on a line has steps h, all below n*h for n = 2: both ramp lines
-    fall everywhere and no running minimum runs.  At n = 0.5 each scan
-    starts at the kink, half way along the line."""
+    """|x| on a line has steps h, all below n*h for n = 2: f is its own
+    envelope and no running minimum runs.  At n = 0.5 each scan starts at
+    the kink, half way along the line."""
     mesh = MeshSpec.line(-1.0, 1.0, 0.01)
     f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()[:, 0]))
     with counted_scans() as scans:
@@ -249,6 +254,101 @@ def test_envelope_above_the_lipschitz_constant_runs_no_scan():
     with counted_scans() as scans:
         pasch_hausdorff(f, 0.5, mesh)
     assert scans == [101, 101]
+
+
+def moves_within(fv, n, mesh, chessboard):
+    """Every adjacent difference of the node values along each axis, and
+    on the chessboard along both diagonals, is at most n*h in floats."""
+    v = fv.reshape(mesh._counts)
+    moves = [(np.diff(v, axis=axis), n * h) for axis, h in enumerate(mesh.h)]
+    if chessboard:
+        moves += [(v[1:, 1:] - v[:-1, :-1], n * mesh.h[0]),
+                  (v[1:, :-1] - v[:-1, 1:], n * mesh.h[0])]
+    return all((np.abs(d) <= step).all() for d, step in moves)
+
+
+def kernel_envelope(fv, n, mesh, chessboard):
+    """The linear kernel called directly, a ramp pass per axis or the
+    chessboard scans, then the clamp at min f."""
+    v = fv.reshape(mesh._counts)
+    if chessboard:
+        out = functions._chessboard_envelope(v, n * mesh.h[0], mesh._axis_index[1])
+    else:
+        out = v
+        for axis, (h, index) in enumerate(zip(mesh.h, mesh._axis_index)):
+            out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * h, index), axis, -1)
+    return np.maximum(out.ravel(), fv.min())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-200, 200), st.sampled_from(STEPS),
+       st.sampled_from([(EUCLIDEAN, 1), (MAX, 1), (TAXICAB, 1), (TAXICAB, 2), (TAXICAB, 3),
+                        (MAX, 2)]),
+       st.floats(0.5, 64.0), st.data())
+@np.errstate(invalid="ignore")  # +inf - +inf in moves_within
+def test_envelope_of_n_lipschitz_data_is_f_else_the_kernel(lo_cents, step, kind, n, data):
+    """Values within n*h/2 of zero (signed zeros and both bounds included)
+    move by at most n*h between any two neighbours; up to two nodes drawn
+    farther off or at +inf may break that.  Where every move is within
+    n*h, the envelope is f's bytes in a fresh array; elsewhere it is the
+    linear kernel's bytes."""
+    norm, dim = kind
+    counts = data.draw(st.lists(st.integers(2, 9 if dim < 3 else 4),
+                                min_size=dim, max_size=dim))
+    mesh = grid(lo_cents, step, counts)
+    count = mesh.node_count
+    half = n * step / 2
+    fv = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, half, -half]), st.floats(-half, half)),
+        min_size=count, max_size=count)))
+    for i in data.draw(st.lists(st.integers(0, count - 1), max_size=min(2, count - 1),
+                                unique=True)):
+        fv[i] = data.draw(st.one_of(st.just(math.inf), st.floats(-3 * n * step, 3 * n * step)))
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    env = pasch_hausdorff(f, n, mesh)
+    chessboard = norm == MAX and dim == 2
+    if moves_within(fv, n, mesh, chessboard):
+        assert env.values.tobytes() == fv.tobytes()
+        assert not np.shares_memory(env.values, f.values)
+    else:
+        assert env.values.tobytes() == kernel_envelope(fv, n, mesh, chessboard).tobytes()
+    assert (env.norm, env.lipschitz_hint, env.name) == (norm, n, f"▽{n}||.||")
+
+
+def test_envelope_is_f_just_above_the_largest_slope():
+    """150 random piecewise-linear f on the 201-node default line, 2 to 8
+    pieces with slopes and jumps in [-3, 3]: on a mesh every finite f is
+    Lipschitz, and at n = ceil(largest adjacent slope) + 1 the envelope is
+    f bit for bit in every case, where the ramp passes alone round below f
+    at some node of each."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.01)
+    x = mesh.nodes()[:, 0]
+    rng = np.random.default_rng(16)
+    for _ in range(150):
+        pieces = int(rng.integers(2, 9))
+        ends = np.append(np.sort(rng.choice(np.arange(1, len(x)), pieces - 1, replace=False)),
+                         len(x))
+        fv = np.empty(len(x))
+        start, level = 0, 0.0
+        for end, slope, jump in zip(ends, rng.uniform(-3, 3, pieces), rng.uniform(-3, 3, pieces)):
+            fv[start:end] = level + jump + slope * (x[start:end] - x[start])
+            start, level = end, fv[end - 1]
+        n = math.ceil(np.abs(np.diff(fv)).max() / mesh.h[0]) + 1
+        env = pasch_hausdorff(FunctionModel.tabulated(mesh, fv), n, mesh).values
+        assert env.tobytes() == fv.tobytes()
+
+
+def test_abs_at_n_one_runs_the_ramp():
+    """|x| on the h = 0.01 line moves by up to 0.010000000000000009 from one
+    node to the next, above n*h = 0.01 at n = 1: the ramp pass runs and the
+    envelope is the kernel's."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.01)
+    fv = np.abs(mesh.nodes()[:, 0])
+    assert np.abs(np.diff(fv)).max() == 0.010000000000000009
+    with ramp_indices() as seen:
+        env = pasch_hausdorff(FunctionModel.tabulated(mesh, fv), 1.0, mesh).values
+    assert len(seen) == 1
+    assert env.tobytes() == kernel_envelope(fv, 1.0, mesh, False).tobytes()
 
 
 @pytest.mark.parametrize("norm,counts", [(EUCLIDEAN, (9,)), (TAXICAB, (5, 7)),
