@@ -223,9 +223,14 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     f_n writes one minimum per segment between consecutive ends into its
     row of a (swept n) x (segments) array, and after the last f_n one
     running minimum along the rows and one gather give every ball's infima
-    at once.  The recovery pick in the radius-r_n prefix is the
-    first position of least error |f_n - f(x)|: least error, then least
-    distance, then least node index.
+    at once.  An f_n whose node array is the very read-only array of the
+    n before it (an envelope that is f itself holds f's array at every n
+    from f's Lipschitz constant on) is gathered and reduced once: it keeps
+    the previous gathered prefix and copies its row of segment minima, and
+    only its recovery pick is taken afresh.  The previous array is held
+    for one n only, and nothing past the sweep.  The recovery pick in the
+    radius-r_n prefix is the first position of least error |f_n - f(x)|:
+    least error, then least distance, then least node index.
 
     Returns f(x), the picks (n, x_n, f_n(x_n), ||x_n - x||, r_n), r(f) per
     ball, the f_n infima as one list per ball, INF for an empty ball, and
@@ -263,15 +268,24 @@ def _sweep(seq: FunctionSequence, f: FunctionModel, x: Sequence[float],
     top = int(cuts[-1]) if cuts.size else 0
     picks, stepped = [], []
     segments = np.empty((count - start, len(cuts)))
+    last = vals = None
     for j in range(start, count):
         n = cfg.n_schedule[j]
         fn = seq.generator(n)
-        vals = values_on(fn, mesh)[order[:max(ends[j], top)]]
+        fn_values = values_on(fn, mesh)
+        need = max(ends[j], top)
+        # the previous n's read-only array again (as from an envelope that
+        # is f itself), gathered as far as this n reads: its gathered
+        # prefix and segment minima stand
+        if fn_values is last and not last.flags.writeable and len(vals) >= need:
+            segments[j - start] = segments[j - start - 1]
+        else:
+            last, vals = fn_values, fn_values[order[:need]]
+            if top:
+                np.minimum.reduceat(vals[:top], starts, out=segments[j - start])
         # values are extended reals (never NaN or -inf): +inf has error +inf
         k = int(np.argmin(np.abs(vals[:ends[j]] - fx)))
         picks.append((n, tuple(nodes[order[k]]), float(vals[k]), float(dist[k]), radii[j]))
-        if top:
-            np.minimum.reduceat(vals[:top], starts, out=segments[j - start])
         if step is not None:
             stepped.append(step(n, fn, picks[-1][1]))
     infs = np.full((len(lambdas), count - start), INF)

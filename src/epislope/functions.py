@@ -2,12 +2,12 @@
 epigraph/graph/hypograph sampling, restriction, infima over regions and
 the Lipschitz (Pasch-Hausdorff) envelope f ▽ n||.||.
 
-A model on a mesh is tabulated: it is its values at the mesh nodes, and
-it refuses an off-node query, so that every "inf over X" is a finite
-reproducible minimum and restriction, tilting and the envelope are array
-operations.  Finite-exception models (a default value plus finitely many
-exceptional points) support exact rational evaluation and never touch a
-mesh.
+A model on a mesh is tabulated: it is its values at the mesh nodes, held
+in a read-only array of its own, and it refuses an off-node query, so
+that every "inf over X" is a finite reproducible minimum and
+restriction, tilting and the envelope are array operations.
+Finite-exception models (a default value plus finitely many exceptional
+points) support exact rational evaluation and never touch a mesh.
 """
 
 from __future__ import annotations
@@ -151,13 +151,40 @@ class FunctionModel:
     @staticmethod
     def tabulated(mesh: MeshSpec, values: np.ndarray, norm=EUCLIDEAN,
                   lipschitz_hint=None, name="") -> "FunctionModel":
-        values = np.asarray(values, dtype=float)
+        """The model of ``values`` at the mesh nodes, C order.  It keeps its
+        own read-only float copy, so a caller that writes into its array
+        later changes neither the model nor anything built from it, and
+        the node values of a tabulated model never change."""
+        values = np.array(values, dtype=float)
         if values.shape != (mesh.node_count,):
             raise ValueError("values must align with mesh nodes")
-        if not (values > -np.inf).all():  # one pass: False at NaN and at -inf
+        if not values.min() > -np.inf:  # one reduction: NaN propagates, -inf is least
             raise ValueError("NaN / -inf are not extended-real values")
+        values.flags.writeable = False
         return FunctionModel(Variant.TABULATED, mesh.box, norm, lipschitz_hint,
                              name, mesh=mesh, values=values)
+
+    @cached_property
+    def _node_moves(self) -> Tuple[Tuple[float, float], ...]:
+        """(largest |difference| of the node values between neighbours, h)
+        along each mesh axis, and on the chessboard (``_chessboard``) also
+        along both diagonals, h being the step of the first axis: measured
+        in floats on the first envelope of the model, then kept, as its
+        values never change.  A +inf node makes its moves +inf or NaN."""
+        v = self.values.reshape(self.mesh._counts)
+        pairs = []
+        for axis, step in enumerate(self.mesh.h):
+            head = (slice(None),) * axis
+            pairs.append((v[head + (slice(1, None),)], v[head + (slice(None, -1),)], step))
+        if _chessboard(self.mesh, self.norm):
+            step = self.mesh.h[0]
+            pairs += [(v[1:, 1:], v[:-1, :-1], step), (v[1:, :-1], v[:-1, 1:], step)]
+        moves = []
+        with np.errstate(invalid="ignore"):  # +inf - +inf
+            for ahead, behind, step in pairs:
+                diff = np.subtract(ahead, behind)
+                moves.append((float(np.abs(diff, out=diff).max()), step))
+        return tuple(moves)
 
     @staticmethod
     def finite_exception(default: ExtReal, exceptions: Dict[SparsePoint, ExtReal],
@@ -398,24 +425,10 @@ def _chessboard_envelope(v: np.ndarray, step: float, index: np.ndarray) -> np.nd
     return out
 
 
-def _moves_within(v: np.ndarray, steps: Sequence[float], diagonals: bool) -> bool:
-    """Whether v moves by at most ``steps[k]`` between neighbours along
-    each axis k, and with ``diagonals`` (a 2-D v of equal steps) also
-    between diagonal neighbours, in float differences.  A +inf node fails
-    by itself: its differences are +inf or NaN, and NaN compares false."""
-    pairs = []
-    for axis, step in enumerate(steps):
-        head = (slice(None),) * axis
-        pairs.append((v[head + (slice(1, None),)], v[head + (slice(None, -1),)], step))
-    if diagonals:
-        pairs += [(v[1:, 1:], v[:-1, :-1], steps[0]), (v[1:, :-1], v[:-1, 1:], steps[0])]
-    with np.errstate(invalid="ignore"):  # +inf - +inf
-        for ahead, behind, step in pairs:
-            moves = np.subtract(ahead, behind)
-            # in place: a second fresh array costs more than the test
-            if not np.abs(moves, out=moves).max() <= step:
-                return False
-    return True
+def _chessboard(mesh: MeshSpec, norm: Norm) -> bool:
+    """Whether the envelope runs the chessboard scans: the max norm on a
+    2-D mesh of equal steps."""
+    return mesh.dim == 2 and norm.kind is NormKind.MAX and mesh.h[0] == mesh.h[1]
 
 
 def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel:
@@ -425,10 +438,13 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     linear kernels below apply and f moves by at most n*h between
     neighbouring nodes (along each axis, and on the chessboard also along
     both diagonals; compared in floats, so a +inf node fails), f is its
-    own envelope: it comes back as a fresh copy of its values, bit for
-    bit, and no kernel runs.  The float comparison certifies each step
-    within one subtraction's rounding, less than the ramps' own.
-    Otherwise the kernel depends on the norm and the mesh:
+    own envelope: the result holds f's own read-only array, and no kernel
+    runs.  The largest moves are measured once per model
+    (``FunctionModel._node_moves``), on its first envelope, so a later n
+    costs one comparison per axis.  The float comparison certifies each
+    step within one subtraction's rounding, less than the ramps' own.
+    Otherwise the kernel depends on the norm and the mesh, and the result
+    holds its fresh array, made read-only:
 
     - 1-D meshes (every norm) and the taxicab norm in any dimension: one
       1-D distance-transform pass per axis, min(ramp + cummin(f - ramp),
@@ -453,20 +469,19 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     if not 0 < n < math.inf:  # an infinite or NaN n makes NaN envelopes
         raise ValueError(f"n must be positive and finite, got {n!r}")
     fv = values_on(f, mesh)
-    low = fv.min()
-    if low == INF:
-        raise ValueError("f is +inf on the whole mesh")
     name = f"{f.name}▽{n}||.||"
     # the linear kernels' path cost is n*h per step along an axis (and
     # along a diagonal on the chessboard); data that never moves by more
-    # than that from one node to the next is its own envelope
-    chessboard = (mesh.dim == 2 and f.norm.kind is NormKind.MAX
-                  and mesh.h[0] == mesh.h[1])
+    # than that from one node to the next is its own envelope.  A move
+    # within reach is finite, so such data is finite at every node.
+    chessboard = _chessboard(mesh, f.norm)
     if ((mesh.dim == 1 or f.norm.kind is NormKind.TAXICAB or chessboard)
-            and _moves_within(fv.reshape(mesh._counts), [n * step for step in mesh.h],
-                              chessboard)):
+            and all(move <= n * step for move, step in f._node_moves)):
         return FunctionModel(Variant.TABULATED, mesh.box, f.norm, n, name,
-                             mesh=mesh, values=fv.copy())
+                             mesh=mesh, values=fv)
+    low = fv.min()
+    if low == INF:
+        raise ValueError("f is +inf on the whole mesh")
     if mesh.dim == 1:
         out = _ramp_pass(fv, n * mesh.h[0], mesh._axis_index[0])
     elif f.norm.kind is NormKind.TAXICAB:
@@ -489,6 +504,8 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     np.maximum(out, low, out=out)
     # min f is finite and n too, so out holds no NaN or -inf: the model is
     # built as ``FunctionModel.tabulated`` would build it, without its scan
+    # and its copy
+    out.flags.writeable = False
     return FunctionModel(Variant.TABULATED, mesh.box, f.norm, n, name, mesh=mesh, values=out)
 
 

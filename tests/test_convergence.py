@@ -4,6 +4,8 @@ the one-sweep recovery and Wijsman kernel against a masked brute force,
 its lambda rows against the full sorted order, its work per f_n and its
 memory."""
 
+import contextlib
+import dataclasses
 import json
 import math
 import re
@@ -23,6 +25,7 @@ from epislope import (
     slope_stability_witness, tilt, tilt_gap_invariance, uniform_infimum,
     values_on, wijsman_at_point, wijsman_sets,
 )
+from epislope import convergence
 from epislope.convergence import _rung_reach, _sweep, snap_half_node
 from epislope.uniforminf import _sorted_sup_inf
 from epislope.verdict import SLACK, combine, decide, margin
@@ -793,3 +796,101 @@ class TestSweepWork:
         finally:
             tracemalloc.stop()
         assert peak < len(CFG.n_schedule) / 4 * nodes * 8
+
+
+@contextlib.contextmanager
+def counted_reduceat():
+    """Count the segment-minima reductions of the sweep, one per f_n it
+    gathers."""
+    calls = []
+
+    class Minimum:
+        def reduceat(self, *args, **kwargs):
+            calls.append(1)
+            return np.minimum.reduceat(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np.minimum, name)
+
+    class CountedNumpy:
+        minimum = Minimum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convergence, "np", CountedNumpy())
+        yield calls
+
+
+def fresh(model):
+    """The model's values in a new array object: a tabulated copy."""
+    return FunctionModel.tabulated(model.mesh, model.values, norm=model.norm, name=model.name)
+
+
+def outcome(run):
+    """A verdict or witness, floats as float.hex, or the refusal's message."""
+    try:
+        out = run()
+    except ValueError as error:
+        return "refused", str(error)
+    return hexed(out.to_dict() if isinstance(out, Verdict) else dataclasses.asdict(out))
+
+
+class TestRepeatedArraySweep:
+    """A sweep gathers an f_n whose node array is the previous n's once:
+    against a generator that returns a fresh copy per n, every verdict and
+    witness is the same bit for bit."""
+
+    CFG = LimitConfig(n_schedule=tuple(range(1, 17)))
+    MESHES = {"line": (MeshSpec.line(-1.0, 1.0, 0.05), EUCLIDEAN),
+              "chessboard": (MeshSpec(box=((-0.5, 0.5), (-0.5, 0.5)), h=(0.1, 0.1)), MAX)}
+
+    def sequences(self, kind, mesh, norm, data):
+        """(limit f, n -> f_n with repeated arrays).  ``envelopes``: f's
+        envelopes, f's own array from its Lipschitz constant (at most 2.5)
+        on; ``runs``: one model per run of n; ``switch``: the envelopes with
+        fresh copies at drawn n, so that runs of one array break mid-window."""
+        nodes = mesh.nodes()
+        count = len(nodes)
+        if kind == "runs":
+            tables = [np.array(data.draw(st.lists(TIED, min_size=count, max_size=count)))
+                      for _ in range(data.draw(st.integers(1, 3)))]
+            for table in tables:
+                table[count // 2] = 0.0  # finite at the probe
+            models = [FunctionModel.tabulated(mesh, t, norm=norm) for t in tables]
+            run = data.draw(st.integers(1, 5))
+            return models[0], lambda n: models[n // run % len(models)]
+        centre = nodes[data.draw(st.integers(0, count - 1))]
+        slope = data.draw(st.sampled_from((0.5, 1.0, 2.0)))
+        lean = data.draw(st.sampled_from((-0.5, 0.0, 0.5)))
+        f = FunctionModel.tabulated(
+            mesh, slope * norm.pairwise(nodes, centre[None, :])[:, 0] + lean * nodes[:, 0],
+            norm=norm)
+        copied = set(data.draw(st.lists(st.integers(1, 16))) if kind == "switch" else ())
+
+        def make(n):
+            env = pasch_hausdorff(f, n, mesh)
+            return fresh(env) if n in copied else env
+
+        return f, make
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(("line", "chessboard")),
+           st.sampled_from(("envelopes", "runs", "switch")), st.data())
+    def test_a_repeated_array_gives_the_fresh_copies_verdicts(self, where, kind, data):
+        mesh, norm = self.MESHES[where]
+        f, make = self.sequences(kind, mesh, norm, data)
+        x = tuple(mesh.nodes()[mesh.node_count // 2])
+        shared = FunctionSequence(make, box=mesh.box, norm=norm)
+        copies = FunctionSequence(lambda n: fresh(make(n)), box=mesh.box, norm=norm)
+        runs = {}
+        for name, seq in (("shared", shared), ("copies", copies)):
+            with counted_reduceat() as calls:
+                runs[name] = (outcome(lambda: wijsman_at_point(seq, f, x, 0.5, self.CFG, mesh)),
+                              outcome(lambda: slope_stability_witness(seq, f, x, mesh,
+                                                                      self.CFG)))
+            runs[name] += (len(calls),)
+        assert runs["shared"][:2] == runs["copies"][:2]
+        if kind == "envelopes":  # every n from 3 on is f itself: its gathers are skipped
+            assert runs["shared"][2] < runs["copies"][2]

@@ -93,6 +93,13 @@ class TestModels:
             FunctionModel.tabulated(m, np.full(m.node_count, -np.inf))
         with pytest.raises(ValueError):
             FunctionModel.tabulated(m, np.full(m.node_count, np.nan))
+        # one bad node among finite and +inf ones, first, inner or last
+        for bad in (np.nan, -np.inf):
+            for at in (0, 2, m.node_count - 1):
+                vals = np.array([1.0, np.inf, -0.0] + [2.0] * (m.node_count - 3))
+                vals[at] = bad
+                with pytest.raises(ValueError, match="extended-real"):
+                    FunctionModel.tabulated(m, vals)
 
     def test_tabulate_passes_a_model_on_its_own_mesh_through(self):
         m = line(h=0.25)
@@ -106,6 +113,14 @@ class TestModels:
         f = model(abs, m)
         with pytest.raises(ValueError):
             tabulate(f, line(h=0.5))
+
+    def test_restrict_and_tilt_return_read_only_models(self):
+        m = line(h=0.25)
+        f = model(abs, m)
+        for g in (restrict(f, Ball((0.0,), 0.5)), tilt(f, (0.5,))):
+            assert not g.values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g.values[0] = 0.0
 
 
 class TestFiniteExceptionModelsHaveNoMeshValues:

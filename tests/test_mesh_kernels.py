@@ -290,8 +290,8 @@ def test_envelope_of_n_lipschitz_data_is_f_else_the_kernel(lo_cents, step, kind,
     """Values within n*h/2 of zero (signed zeros and both bounds included)
     move by at most n*h between any two neighbours; up to two nodes drawn
     farther off or at +inf may break that.  Where every move is within
-    n*h, the envelope is f's bytes in a fresh array; elsewhere it is the
-    linear kernel's bytes."""
+    n*h, the envelope is f's bytes in f's own read-only array; elsewhere it
+    is the linear kernel's bytes."""
     norm, dim = kind
     counts = data.draw(st.lists(st.integers(2, 9 if dim < 3 else 4),
                                 min_size=dim, max_size=dim))
@@ -309,10 +309,120 @@ def test_envelope_of_n_lipschitz_data_is_f_else_the_kernel(lo_cents, step, kind,
     chessboard = norm == MAX and dim == 2
     if moves_within(fv, n, mesh, chessboard):
         assert env.values.tobytes() == fv.tobytes()
-        assert not np.shares_memory(env.values, f.values)
+        assert env.values is f.values and not env.values.flags.writeable
     else:
         assert env.values.tobytes() == kernel_envelope(fv, n, mesh, chessboard).tobytes()
     assert (env.norm, env.lipschitz_hint, env.name) == (norm, n, f"▽{n}||.||")
+
+
+def _moves_within(v, steps, diagonals):
+    """The f-itself check as ``pasch_hausdorff`` made it on every call
+    before a model kept its moves, kept here as the reference: whether v
+    moves by at most ``steps[k]`` between neighbours along each axis k, and
+    with ``diagonals`` also between diagonal neighbours, in float
+    differences."""
+    pairs = []
+    for axis, step in enumerate(steps):
+        head = (slice(None),) * axis
+        pairs.append((v[head + (slice(1, None),)], v[head + (slice(None, -1),)], step))
+    if diagonals:
+        pairs += [(v[1:, 1:], v[:-1, :-1], steps[0]), (v[1:, :-1], v[:-1, 1:], steps[0])]
+    with np.errstate(invalid="ignore"):  # +inf - +inf
+        for ahead, behind, step in pairs:
+            moves = np.subtract(ahead, behind)
+            if not np.abs(moves, out=moves).max() <= step:
+                return False
+    return True
+
+
+def neighbour_moves(fv, mesh, chessboard):
+    """(|difference|, h) of every neighbouring pair of nodes, on the
+    chessboard also of every diagonal pair."""
+    v = fv.reshape(mesh._counts)
+    moves = [(np.abs(np.diff(v, axis=axis)).ravel(), h) for axis, h in enumerate(mesh.h)]
+    if chessboard:
+        moves += [(np.abs(v[1:, 1:] - v[:-1, :-1]).ravel(), mesh.h[0]),
+                  (np.abs(v[1:, :-1] - v[:-1, 1:]).ravel(), mesh.h[0])]
+    return [(float(m), h) for diffs, h in moves for m in diffs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-200, 200), st.sampled_from(STEPS),
+       st.sampled_from([(EUCLIDEAN, 1), (MAX, 1), (TAXICAB, 1), (TAXICAB, 2), (TAXICAB, 3),
+                        (MAX, 2)]),
+       st.floats(0.5, 64.0), st.data())
+@np.errstate(invalid="ignore")  # +inf - +inf in neighbour_moves
+def test_moves_kept_by_the_model_decide_as_the_per_call_check(lo_cents, step, kind, n, data):
+    """One model, envelopes at several n: a drawn n, then n = move / h of
+    the largest and of a drawn neighbour move and the floats either side of
+    each, so that n*h meets the move exactly where floats allow.  At every
+    n the kept moves take the decision of the per-call reference (f's own
+    array exactly where it passes) and give its envelope bytes: f's where
+    it passes, the linear kernel's elsewhere.  Values hold both zeros and
+    at most one +inf node."""
+    norm, dim = kind
+    counts = data.draw(st.lists(st.integers(2, 9 if dim < 3 else 4),
+                                min_size=dim, max_size=dim))
+    mesh = grid(lo_cents, step, counts)
+    count = mesh.node_count
+    fv = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0)),
+        min_size=count, max_size=count)))
+    if data.draw(st.booleans()):
+        fv[data.draw(st.integers(0, count - 1))] = math.inf
+    chessboard = norm == MAX and dim == 2
+    ns = [n]
+    moves = [(m / h, m) for m, h in neighbour_moves(fv, mesh, chessboard) if 0 < m < math.inf]
+    if moves:
+        for at, _ in (max(moves), data.draw(st.sampled_from(moves))):
+            ns += [m for m in (np.nextafter(at, 0.0), at, np.nextafter(at, math.inf))
+                   if 0 < m < math.inf]
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    for n in ns:
+        env = pasch_hausdorff(f, n, mesh)
+        passes = _moves_within(fv.reshape(mesh._counts), [n * h for h in mesh.h], chessboard)
+        assert (env.values is f.values) == passes
+        want = fv if passes else kernel_envelope(fv, n, mesh, chessboard)
+        assert env.values.tobytes() == want.tobytes()
+
+
+@contextlib.contextmanager
+def counted_abs():
+    """Count the ``np.abs`` calls of the functions module: measuring a
+    model's moves takes one per axis and diagonal, the kernels none."""
+    calls = []
+
+    class CountedNumpy:
+        def abs(self, *args, **kwargs):
+            calls.append(1)
+            return np.abs(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functions, "np", CountedNumpy())
+        yield calls
+
+
+@pytest.mark.parametrize("norm,counts,measures", [
+    (EUCLIDEAN, (9,), 1), (TAXICAB, (5, 7), 2), (TAXICAB, (3, 4, 2), 3), (MAX, (6, 6), 4),
+    (EUCLIDEAN, (4, 5), 0), (MAX, (3, 4, 2), 0)],
+    ids=["line", "taxicab", "taxicab-3d", "chessboard", "blocked", "blocked-max-3d"])
+def test_moves_are_measured_once_per_model(norm, counts, measures):
+    """Envelopes of one model at n below and above its moves measure them
+    on the first envelope only; the brute-force kernels never do.  A
+    second model of the same values measures its own."""
+    mesh = grid(-50, 0.25, counts)
+    fv = np.resize([0.0, -0.0, 1.5, -2.0, 0.25, 3.0], mesh.node_count)
+    for _ in range(2):
+        f = FunctionModel.tabulated(mesh, fv, norm=norm)
+        with counted_abs() as calls:
+            envs = [pasch_hausdorff(f, n, mesh) for n in (0.5, 64.0, 1.0, 100.0)]
+        assert len(calls) == measures
+        assert ("_node_moves" in f.__dict__) == (measures > 0)
+        assert [env.values is f.values for env in envs] == [False, measures > 0, False,
+                                                            measures > 0]
 
 
 def test_envelope_is_f_just_above_the_largest_slope():
@@ -361,6 +471,45 @@ def test_envelope_leaves_the_model_values_untouched(norm, counts):
     before = f.values.tobytes()
     pasch_hausdorff(f, 3.0, mesh)
     assert f.values.tobytes() == before
+
+
+@pytest.mark.parametrize("norm,counts", [(EUCLIDEAN, (9,)), (TAXICAB, (5, 7)),
+                                         (MAX, (6, 6)), (EUCLIDEAN, (4, 5))],
+                         ids=["line", "taxicab", "chessboard", "blocked"])
+def test_models_and_envelopes_own_read_only_arrays(norm, counts):
+    """A tabulated model keeps its own read-only copy: writing into the
+    caller's array afterwards changes neither f nor an envelope of f, and
+    writing into f's values or into any kernel's output raises."""
+    mesh = grid(-50, 0.25, counts)
+    fv = np.resize([0.0, -0.0, math.inf, 1.5, -2.0, 0.25, 3.0], mesh.node_count)
+    want = fv.tobytes()
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    env = pasch_hausdorff(f, 3.0, mesh)  # +inf nodes: the kernel runs
+    assert env.values is not f.values
+    env_bytes = env.values.tobytes()
+    fv[:] = 7.0
+    assert f.values.tobytes() == want and env.values.tobytes() == env_bytes
+    for values in (f.values, env.values):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(values, 1.0, out=values)
+
+
+def test_an_envelope_that_is_f_holds_the_models_copy():
+    """The f-itself envelope holds f's own array, not the caller's: a
+    write into the caller's array leaves both as they were."""
+    mesh = MeshSpec.line(-1.0, 1.0, 0.01)
+    fv = np.abs(mesh.nodes()[:, 0])
+    want = fv.tobytes()
+    f = FunctionModel.tabulated(mesh, fv)
+    env = pasch_hausdorff(f, 2.0, mesh)
+    assert env.values is f.values and not np.shares_memory(env.values, fv)
+    fv[:] = -1.0
+    assert env.values.tobytes() == want
+    with pytest.raises(ValueError, match="read-only"):
+        env.values[0] = 1.0
 
 
 def seeded_values(data, count):
