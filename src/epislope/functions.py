@@ -40,7 +40,8 @@ class MeshSpec:
     against the box and that 9-decimal snap.  ``node_index`` returns -1
     for a point that names no node; a tabulated ``FunctionModel`` raises
     ``KeyError`` for such a point, and ``ValueError`` for a point of
-    another dimension.
+    another dimension.  A mesh caches its node counts and, on first use,
+    its node array; each envelope pass builds its own ramp.
     """
 
     box: Box
@@ -83,15 +84,6 @@ class MeshSpec:
         grids = np.meshgrid(*(self.axis_nodes(i) for i in range(self.dim)), indexing="ij")
         out = np.stack([g.ravel() for g in grids], axis=1)
         out.flags.writeable = False
-        return out
-
-    @cached_property
-    def _axis_index(self) -> Tuple[np.ndarray, ...]:
-        """0.0, 1.0, ..., count - 1 as one read-only float array per axis,
-        built on first use: the ramps of the linear envelopes scale them."""
-        out = tuple(np.arange(count, dtype=float) for count in self._counts)
-        for index in out:
-            index.flags.writeable = False
         return out
 
     def nodes(self) -> np.ndarray:
@@ -357,54 +349,30 @@ def inf_over_region(f: FunctionModel, S: Region, mesh: MeshSpec) -> ExtReal:
     return float(vals[inside].min()) if inside.any() else INF
 
 
-def _scan_min(a: np.ndarray, backward: bool = False) -> None:
-    """Running minimum of every line of ``a`` along its last axis, in place;
-    from the end of each line to its start when ``backward`` is set.  A
-    line is nonincreasing in the scan direction up to its first rise, so it
-    is its own running minimum there: the scan starts at the least first
-    rise over all lines, and lines that never rise cost no scan.  The rises
-    are found on ``a`` as laid out (a backward rise is a[..., j] >
-    a[..., j+1], the last such j the first one met), so a backward scan
-    reads no reversed view until its tail.  Only the sign of a zero can
-    differ from a full scan, at an equal -0.0, 0.0 pair, and ``_ramp_pass``
-    erases it."""
-    rises = a[..., :-1] > a[..., 1:] if backward else a[..., 1:] > a[..., :-1]
-    if rises.ndim > 1:
-        rises = rises.any(axis=tuple(range(rises.ndim - 1)))
-    if not rises.any():
-        return
-    if backward:
-        tail = a[..., len(rises) - int(rises[::-1].argmax())::-1]
-    else:
-        tail = a[..., int(rises.argmax()):]
-    np.fmin.accumulate(tail, axis=-1, out=tail)
-
-
-def _ramp_pass(v: np.ndarray, slope: float, index: np.ndarray) -> np.ndarray:
+def _ramp_pass(v: np.ndarray, slope: float) -> np.ndarray:
     """1-D envelope of v along its last axis, min over j of
     v_j + slope*|i - j|, for every line at once: with ramp_i = slope*i it
-    is min(ramp + cummin(v - ramp), revcummin(v + ramp) - ramp, v), the
-    ramp scaled from ``index``, the floats 0, 1, ... of that axis
-    (``MeshSpec._axis_index``).  Each running minimum starts at the first
-    rise (``_scan_min``), so a slope above the Lipschitz constant of every
-    line costs no scan at all."""
-    ramp = np.multiply(index, slope)
-    # the running minima (fmin, faster here than minimum, and trimmed) differ
-    # from minimum.accumulate only at NaN, which tabulated values never hold,
-    # and in which of -0.0 and 0.0 they keep:
+    is min(ramp + cummin(v - ramp), revcummin(v + ramp) - ramp, v), one
+    whole-line running minimum each way."""
+    ramp = np.arange(v.shape[-1], dtype=float)
+    ramp *= slope
+    # the running minima (fmin, faster here than minimum) differ from
+    # minimum.accumulate only at NaN, which tabulated values never hold, and
+    # in which of -0.0 and 0.0 they keep:
     # v + ramp holds no -0.0, and past index 0 adding the positive ramp back
     # to cummin(v - ramp) erases the sign.  v itself is never written.
     fwd = np.subtract(v, ramp)
-    _scan_min(fwd)
+    np.fmin.accumulate(fwd, axis=-1, out=fwd)
     fwd += ramp
     bwd = np.add(v, ramp)
-    _scan_min(bwd, backward=True)
+    back = bwd[..., ::-1]
+    np.fmin.accumulate(back, axis=-1, out=back)
     bwd -= ramp
     np.minimum(fwd, bwd, out=fwd)
     return np.minimum(fwd, v, out=fwd)
 
 
-def _chessboard_envelope(v: np.ndarray, step: float, index: np.ndarray) -> np.ndarray:
+def _chessboard_envelope(v: np.ndarray, step: float) -> np.ndarray:
     """min over nodes (k, l) of v[k, l] + step*max(|i - k|, |j - l|) on a
     2-D grid.  The max norm on equal steps is the 8-neighbour path
     length, so two raster scans give it exactly: a 1-D pass along every
@@ -413,7 +381,7 @@ def _chessboard_envelope(v: np.ndarray, step: float, index: np.ndarray) -> np.nd
     back) in the finished row before it.  The 1-D pass comes first, for
     all rows at once: a row that is step-Lipschitz along itself stays so
     under these updates, so no later row needs it again."""
-    out = _ramp_pass(v, step, index)
+    out = _ramp_pass(v, step)
     for grid in (out, out[::-1]):  # the backward scan runs on a reversed view
         for r in range(1, len(grid)):
             prev = grid[r - 1]
@@ -448,11 +416,9 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
 
     - 1-D meshes (every norm) and the taxicab norm in any dimension: one
       1-D distance-transform pass per axis, min(ramp + cummin(f - ramp),
-      revcummin(f + ramp) - ramp, f) with ramp_i = n*h*i, scaled from the
-      mesh's float index of the axis (built on the first envelope, then
-      shared).  Exact, since the l1 cone is separable; linear in the node
-      count.  Each running minimum starts at the first rise over the lines
-      of the pass, so lines that never rise cost no scan.
+      revcummin(f + ramp) - ramp, f) with ramp_i = n*h*i, each running
+      minimum over whole lines (``_ramp_pass``).  Exact, since the l1 cone
+      is separable; linear in the node count.
     - The max norm on a 2-D mesh with equal steps: two raster scans over
       the 8 neighbours (``_chessboard_envelope``), linear in the count.
     - Every other case (Euclidean in 2-D and up, unequal steps, the max
@@ -483,16 +449,14 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     if low == INF:
         raise ValueError("f is +inf on the whole mesh")
     if mesh.dim == 1:
-        out = _ramp_pass(fv, n * mesh.h[0], mesh._axis_index[0])
+        out = _ramp_pass(fv, n * mesh.h[0])
     elif f.norm.kind is NormKind.TAXICAB:
         out = fv.reshape(mesh._counts)
-        for axis, (step, index) in enumerate(zip(mesh.h, mesh._axis_index)):
-            out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * step, index),
-                              axis, -1)
+        for axis, step in enumerate(mesh.h):
+            out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * step), axis, -1)
         out = out.ravel()
     elif chessboard:
-        out = _chessboard_envelope(fv.reshape(mesh._counts), n * mesh.h[0],
-                                   mesh._axis_index[1]).ravel()
+        out = _chessboard_envelope(fv.reshape(mesh._counts), n * mesh.h[0]).ravel()
     else:
         nodes = mesh.nodes()
         out = np.empty(len(fv))

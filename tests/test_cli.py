@@ -462,6 +462,13 @@ class TestExactTable:
         assert [r["r"] for r in rows] == ["-1", "-1/2", "-1/3"]
         assert [r["inf"] for r in rows] == ["-1/2", "-1/3", "-1/4"]
 
+    def test_table_at_dimension_truncation_ten_thousand_matches_golden(self, capsys):
+        code = main(["reproduce-example-4-2", "--n-max", "6", "--dim-trunc", "10000",
+                     "--no-timings"])
+        assert code == 0
+        golden = GOLDEN / "reproduce-example-4-2__n6-d10000.json"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
 
 class TestCatalogue:
     def test_listing_has_at_least_fifteen_instances(self, capsys):

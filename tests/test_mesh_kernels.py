@@ -1,10 +1,10 @@
 """Mesh-native kernels against brute force at small sizes: the Lipschitz
 envelopes (1-D, separable taxicab, chessboard scans and the blocked
-fallback) and the mesh-held ramp index they scale, row-blocked pairwise
-minima and their cell budget (and one pairwise call per Wijsman verdict,
-strong slope and Fréchet test), arithmetic node lookup, product-mesh
-values and diagonal distances gathered from base-mesh arrays, ball
-infima, and region membership and distances on node arrays."""
+fallback), row-blocked pairwise minima and their cell budget (and one
+pairwise call per Wijsman verdict, strong slope and Fréchet test),
+arithmetic node lookup, product-mesh values and diagonal distances
+gathered from base-mesh arrays, ball infima, and region membership and
+distances on node arrays."""
 
 import contextlib
 import math
@@ -88,7 +88,7 @@ def test_ramp_pass_is_the_temporary_formula_bit_for_bit(shape, transpose, step, 
     if transpose:
         v = v.T
     before = v.tobytes()
-    got = _ramp_pass(v, slope, np.arange(v.shape[-1], dtype=float))
+    got = _ramp_pass(v, slope)
     assert got.tobytes() == _temporary_ramp_pass(v, slope).tobytes()
     assert v.tobytes() == before
 
@@ -98,7 +98,8 @@ def rising_line(draw, slope, length):
     """A line that is nonincreasing up to a drawn first-rise column (0, the
     last one, or none), steps up there by k*slope (k an integer 1-3, exact
     multiples, or any float in [0, 4]) and is free after it; mirrored or
-    not, so that either running minimum of ``_ramp_pass`` starts mid-line."""
+    not, so that the falling stretch leads either running minimum of
+    ``_ramp_pass``."""
     entry = st.one_of(st.sampled_from([0.0, -0.0, math.inf]),
                       st.integers(-3, 3).map(lambda k: k * slope), st.floats(-4.0, 4.0))
     rise = None if length < 2 else draw(st.one_of(st.sampled_from([0, length - 2, None]),
@@ -114,11 +115,11 @@ def rising_line(draw, slope, length):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 4), st.booleans(), st.sampled_from(STEPS),
        st.floats(0.5, 64.0), st.data())
-def test_ramp_pass_from_the_first_rise_is_the_temporary_formula(length, rows, transpose,
-                                                                 step, n, data):
-    """Lines rising at drawn columns, one line (rows = 0) or rows of lines
-    rising at different columns, contiguous or as a transposed view: the
-    running minima started at the least first rise give the reference's
+def test_ramp_pass_over_lines_that_fall_then_rise_is_the_temporary_formula(
+        length, rows, transpose, step, n, data):
+    """Lines that fall and then rise at drawn columns, one line (rows = 0)
+    or rows of lines rising at different columns, contiguous or as a
+    transposed view: the whole-line running minima give the reference's
     bytes, signed zeros and +inf included."""
     slope = n * step
     lines = [data.draw(rising_line(slope, length)) for _ in range(max(rows, 1))]
@@ -126,93 +127,46 @@ def test_ramp_pass_from_the_first_rise_is_the_temporary_formula(length, rows, tr
     if transpose and rows:
         v = np.ascontiguousarray(v.T).T
     before = v.tobytes()
-    got = _ramp_pass(v, slope, np.arange(v.shape[-1], dtype=float))
+    got = _ramp_pass(v, slope)
     assert got.tobytes() == _temporary_ramp_pass(v, slope).tobytes()
     assert v.tobytes() == before
 
 
-def _arange_ramp_pass(v, slope):
-    """``_ramp_pass`` as it built its ramp before the mesh held the index:
-    a fresh ``np.arange`` per pass, scaled in place."""
-    ramp = np.arange(v.shape[-1], dtype=float)
-    ramp *= slope
-    fwd = np.subtract(v, ramp)
-    functions._scan_min(fwd)
-    fwd += ramp
-    bwd = np.add(v, ramp)
-    functions._scan_min(bwd, backward=True)
-    bwd -= ramp
-    np.minimum(fwd, bwd, out=fwd)
-    return np.minimum(fwd, v, out=fwd)
-
-
 @contextlib.contextmanager
-def ramp_indices():
-    """Record (line length, index) of every ``_ramp_pass`` call."""
+def ramp_calls():
+    """Record the line length of every ``_ramp_pass`` call."""
     seen = []
 
-    def recording(v, slope, index):
-        seen.append((v.shape[-1], index))
-        return _ramp_pass(v, slope, index)
+    def recording(v, slope):
+        seen.append(v.shape[-1])
+        return _ramp_pass(v, slope)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(functions, "_ramp_pass", recording)
         yield seen
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(-200, 200), st.sampled_from(STEPS),
-       st.sampled_from([(EUCLIDEAN, 1), (MAX, 1), (TAXICAB, 2), (TAXICAB, 3), (MAX, 2)]),
-       st.floats(0.5, 64.0), st.data())
-def test_envelopes_on_the_mesh_index_are_the_arange_ramps(lo_cents, step, kind, n, data):
-    """The 1-D, taxicab and chessboard envelopes scale the mesh's float
-    index of each pass's axis: with a fresh ``np.arange`` per pass instead,
-    every envelope is the same bit for bit (signed zeros and +inf
-    included), and each index is the mesh's read-only array for its axis.
-    One node is fixed out of its neighbours' reach, so f is not
-    n-Lipschitz and the ramp passes run."""
-    norm, dim = kind
-    counts = data.draw(st.lists(st.integers(2, 9 if dim < 3 else 4),
-                                min_size=dim, max_size=dim))
-    mesh = grid(lo_cents, step, counts)
-    fv = np.array(data.draw(st.lists(st.one_of(values, st.just(-0.0)),
-                                     min_size=mesh.node_count, max_size=mesh.node_count)))
-    zero, far = data.draw(st.lists(st.integers(0, mesh.node_count - 1), min_size=2,
-                                   max_size=2, unique=True))
-    fv[zero] = data.draw(st.sampled_from((0.0, -0.0)))
-    fv[far] = 11.0 + n * step  # the drawn values lie in [-10, 10] or are +inf
-    f = FunctionModel.tabulated(mesh, fv, norm=norm)
-    with ramp_indices() as seen:
-        got = pasch_hausdorff(f, n, mesh).values
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(functions, "_ramp_pass", lambda v, slope, index: _arange_ramp_pass(v, slope))
-        want = pasch_hausdorff(f, n, mesh).values
-    assert got.tobytes() == want.tobytes()
-    axes = [1] if norm == MAX and dim == 2 else list(range(dim))
-    assert len(seen) == len(axes)
-    for (length, index), axis in zip(seen, axes):
-        assert length == counts[axis] and index is mesh._axis_index[axis]
-        assert not index.flags.writeable
-        assert index.tobytes() == np.arange(length, dtype=float).tobytes()
-
-
-@pytest.mark.parametrize("norm,counts", [(EUCLIDEAN, (9,)), (TAXICAB, (5, 7)), (MAX, (6, 6))],
+@pytest.mark.parametrize("norm,counts,passes", [(EUCLIDEAN, (9,), [9]), (TAXICAB, (5, 7), [5, 7]),
+                                                (MAX, (6, 6), [6])],
                          ids=["line", "taxicab", "chessboard"])
-def test_the_mesh_index_is_built_on_the_first_envelope_and_shared(norm, counts):
-    """No index at construction (set-up does no work for it); the first
-    envelope builds it, and a second envelope on the mesh reads the same
-    read-only arrays."""
+def test_each_envelope_runs_whole_line_passes_and_caches_nothing_on_the_mesh(norm, counts,
+                                                                             passes):
+    """Two envelopes of data that is not n-Lipschitz: each runs one ramp
+    pass per axis (the chessboard one along its rows), each pass one
+    running minimum over the whole line each way, every envelope is the
+    kernel's bytes, and the mesh holds no more cached state afterwards
+    than before (each pass builds its own ramp)."""
     mesh = grid(-50, 0.25, counts)
-    assert "_axis_index" not in mesh.__dict__
-    f = FunctionModel.tabulated(mesh, np.resize([0.0, 2.0, -1.0, math.inf], mesh.node_count),
-                                norm=norm)
-    with ramp_indices() as first:
-        pasch_hausdorff(f, 1.0, mesh)
-    with ramp_indices() as second:
-        pasch_hausdorff(f, 2.0, mesh)
-    assert first and len(first) == len(second)
-    for (_, a), (_, b) in zip(first, second):
-        assert a is b and not a.flags.writeable
+    fv = np.resize([0.0, 2.0, -1.0, math.inf], mesh.node_count)
+    f = FunctionModel.tabulated(mesh, fv, norm=norm)
+    cached = set(mesh.__dict__)
+    for n in (1.0, 2.0):
+        with ramp_calls() as seen, counted_scans() as scans:
+            env = pasch_hausdorff(f, n, mesh).values
+        assert seen == passes
+        assert scans == [length for length in passes for _ in range(2)]
+        assert env.tobytes() == kernel_envelope(fv, n, mesh, norm == MAX).tobytes()
+    assert set(mesh.__dict__) == cached
 
 
 @contextlib.contextmanager
@@ -244,8 +198,8 @@ def counted_scans():
 
 def test_envelope_above_the_lipschitz_constant_runs_no_scan():
     """|x| on a line has steps h, all below n*h for n = 2: f is its own
-    envelope and no running minimum runs.  At n = 0.5 each scan starts at
-    the kink, half way along the line."""
+    envelope and no running minimum runs.  At n = 0.5 the pass runs one
+    running minimum over the whole line each way."""
     mesh = MeshSpec.line(-1.0, 1.0, 0.01)
     f = FunctionModel.tabulated(mesh, np.abs(mesh.nodes()[:, 0]))
     with counted_scans() as scans:
@@ -253,7 +207,7 @@ def test_envelope_above_the_lipschitz_constant_runs_no_scan():
     assert scans == []
     with counted_scans() as scans:
         pasch_hausdorff(f, 0.5, mesh)
-    assert scans == [101, 101]
+    assert scans == [201, 201]
 
 
 def moves_within(fv, n, mesh, chessboard):
@@ -272,11 +226,11 @@ def kernel_envelope(fv, n, mesh, chessboard):
     chessboard scans, then the clamp at min f."""
     v = fv.reshape(mesh._counts)
     if chessboard:
-        out = functions._chessboard_envelope(v, n * mesh.h[0], mesh._axis_index[1])
+        out = functions._chessboard_envelope(v, n * mesh.h[0])
     else:
         out = v
-        for axis, (h, index) in enumerate(zip(mesh.h, mesh._axis_index)):
-            out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * h, index), axis, -1)
+        for axis, h in enumerate(mesh.h):
+            out = np.swapaxes(_ramp_pass(np.swapaxes(out, axis, -1), n * h), axis, -1)
     return np.maximum(out.ravel(), fv.min())
 
 
@@ -455,7 +409,7 @@ def test_abs_at_n_one_runs_the_ramp():
     mesh = MeshSpec.line(-1.0, 1.0, 0.01)
     fv = np.abs(mesh.nodes()[:, 0])
     assert np.abs(np.diff(fv)).max() == 0.010000000000000009
-    with ramp_indices() as seen:
+    with ramp_calls() as seen:
         env = pasch_hausdorff(FunctionModel.tabulated(mesh, fv), 1.0, mesh).values
     assert len(seen) == 1
     assert env.tobytes() == kernel_envelope(fv, 1.0, mesh, False).tobytes()

@@ -358,6 +358,26 @@ class TestStationarySequence:
         assert max(abs(v - node_min) for v in CFG.window(wit.values)) \
             <= CFG.decision_band
 
+    @given(st.lists(st.integers(2, 7), min_size=1, max_size=2),
+           st.sampled_from((0.05, 0.1, 0.25)), st.sampled_from((EUCLIDEAN, MAX, TAXICAB)),
+           st.integers(1, 64), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_node_minimizer_is_its_own_ekeland_point(self, counts, h, norm, n, data):
+        """The Ekeland point of f from its first node minimizer, at slack
+        1/n over a ball as wide as the box, is that node: the start that
+        ``stationary_sequence`` takes without the descent.  Values hold
+        ties, signed zeros and +inf nodes."""
+        mesh = MeshSpec(box=tuple((-0.5, -0.5 + h * (c - 1)) for c in counts),
+                        h=(h,) * len(counts))
+        fv = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from((0.0, -0.0, 1.0, math.inf)), st.floats(-2.0, 2.0)),
+            min_size=mesh.node_count, max_size=mesh.node_count)))
+        fv[data.draw(st.integers(0, mesh.node_count - 1))] = data.draw(st.floats(-2.0, 2.0))
+        f = FunctionModel.tabulated(mesh, fv, norm=norm)
+        argmin_node = tuple(mesh.nodes()[int(np.argmin(fv))])
+        box_diam = max(hi - lo for lo, hi in mesh.box)
+        assert ekeland_point(f, argmin_node, 1.0 / n, box_diam, mesh) == argmin_node
+
 
 class TestFrechetMembership:
     def test_smooth_minimum(self):
