@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,26 +157,42 @@ class FunctionModel:
                              name, mesh=mesh, values=values)
 
     @cached_property
-    def _node_moves(self) -> Tuple[Tuple[float, float], ...]:
+    def _node_moves(self) -> List[Tuple[float, float]]:
+        """The (largest move, h) pairs that ``_moves_within`` has measured
+        so far, in its order; kept, as the node values never change."""
+        return []
+
+    def _moves_within(self, n: float, chessboard: bool) -> bool:
+        """Whether the node values move by at most n*h between neighbours
+        along each mesh axis, and on the chessboard also along both
+        diagonals, h being the step of the first axis; compared in floats,
+        so a +inf node (whose moves are +inf or NaN) fails.  Each largest
+        move is measured on first demand, in that order, and kept in
+        ``_node_moves``; the check stops at the first move out of reach."""
+        moves = self._node_moves
+        for k in range(self.mesh.dim + 2 * chessboard):
+            if k == len(moves):
+                moves.append(self._largest_move(k))
+            move, step = moves[k]
+            if not move <= n * step:
+                return False
+        return True
+
+    def _largest_move(self, k: int) -> Tuple[float, float]:
         """(largest |difference| of the node values between neighbours, h)
-        along each mesh axis, and on the chessboard (``_chessboard``) also
-        along both diagonals, h being the step of the first axis: measured
-        in floats on the first envelope of the model, then kept, as its
-        values never change.  A +inf node makes its moves +inf or NaN."""
+        along mesh axis k, or for k = dim and dim + 1 along the two
+        diagonals of a 2-D mesh, h being the step of the first axis."""
         v = self.values.reshape(self.mesh._counts)
-        pairs = []
-        for axis, step in enumerate(self.mesh.h):
-            head = (slice(None),) * axis
-            pairs.append((v[head + (slice(1, None),)], v[head + (slice(None, -1),)], step))
-        if _chessboard(self.mesh, self.norm):
+        if k < self.mesh.dim:
+            head = (slice(None),) * k
+            ahead, behind = v[head + (slice(1, None),)], v[head + (slice(None, -1),)]
+            step = self.mesh.h[k]
+        else:
+            ahead, behind = (v[1:, 1:], v[:-1, :-1]) if k == 2 else (v[1:, :-1], v[:-1, 1:])
             step = self.mesh.h[0]
-            pairs += [(v[1:, 1:], v[:-1, :-1], step), (v[1:, :-1], v[:-1, 1:], step)]
-        moves = []
         with np.errstate(invalid="ignore"):  # +inf - +inf
-            for ahead, behind, step in pairs:
-                diff = np.subtract(ahead, behind)
-                moves.append((float(np.abs(diff, out=diff).max()), step))
-        return tuple(moves)
+            diff = np.subtract(ahead, behind)
+            return float(np.abs(diff, out=diff).max()), step
 
     @staticmethod
     def finite_exception(default: ExtReal, exceptions: Dict[SparsePoint, ExtReal],
@@ -407,9 +423,10 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     neighbouring nodes (along each axis, and on the chessboard also along
     both diagonals; compared in floats, so a +inf node fails), f is its
     own envelope: the result holds f's own read-only array, and no kernel
-    runs.  The largest moves are measured once per model
-    (``FunctionModel._node_moves``), on its first envelope, so a later n
-    costs one comparison per axis.  The float comparison certifies each
+    runs.  Each largest move is measured once per model, in order and on
+    the first envelope that reaches it (``FunctionModel._moves_within``,
+    which stops at the first move out of reach), so a later n costs one
+    comparison per axis.  The float comparison certifies each
     step within one subtraction's rounding, less than the ramps' own.
     Otherwise the kernel depends on the norm and the mesh, and the result
     holds its fresh array, made read-only:
@@ -442,7 +459,7 @@ def pasch_hausdorff(f: FunctionModel, n: float, mesh: MeshSpec) -> FunctionModel
     # within reach is finite, so such data is finite at every node.
     chessboard = _chessboard(mesh, f.norm)
     if ((mesh.dim == 1 or f.norm.kind is NormKind.TAXICAB or chessboard)
-            and all(move <= n * step for move, step in f._node_moves)):
+            and f._moves_within(n, chessboard)):
         return FunctionModel(Variant.TABULATED, mesh.box, f.norm, n, name,
                              mesh=mesh, values=fv)
     low = fv.min()

@@ -7,20 +7,25 @@ Each public call builds one evaluator of f and d_S, chosen in
 ``_layers``, and shares it between all its parts.  Nothing is cached
 across calls.  On a mesh (``_MeshLayers``, which refuses a missing mesh)
 f is tabulated once and d_S, measured by the region in the model's norm
-(``Region.distances``), at most once; a penalty call raises d_S to p once
-for all its multipliers.  Finite-exception models
-(``_ValueLayers``) stay in exact rational arithmetic, never snapped to a
-mesh: one pass over the exceptions, a single inlined integer loop with
-no function call per point, builds a value-layer index (per distinct
-value below the default, the least squared distance to the ball's
-center), and every delta rung, the plain infimum and each penalty value
-is a walk over those few layers.
+(``Region.distances``), at most once.  One step (``_NodesBelow``) then
+takes f's least value at the nodes where d_S == 0.0 and keeps the nodes
+below it: every delta rung holds that value's nodes, and f + n * d_S^p
+is f there, so no other node can lower a rung infimum or a penalty
+value.  Each rung narrows the kept nodes of the rung before it, and a
+penalty call raises their d_S to p once for all its multipliers.
+Finite-exception models (``_ValueLayers``) stay in exact rational
+arithmetic, never snapped to a mesh: one pass over the exceptions, a
+single inlined integer loop with no function call per point, builds a
+value-layer index (per distinct value below the default, the least
+squared distance to the ball's center), and every delta rung, the plain
+infimum and each penalty value is a walk over those few layers.
 
 ``_sup_of_rungs`` alone decides a ladder: it takes the sup of the rung
-infima of the exact evaluator and of both mesh kernels (``_sup_inf``, one
-mask per rung, and ``_sorted_sup_inf``, prefixes of one distance order),
-checks each ladder and the penalty schedule to be nondecreasing, and
-refuses a mesh rung ladder with no node within the largest delta.
+infima of the exact evaluator and of both mesh kernels (``_sup_inf``, the
+nodes below f's least value at d == 0.0, and ``_sorted_sup_inf``,
+prefixes of one distance order), checks each ladder and the penalty
+schedule to be nondecreasing, and refuses a mesh rung ladder with no
+node within the largest delta.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,10 +192,80 @@ class _ValueLayers:
         return out
 
 
+class _NodesBelow:
+    """The nodes that can lower an infimum of f over a rung {d <= delta}
+    (delta >= 0) or a penalty value min f + n * d^p (n > 0) below
+    ``floor``, f's least value at the nodes where d == 0.0 (INF where
+    there is none): every rung holds those nodes, and there n * d^p = +0.
+    Correctly rounded * and + are monotone and n * d^p >= +0, so a node
+    with f >= floor lowers neither; the nodes with f < floor are kept with
+    their d, in node order.  ``reach`` is the least d, 0.0 when a node has
+    d == 0.0.  One pass per array builds it, a few more on the nodes
+    below, and nothing reads the whole mesh again but a rung whose
+    infimum is zero while f holds both +0.0 and -0.0: numpy's reduction
+    order picks the sign of such a minimum, so that rung is re-read by its
+    whole-mesh mask."""
+
+    def __init__(self, values: np.ndarray, dist: np.ndarray):
+        inside = dist == 0.0
+        if inside.any():
+            self.floor, self.reach = float(values[inside].min()), 0.0
+        else:
+            self.floor, self.reach = INF, float(dist.min(initial=INF))
+        below = values < self.floor
+        self.values, self.dist = values[below], dist[below]
+        self._whole = values, dist
+
+    @cached_property
+    def _both_zeros(self) -> bool:
+        values = self._whole[0]
+        signs = np.signbit(values[values == 0.0])
+        return bool(signs.any() and not signs.all())
+
+    def _rung_infima(self, ladder: Sequence[float]) -> Iterator[Optional[float]]:
+        """inf{f : d <= delta} for each delta of a strictly decreasing
+        ladder, ``None`` for a rung with no node: each rung narrows the
+        nodes below the floor that the rung before it kept."""
+        values, dist = self.values, self.dist
+        for delta in ladder:
+            if delta < self.reach:
+                yield None
+                continue
+            keep = dist <= delta
+            values, dist = values[keep], dist[keep]
+            inf_d = float(values.min()) if values.size else self.floor
+            if inf_d == 0.0 and self._both_zeros:
+                all_values, all_dist = self._whole
+                inf_d = float(all_values[all_dist <= delta].min())
+            yield inf_d
+
+    def sup_inf(self, ladder: Sequence[float]) -> ExtReal:
+        return _sup_of_rungs(self._rung_infima(ladder))
+
+    def penalties(self, ns: Sequence[float], p: float) -> List[float]:
+        """min of f + n * d^p over the nodes for each n of ``ns``: floor +
+        0.0 (never -0.0, as no sum is) against the sums of the nodes below
+        it, formed in one scratch array with their d^p taken once; INF
+        when no node gives a finite sum."""
+        floor = self.floor + 0.0
+        if not self.values.size:
+            return [floor] * len(ns)
+        dp = self.dist ** p
+        scratch = np.empty_like(dp)
+        out = []
+        for n in ns:
+            np.multiply(dp, n, out=scratch)
+            scratch += self.values
+            out.append(min(floor, float(scratch.min())))
+        return out
+
+
 class _MeshLayers:
     """f and d_S at the nodes of a mesh, for one public call: f tabulated
     once, d_S measured at most once, on first use, so the plain infimum
-    never measures it."""
+    never measures it.  Every rung infimum, penalty value and the plain
+    infimum of a measured d_S are read off one ``_NodesBelow`` of the
+    call."""
 
     def __init__(self, f: FunctionModel, S: Region, mesh: Optional[MeshSpec]):
         if mesh is None:
@@ -204,34 +279,26 @@ class _MeshLayers:
     def dist(self) -> np.ndarray:
         return self.S.distances(self.mesh.nodes(), self.f.norm)
 
+    @cached_property
+    def below(self) -> _NodesBelow:
+        return _NodesBelow(self.values, self.dist)
+
     def plain(self) -> ExtReal:
         """inf_S f, measuring no d_S; a d_S this call measured already is 0
         exactly at the member nodes, so the members are read off it."""
         if "dist" not in self.__dict__:
             return inf_over_region(self.f, self.S, self.mesh)
-        inside = self.dist == 0.0
-        return float(self.values[inside].min()) if inside.any() else INF
+        return self.below.floor
 
     def uniform_infimum(self, ladder: Sequence[float]) -> ExtReal:
-        return _sup_inf(self.values, self.dist, ladder)
+        return self.below.sup_inf(ladder)
 
     def penalized(self, n: float, p: float) -> np.ndarray:
         """f + n * d_S^p at every node, a fresh array."""
         return self.values + n * self.dist ** p
 
     def penalties(self, ns: Sequence[float], p: float) -> List[float]:
-        """min of f + n * d_S^p over the nodes for each n of ``ns``; INF
-        when no node gives a finite sum.  d_S^p is taken once, and each
-        n * d_S^p + f is formed in one scratch array of this call: IEEE *
-        and + commute, so every sum is ``penalized``'s bit for bit."""
-        dp = self.dist ** p
-        scratch = np.empty_like(dp)
-        out = []
-        for n in ns:
-            np.multiply(dp, n, out=scratch)
-            scratch += self.values
-            out.append(float(scratch.min()))
-        return out
+        return self.below.penalties(ns, p)
 
 
 def _layers(f: FunctionModel, S: Region, mesh: Optional[MeshSpec]):
@@ -257,10 +324,9 @@ _NO_NODE = "no mesh node within the largest delta of the region"
 
 
 def _sup_inf(values: np.ndarray, dist: np.ndarray, ladder: Sequence[float]) -> float:
-    """sup over the delta ladder of inf{values : dist <= delta}, one mask
-    per rung, an empty one ``None`` to ``_sup_of_rungs``."""
-    return _sup_of_rungs(float(values[mask].min()) if mask.any() else None
-                         for mask in (dist <= delta for delta in ladder))
+    """sup over the strictly decreasing delta ladder of inf{values : dist
+    <= delta}, an empty rung ``None`` to ``_sup_of_rungs``."""
+    return _NodesBelow(values, dist).sup_inf(ladder)
 
 
 def _sorted_sup_inf(running_min: np.ndarray, dist: np.ndarray,
@@ -304,7 +370,10 @@ def plain_infimum(f: FunctionModel, S: Region, mesh: Optional[MeshSpec]) -> ExtR
 
 def penalty_value(f: FunctionModel, S: Region, n: float, spec: PenaltySpec,
                   mesh: Optional[MeshSpec]) -> ExtReal:
-    """inf over the sample space of f(x) + n * d_S(x)^p."""
+    """inf over the sample space of f(x) + n * d_S(x)^p, for a finite and
+    positive n (else ValueError, before any work)."""
+    if not (_finite(n) and n > 0):
+        raise ValueError(f"multiplier n must be finite and positive, got {n!r}")
     return _layers(f, S, mesh).penalties((n,), spec.p)[0]
 
 

@@ -530,6 +530,22 @@ class TestLipschitzEnvelope:
             else:
                 assert got == ref, fld.name
 
+    @pytest.mark.parametrize("norm", [TAXICAB, MAX], ids=["taxicab", "chessboard"])
+    def test_moves_are_measured_in_order_up_to_the_first_out_of_reach(self, norm):
+        """f = 0.5 i + 4 j moves 0.5 along the first axis, 4 along the
+        second, and 4.5 and 3.5 along the chessboard's diagonals: each
+        envelope measures the moves its check reaches, in order, and stops
+        at the first one beyond n*h; none is measured twice."""
+        mesh = MeshSpec(box=((0.0, 1.0), (0.0, 1.5)), h=(0.25, 0.25))
+        i, j = np.indices(mesh._counts)
+        f = FunctionModel.tabulated(mesh, (0.5 * i + 4.0 * j).ravel(), norm=norm)
+        for n, measured in ((1.0, [0.5]), (1.5, [0.5]), (4.0, [0.5, 4.0]), (8.0, [0.5, 4.0])):
+            assert pasch_hausdorff(f, n, mesh).values is not f.values
+            assert f._node_moves == [(move, 0.25) for move in measured]
+        assert pasch_hausdorff(f, 20.0, mesh).values is f.values
+        diagonals = [4.5, 3.5] if norm == MAX else []
+        assert f._node_moves == [(move, 0.25) for move in [0.5, 4.0] + diagonals]
+
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_lipschitz_bound_and_monotonicity(self, seed):

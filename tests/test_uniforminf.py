@@ -15,7 +15,7 @@ from epislope import (
     carac_W_bridge, convergence, nogoodlsc, penalty_limit, penalty_value, plain_infimum,
     restrict, robustness, uniform_infimum, values_on, wijsman_at_point,
 )
-from epislope.uniforminf import _NO_NODE, _MeshLayers, _sup_of_rungs
+from epislope.uniforminf import _NO_NODE, _MeshLayers, _NodesBelow, _sup_inf, _sup_of_rungs
 from epislope.verdict import InvariantError, decide, margin
 
 CFG = LimitConfig()
@@ -562,6 +562,173 @@ def test_mesh_models_refuse_a_missing_mesh_first(operation):
     f = tabmodel(lambda x: x * x, line(h=0.5))
     with pytest.raises(ValueError, match="mesh required for non-exact models"):
         operation(f, Predicate(_untouchable))
+
+
+@pytest.mark.parametrize("n", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf],
+                         ids=["negative", "zero", "minus-zero", "nan", "inf", "minus-inf"])
+class TestPenaltyValueRefusesBadMultipliers:
+    """penalty_value refuses an n that is not finite and positive before
+    any work, on the mesh path and on the exact path, as ``PenaltySpec``
+    refuses such a schedule."""
+
+    def test_on_the_h_005_line(self, n):
+        # |x| on B(0.5, 0.1) read -0.4 at n = -1, and nan at n = nan or inf
+        mesh = line(h=0.05)
+        with pytest.raises(ValueError, match="^multiplier n must be finite and positive"):
+            penalty_value(tabmodel(abs, mesh), Ball((0.5,), 0.1), n, PenaltySpec(), mesh)
+
+    def test_before_the_mesh_check(self, n):
+        f = tabmodel(lambda x: x * x, line(h=0.5))
+        with pytest.raises(ValueError, match="^multiplier n must be finite and positive"):
+            penalty_value(f, Predicate(_untouchable), n, PenaltySpec(), None)
+
+    def test_on_the_exact_path_before_the_region_check(self, n):
+        with pytest.raises(ValueError, match="^multiplier n must be finite and positive"):
+            penalty_value(nogoodlsc(2, 4, 0.5), Predicate(_untouchable), n, PenaltySpec(), None)
+
+
+# ------------------------------------------------------- mesh rung kernels
+# The whole-mesh kernels that ``_NodesBelow`` replaced, kept as references:
+# one mask per delta rung, and one multiply, add and min per multiplier.
+
+def _masked_sup_inf(values, dist, ladder):
+    return _sup_of_rungs(float(values[mask].min()) if mask.any() else None
+                         for mask in (dist <= delta for delta in ladder))
+
+
+def _whole_mesh_penalties(values, dist, ns, p):
+    dp = dist ** p
+    scratch = np.empty_like(dp)
+    out = []
+    for n in ns:
+        np.multiply(dp, n, out=scratch)
+        scratch += values
+        out.append(float(scratch.min()))
+    return out
+
+
+def _outcome(call):
+    """A result as float.hex and sign, a list of them, or a raised error
+    as its type and message."""
+    try:
+        got = call()
+    except (ValueError, InvariantError) as err:
+        return type(err), str(err)
+    return [(float(v).hex(), math.copysign(1.0, v)) for v in np.atleast_1d(got)]
+
+
+MESH_KINDS = [((201,), EUCLIDEAN), ((9, 9), MAX), ((8, 7), TAXICAB), ((6, 9), EUCLIDEAN)]
+LADDERS = [CFG.delta_ladder, (0.5, 0.25, 0.125), (0.3, 0.2, 0.1, 0.05, 0.04)]
+
+
+@st.composite
+def rung_instances(draw):
+    """f on a 1-D line or a 2-D max, taxicab or Euclidean mesh, valued in
+    +-0.0, +inf, ties and random floats, at times none negative, with d either a region's d_S in
+    the mesh norm (a ball at a node, a few points, or no point at all:
+    d = +inf, no node at d == 0) or a bridge row's max(0, d_x - lam) about
+    a drawn point, whose later rungs may hold no node.  The region's
+    nodes may sit on a plateau above every other node, so that every node
+    with a finite value lies below them."""
+    counts, norm = draw(st.sampled_from(MESH_KINDS))
+    mesh = MeshSpec(box=tuple((0.0, 0.05 * (c - 1)) for c in counts), h=(0.05,) * len(counts))
+    size = mesh.node_count
+    # with no negative value, zero rungs over both zeros are common
+    low = draw(st.sampled_from((-2.0, 0.0)))
+    tie = draw(st.floats(low, 1.0))
+    fv = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, math.inf, tie]), st.floats(low, 2.0)),
+        min_size=size, max_size=size)))
+    nodes = mesh.nodes()
+    kind = draw(st.sampled_from(("ball", "points", "empty", "row")))
+    if kind == "row":
+        x = [draw(st.floats(-0.1, 0.05 * c)) for c in counts]
+        d_x = norm.pairwise(np.asarray([x]), nodes)[0]
+        dist = np.maximum(0.0, d_x - draw(st.sampled_from((0.0, 0.01, 0.05, 0.2))))
+    else:
+        if kind == "ball":
+            S = Ball(tuple(nodes[draw(st.integers(0, size - 1))]),
+                     draw(st.sampled_from((0.0, 0.05, 0.12))), norm)
+        else:
+            picked = [] if kind == "empty" else draw(
+                st.lists(st.integers(0, size - 1), min_size=1, max_size=3))
+            S = FinitePoints(PointSet.of([tuple(nodes[i]) for i in picked], dim=len(counts)))
+        dist = S.distances(nodes, norm)
+    if draw(st.booleans()):
+        fv[dist == 0.0] = 3.0
+    return mesh, norm, fv, dist, draw(st.sampled_from(LADDERS))
+
+
+class TestNodesBelowParity:
+    """Every rung infimum, penalty value and plain infimum read off the
+    nodes below f's least value at d == 0.0 is float.hex- and sign-equal
+    to the whole-mesh kernels, and every refusal keeps its type and
+    message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rung_instances())
+    def test_sup_inf_is_the_masked_rung_kernel(self, instance):
+        _, _, fv, dist, ladder = instance
+        assert _outcome(lambda: _sup_inf(fv, dist, ladder)) == \
+            _outcome(lambda: _masked_sup_inf(fv, dist, ladder))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rung_instances(), st.sampled_from((0.5, 1.0, 2.0, 3.0)))
+    def test_penalties_are_the_whole_mesh_loop(self, instance, p):
+        _, _, fv, dist, _ = instance
+        ns = PenaltySpec().n_schedule + (1000.5,)
+        assert _outcome(lambda: _NodesBelow(fv, dist).penalties(ns, p)) == \
+            _outcome(lambda: _whole_mesh_penalties(fv, dist, ns, p))
+
+    def test_a_ball_on_a_plateau_makes_every_node_a_candidate(self):
+        mesh = MeshSpec(box=((0.0, 1.0), (0.0, 1.0)), h=(0.05, 0.05))
+        fv = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.node_count)
+        dist = Ball((0.5, 0.5), 0.1, MAX).distances(mesh.nodes(), MAX)
+        fv[dist == 0.0] = 2.0
+        below = _NodesBelow(fv, dist)
+        assert below.floor == 2.0 and below.values.size == np.count_nonzero(dist > 0.0)
+        assert _outcome(lambda: below.sup_inf(CFG.delta_ladder)) == \
+            _outcome(lambda: _masked_sup_inf(fv, dist, CFG.delta_ladder))
+
+    def test_no_node_at_d_zero_and_an_empty_later_rung(self):
+        fv = np.array([1.0, -0.5, math.inf, 0.25])
+        dist = np.array([0.3, 0.2, 0.1, 0.4])
+        below = _NodesBelow(fv, dist)
+        assert (below.floor, below.reach) == (INF, 0.1)
+        assert below.values.tolist() == [1.0, -0.5, 0.25]
+        assert below.penalties((1.0,), 1.0) == _whole_mesh_penalties(fv, dist, (1.0,), 1.0)
+        ladder = (0.5, 0.25, 0.15, 0.05)
+        assert list(below._rung_infima(ladder)) == [-0.5, -0.5, math.inf, None]
+        assert below.sup_inf(ladder) == _masked_sup_inf(fv, dist, ladder) == INF
+        with pytest.raises(ValueError, match=f"^{_NO_NODE}$"):
+            below.sup_inf((0.05, 0.01))
+
+    def test_a_zero_rung_over_both_zeros_is_re_read_by_its_mask(self, monkeypatch):
+        """A rung whose infimum is zero while f holds +0.0 and -0.0 takes
+        the masked kernel's sign: here the floor is the member's +0.0, and
+        the largest rung's mask, which also holds the -0.0 at d = 0.1,
+        reduces to -0.0, the sup of the ladder."""
+        fv, dist = np.array([0.0, -0.0]), np.array([0.0, 0.1])
+        want = _outcome(lambda: _masked_sup_inf(fv, dist, CFG.delta_ladder))
+        assert want == [("-0x0.0p+0", -1.0)]
+        assert _outcome(lambda: _sup_inf(fv, dist, CFG.delta_ladder)) == want
+        monkeypatch.setattr(_NodesBelow, "_both_zeros", False)
+        assert _outcome(lambda: _sup_inf(fv, dist, CFG.delta_ladder)) != want
+
+    @settings(max_examples=150, deadline=None)
+    @given(rung_instances())
+    def test_mesh_layers_read_every_value_off_one_kernel(self, instance):
+        mesh, norm, fv, _, ladder = instance
+        f = FunctionModel.tabulated(mesh, fv, norm=norm)
+        S = Ball(tuple(mesh.nodes()[mesh.node_count // 2]), 0.07, norm)
+        layers = _MeshLayers(f, S, mesh)
+        dist = S.distances(mesh.nodes(), norm)
+        assert _outcome(lambda: layers.uniform_infimum(ladder)) == \
+            _outcome(lambda: _masked_sup_inf(fv, dist, ladder))
+        assert _outcome(lambda: layers.penalties((1.0, 64.0), 2.0)) == \
+            _outcome(lambda: _whole_mesh_penalties(fv, dist, (1.0, 64.0), 2.0))
+        inside = dist == 0.0
+        assert _outcome(layers.plain) == _outcome(lambda: fv[inside].min())
 
 
 # ---------------------------------------------------------------- exact path
